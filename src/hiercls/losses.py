@@ -46,7 +46,6 @@ __all__ = [
     "soft_grad",
     "conditional_head_loss",
     "conditional_head_grad",
-    "conditional_log_class_probs",
     "ClassCrossEntropy",
     "ClassHxeObjective",
     "ClassSoftLabelObjective",
@@ -376,8 +375,3 @@ def conditional_head_grad(tax: Taxonomy, weights: HxeWeights, z: np.ndarray,
     obj = ConditionalHxeObjective(tax, weights)
     return _one(obj.grad_batch, z, tax.leaf_index[truth])
 
-
-def conditional_log_class_probs(tax: Taxonomy, z: np.ndarray) -> np.ndarray:
-    """Log leaf posteriors for a single conditional-head logit vector."""
-    obj = ConditionalHxeObjective(tax, hxe_weights(tax, 0.0))
-    return obj.log_class_probs(np.asarray(z, dtype=float)[None, :])[0]

@@ -10,16 +10,18 @@ point is recorded and skipped rather than aborting the grid.
 
 from __future__ import annotations
 
+import csv
+import io
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, SplitSpec, dataset_from_csv, split
 from .fileio import fmt, meta_header, sha16, write_text
-from .model import (AdamOptimizer, LossSpec, TrainSchedule,
+from .model import (HEADS, AdamOptimizer, LossSpec, TrainSchedule,
                     evaluate_checkpoints, init_model, select_checkpoints,
                     trace_to_csv, train)
 from .taxonomy import Taxonomy, load_taxonomy, randomize_leaves
@@ -71,11 +73,24 @@ class SweepConfig:
             raise ValueError(
                 "taxonomy_source must be 'true', 'randomized:<seed>' or 'both:<seed>'"
             )
+        if self.head not in HEADS:
+            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
+        if self.loss == "soft" and self.head == "conditional":
+            raise ValueError("loss = soft requires head = class")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        # Every point builds these; building them once here rejects a bad
+        # schedule or learning rate before any point runs.
+        TrainSchedule(steps=self.steps, batch_size=self.batch_size,
+                      checkpoint_every=self.checkpoint_every,
+                      discard_before=self.discard_before)
+        AdamOptimizer(lr=self.lr)
 
 
 def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
     """Parse a ``key = value`` config document; paths resolve against
     ``base_dir``."""
+    known = {f.name for f in fields(SweepConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -84,7 +99,10 @@ def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        raw[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in known:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        raw[key] = val.strip()
     for required in ("loss", "data", "taxonomy", "classes"):
         if required not in raw:
             raise ValueError(f"sweep config is missing the {required!r} key")
@@ -319,7 +337,10 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
         write_text(out / "tradeoff.csv", _table_csv(ok_rows, header_meta))
         write_text(out / "tradeoff_mean.csv", _mean_table_csv(ok_rows, header_meta))
     if failures:
-        lines = ["point,error"] + [f"{r['tag']},{r['error']}" for r in failures]
-        write_text(out / "failures.csv",
-                   meta_header(header_meta) + "\n".join(lines) + "\n")
+        # Error text may hold commas, quotes or newlines: quote it as CSV.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["point", "error"])
+        writer.writerows([r["tag"], r["error"]] for r in failures)
+        write_text(out / "failures.csv", meta_header(header_meta) + buf.getvalue())
     return len(failures)

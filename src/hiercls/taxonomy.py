@@ -186,15 +186,26 @@ class Taxonomy:
             kids = self.children.get(node, [])
             if node != self.root and len(kids) == 1:
                 raise HierarchyError(f"internal node {node!r} has a single child")
-        # Heights bottom-up in reverse BFS order.
+        # Depth-first leaf numbering: every subtree is the contiguous span
+        # [lo, hi) of ``dfs_leaves``, since children are visited in order.
+        dfs_leaves = _dfs_zero_child(self.root, self.children)
+        lo = {leaf: i for i, leaf in enumerate(dfs_leaves)}
+        hi = {leaf: i + 1 for i, leaf in enumerate(dfs_leaves)}
+        # Heights and spans bottom-up in reverse BFS order.
         height = {}
         for node in reversed(order):
             kids = self.children.get(node, [])
-            height[node] = 0 if not kids else 1 + max(height[k] for k in kids)
+            if kids:
+                height[node] = 1 + max(height[k] for k in kids)
+                lo[node], hi[node] = lo[kids[0]], hi[kids[-1]]
+            else:
+                height[node] = 0
         self.height = height
         self.tree_height = height[self.root]
         self.leaf_index = {leaf: i for i, leaf in enumerate(self.leaves)}
         self.node_index = {n: i for i, n in enumerate(self.nodes_bfs)}
+        self._dfs_pos = np.array([lo[leaf] for leaf in self.leaves], dtype=np.int64)
+        self._span = np.array([(lo[n], hi[n]) for n in order], dtype=np.int64)
         self._lca_height_matrix = None
         self._leaf_membership = None
 
@@ -245,21 +256,29 @@ class Taxonomy:
         return self.lca_height(a, b) / self.tree_height
 
     def lca_height_matrix(self) -> np.ndarray:
-        """(L, L) integer matrix of pairwise leaf LCA heights, canonical order."""
+        """(L, L) integer matrix of pairwise leaf LCA heights, canonical order.
+
+        Built in depth-first leaf order, where each node's subtree is a
+        contiguous span. A pair's LCA is the node whose span holds both
+        leaves while the span of one of its children holds only one, so each
+        non-root node ``c`` under parent ``v`` writes ``height[v]`` into
+        rows ``span(c)`` and the columns of ``span(v)`` outside ``span(c)``.
+        Every off-diagonal entry is written exactly once and the diagonal
+        stays 0; one gather then permutes the result to canonical order.
+        """
         if self._lca_height_matrix is None:
             L = self.num_leaves
-            mat = np.zeros((L, L), dtype=np.int64)
-            chains = {leaf: self.ancestry(leaf) for leaf in self.leaves}
-            idx_of = {leaf: set(chains[leaf]) for leaf in self.leaves}
-            for i, a in enumerate(self.leaves):
-                for j in range(i + 1, L):
-                    b = self.leaves[j]
-                    anc = idx_of[b]
-                    for node in chains[a]:
-                        if node in anc:
-                            mat[i, j] = mat[j, i] = self.height[node]
-                            break
-            self._lca_height_matrix = mat
+            dfs = np.zeros((L, L), dtype=np.int64)
+            span = self._span
+            for node in self.nonroot_bfs:
+                lo, hi = span[self.node_index[node]]
+                par = self.parent[node]
+                plo, phi = span[self.node_index[par]]
+                h = self.height[par]
+                dfs[lo:hi, plo:lo] = h
+                dfs[lo:hi, hi:phi] = h
+            pos = self._dfs_pos
+            self._lca_height_matrix = dfs[pos[:, None], pos]
         return self._lca_height_matrix
 
     def distance_matrix(self) -> np.ndarray:
@@ -270,12 +289,16 @@ class Taxonomy:
 
     def leaf_membership(self) -> np.ndarray:
         """(num_nodes, L) 0/1 matrix: entry (n, j) is 1 iff leaf j lies in the
-        subtree rooted at the n-th node of ``nodes_bfs`` (node-or-self)."""
+        subtree rooted at the n-th node of ``nodes_bfs`` (node-or-self).
+
+        Row n is 1 at the canonical indices of the leaves in the node's
+        depth-first span ``[lo, hi)``.
+        """
         if self._leaf_membership is None:
+            canonical = np.argsort(self._dfs_pos)
             mat = np.zeros((self.num_nodes, self.num_leaves))
-            for j, leaf in enumerate(self.leaves):
-                for node in self.ancestry(leaf):
-                    mat[self.node_index[node], j] = 1.0
+            for row, (lo, hi) in enumerate(self._span):
+                mat[row, canonical[lo:hi]] = 1.0
             self._leaf_membership = mat
         return self._leaf_membership
 

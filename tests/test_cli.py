@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -179,6 +180,22 @@ class TestTrainCommand:
     def test_usage_error_exit_1(self):
         assert run("train", "--loss", "ce") == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "0"], "lr must be > 0"),
+        (["--lr", "-1"], "lr must be > 0"),
+        (["--discard-before", "-3"], "discard_before must be >= 0"),
+        (["--hidden-dim", "0"], "hidden_dim must be >= 1"),
+    ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0"])
+    def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "bad_run"
+        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                   *flags, "--seed", "0", "--out", out)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hash_mismatch_rejected(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         # Retarget the same data at a structurally different taxonomy.
@@ -341,6 +358,39 @@ class TestSweepCommand:
         bad = workdir / "bad.cfg"
         bad.write_text("loss = ce\n")
         assert run("sweep", "--config", bad, "--out", workdir / "x") == 2
+
+    def test_failures_csv_quotes_error_text(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, discard_before="500")
+        out = workdir / "sweep_late"
+        assert run("sweep", "--config", cfg, "--out", out) == 3
+        rows = list(csv.reader(body(out / "failures.csv")))
+        assert rows[0] == ["point", "error"]
+        assert [r[0] for r in rows[1:]] == ["hxe_0.1_true_seed0",
+                                            "hxe_0.9_true_seed0"]
+        for row in rows:
+            assert len(row) == 2
+        assert rows[1][1] == ("ValueError: need at least 5 checkpoints after "
+                              "step 500, have 0")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"step": "10"}, "line 17: unknown key 'step'"),
+        ({"head": "bogus"}, "head must be one of"),
+        ({"hidden_dim": "0"}, "hidden_dim must be >= 1"),
+        ({"loss": "soft", "grid": "4.0", "head": "conditional"},
+         "loss = soft requires head = class"),
+        ({"lr": "0"}, "lr must be > 0"),
+        ({"discard_before": "-1"}, "discard_before must be >= 0"),
+    ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
+            "lr_0", "negative_discard"])
+    def test_bad_config_rejected_before_any_point(self, workdir, capsys,
+                                                  overrides, message):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, **overrides)
+        out = workdir / "sweep_bad"
+        assert run("sweep", "--config", cfg, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference, max_rel_error
 from hiercls import model as Md
@@ -354,6 +356,56 @@ class TestEvaluate:
         expected = 1.96 * math.sqrt(2.5) / math.sqrt(5)
         assert Md.confidence_half_width(vals) == pytest.approx(expected, abs=1e-12)
         assert Md.confidence_half_width([4.2]) == 0.0
+
+
+def stable_top(scores, width):
+    return np.argsort(-scores, axis=1, kind="stable")[:, :width]
+
+
+class TestTopRanks:
+    # Row 0: a four-way tie for first place; row 1: all equal; row 2: a tie
+    # across second and third place; row 3: distinct scores. Widths 1 and 2
+    # take the partial path, wider ones the full sort.
+    TIED = np.array([[0.5, 0.1, 0.5, 0.5, 0.2, 0.5],
+                     [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                     [0.0, 0.3, 0.2, 0.3, 0.1, 0.9],
+                     [0.6, 0.5, 0.4, 0.3, 0.2, 0.1]])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 6])
+    def test_ties_match_stable_argsort(self, width):
+        np.testing.assert_array_equal(Md._top_ranks(self.TIED, width),
+                                      stable_top(self.TIED, width))
+
+    def test_ties_go_to_lower_index(self):
+        np.testing.assert_array_equal(Md._top_ranks(self.TIED, 3)[:3],
+                                      [[0, 2, 3], [0, 1, 2], [5, 1, 3]])
+
+    def test_ties_inside_a_wide_slice(self):
+        # 29 tied scores from 3 values, then a unique 30th: the slice is long
+        # enough that only a stable sort keeps the tied indices in order.
+        rng = np.random.default_rng(0)
+        rows = []
+        for _ in range(20):
+            row = np.concatenate([rng.choice([5.0, 6.0, 7.0], 29), [4.5],
+                                  rng.uniform(0.0, 4.0, 60)])
+            rows.append(rng.permutation(row))
+        scores = np.array(rows)
+        np.testing.assert_array_equal(Md._top_ranks(scores, 30),
+                                      stable_top(scores, 30))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_scores_match_stable_argsort(self, data):
+        rows = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 12))
+        width = data.draw(st.integers(1, cols))
+        # Few distinct values make ties at the width-th place common.
+        values = st.sampled_from([-1.0, 0.0, 0.25, 2.0]) | st.floats(-3, 3)
+        scores = np.array(data.draw(st.lists(
+            st.lists(values, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+        np.testing.assert_array_equal(Md._top_ranks(scores, width),
+                                      stable_top(scores, width))
 
 
 class TestCheckpointText:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, brute_lca,
                       make_random_dag, make_random_tree)
 from hiercls.taxonomy import (CycleError, EdgeListParseError, HierarchyError,
-                              UnknownNodeError, apply_edits, leaf_permutation,
-                              load_edges, load_taxonomy, prune_to_tree,
-                              randomize_leaves)
+                              TaxonomyGraph, UnknownNodeError, apply_edits,
+                              leaf_permutation, load_edges, load_taxonomy,
+                              prune_to_tree, randomize_leaves)
 
 
 class TestLoadEdges:
@@ -288,3 +290,58 @@ class TestExportImport:
         assert toy_tree.hash_hex() == same.hash_hex()
         if other != toy_tree:
             assert other.hash_hex() != toy_tree.hash_hex()
+
+
+@st.composite
+def shaped_trees(draw):
+    """A taxonomy built through the pruning path in one of four shapes, with
+    its class list shuffled so canonical and depth-first order differ."""
+    shape = draw(st.sampled_from(["random", "deep", "fan", "single_child_root"]))
+    n = draw(st.integers(2, 30))
+    if shape == "fan":  # every class hangs off the root
+        parents = [0] * (n - 1)
+    elif shape == "deep":  # each node hangs off one of the two newest
+        parents = [draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, n)]
+    elif shape == "single_child_root":  # the root's only child holds the rest
+        parents = [0] + [draw(st.integers(1, i - 1)) for i in range(2, n)]
+    else:
+        parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = {(f"v{p}", f"v{i}") for i, p in enumerate(parents, start=1)}
+    has_child = {p for p, _ in edges}
+    sinks = [f"v{i}" for i in range(n) if f"v{i}" not in has_child]
+    classes = draw(st.permutations(sinks))
+    return prune_to_tree(TaxonomyGraph.from_edges(edges), list(classes))
+
+
+def assert_span_matrices_match_oracles(tax):
+    expected = np.array([[tax.lca_height(a, b) for b in tax.leaves]
+                         for a in tax.leaves], dtype=np.int64)
+    H = tax.lca_height_matrix()
+    assert H.dtype == np.int64
+    np.testing.assert_array_equal(H, expected)
+    membership = np.zeros((tax.num_nodes, tax.num_leaves))
+    for j, leaf in enumerate(tax.leaves):
+        for node in tax.ancestry(leaf):
+            membership[tax.node_index[node], j] = 1.0
+    np.testing.assert_array_equal(tax.leaf_membership(), membership)
+
+
+class TestDepthFirstSpans:
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_trees())
+    def test_matrices_match_oracles(self, tax):
+        assert_span_matrices_match_oracles(tax)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_trees(), st.integers(0, 2**32 - 1))
+    def test_randomized_leaves_match_oracles(self, tax, seed):
+        assert_span_matrices_match_oracles(randomize_leaves(tax, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_trees(), st.data())
+    def test_edited_trees_match_oracles(self, tax, data):
+        for _ in range(data.draw(st.integers(1, 3))):
+            node = data.draw(st.sampled_from(tax.nonroot_bfs))
+            targets = [n for n in tax.nodes_bfs if node not in tax.ancestry(n)]
+            tax = apply_edits(tax, [(node, data.draw(st.sampled_from(targets)))])
+        assert_span_matrices_match_oracles(tax)

@@ -14,7 +14,7 @@ from .losses import (EPS, softmax, HxeWeights, hxe_weights,
                      conditionals_from_class_probs, factorized_prob,
                      cross_entropy, hxe_loss, hxe_grad, SoftLabelMatrix,
                      soft_label_matrix, soft_label_loss, soft_grad,
-                     conditional_head_loss, conditional_head_grad)
+                     conditional_head_loss)
 from .metrics import (PredictionBatch, MetricReport, top_k_error,
                       hier_dist_mistake, avg_hier_dist_topk,
                       severity_histogram, compute_report)

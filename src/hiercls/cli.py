@@ -12,26 +12,26 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 partial sweep failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, SplitSpec, dataset_from_csv, dataset_to_csv,
-                   split, synth_hierarchical)
+from .data import DataError, dataset_to_csv, synth_hierarchical
 from .fileio import fmt, meta_header, sha16, write_text
-from .metrics import MetricReport
-from .model import (AdamOptimizer, ClassifierModel, LossSpec, TrainSchedule,
+from .model import (AveragedReport, LossSpec, TrainSchedule, average_reports,
                     checkpoint_from_text, checkpoint_to_text,
-                    confidence_half_width, evaluate_checkpoints,
-                    evaluate_model, init_model, select_checkpoints,
-                    trace_to_csv, train)
-from .sweep import parse_sweep_config, run_sweep
+                    confidence_half_width, evaluate_model, trace_to_csv)
+from .sweep import (SPLIT_NAMES, check_ks, convert, load_inputs, load_tax,
+                    parse_ks, parse_split, parse_sweep_config, read_classes,
+                    read_input, run_point, run_sweep, write_csv,
+                    write_histogram_csv, write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
-                       load_edges, load_taxonomy, prune_to_tree,
-                       randomize_leaves)
+                       load_edges, prune_to_tree, randomize_leaves)
+# Not called here: perfbench/tracer.py patches these lookup sites.
+from .data import dataset_from_csv, split  # noqa: F401
+from .model import select_checkpoints, train  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,50 +46,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _read(path: str, flag: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{flag}: file not found: {path}")
-    return p.read_text(encoding="utf-8")
-
-
-def _read_classes(path: str, flag: str = "--classes") -> list[str]:
-    lines = _read(path, flag).splitlines()
-    classes = [l.strip() for l in lines if l.strip() and not l.startswith("#")]
-    if not classes:
-        raise DataError(f"{flag}: no class ids in {path}")
-    return classes
-
-
-def _load_tax(args):
-    return load_taxonomy(_read(args.taxonomy, "--taxonomy"),
-                         _read_classes(args.classes))
-
-
-def _check_data_hash(data_text: str, tax) -> None:
-    for line in data_text.splitlines():
-        if line.startswith("# taxonomy_hash="):
-            embedded = line.split("=", 1)[1].strip()
-            if embedded != tax.hash_hex():
-                raise DataError(
-                    f"dataset taxonomy hash {embedded} does not match "
-                    f"--taxonomy hash {tax.hash_hex()}"
-                )
-        if not line.startswith("#"):
-            break
-
-
-def _parse_triple(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise DataError(f"--split needs three comma-separated values, got {text!r}")
-    return parts[0], parts[1], parts[2]
-
-
-def _parse_ks(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x)
 
 
 def _csv_body(text: str) -> list[list[str]]:
@@ -112,26 +68,20 @@ def _csv_meta(text: str) -> dict:
 
 
 def _export_with_header(tax, extra_meta=None) -> str:
-    meta = {
-        "format": "hiercls-taxonomy-v1",
-        "taxonomy_hash": tax.hash_hex(),
-        "num_nodes": tax.num_nodes,
-        "num_leaves": tax.num_leaves,
-        "tree_height": tax.tree_height,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = dict(extra_meta or {}, format="hiercls-taxonomy-v1",
+                taxonomy_hash=tax.hash_hex(), num_nodes=tax.num_nodes,
+                num_leaves=tax.num_leaves, tree_height=tax.tree_height)
     return meta_header(meta) + tax.export_edges()
 
 
 def cmd_hierarchy(args) -> int:
     if args.action == "build":
-        graph = load_edges(_read(args.edges, "--edges"))
-        tax = prune_to_tree(graph, _read_classes(args.classes))
+        graph = load_edges(read_input(args.edges, "--edges"))
+        tax = prune_to_tree(graph, read_classes(args.classes, "--classes"))
         if args.edits:
             edit_rows = []
             for lineno, line in enumerate(
-                    _read(args.edits, "--edits").splitlines(), start=1):
+                    read_input(args.edits, "--edits").splitlines(), start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -144,7 +94,7 @@ def cmd_hierarchy(args) -> int:
             tax = apply_edits(tax, edit_rows)
         write_text(args.out, _export_with_header(tax))
     elif args.action == "randomize":
-        tax = _load_tax(args)
+        tax = load_tax(args.taxonomy, args.classes)
         randomized = randomize_leaves(tax, args.seed)
         write_text(args.out, _export_with_header(
             randomized, {"randomize_seed": args.seed,
@@ -153,11 +103,10 @@ def cmd_hierarchy(args) -> int:
         lines = ["slot,label_before,label_after"]
         lines += [f"{i},{a},{b}" for i, (a, b) in enumerate(perm)]
         sidecar = args.permutation_out or (args.out + ".permutation.csv")
-        write_text(sidecar, meta_header({"randomize_seed": args.seed,
-                                         "source_taxonomy_hash": tax.hash_hex()})
-                   + "\n".join(lines) + "\n")
+        write_csv(sidecar, {"randomize_seed": args.seed,
+                            "source_taxonomy_hash": tax.hash_hex()}, lines)
     else:  # export
-        tax = _load_tax(args)
+        tax = load_tax(args.taxonomy, args.classes)
         write_text(args.out, _export_with_header(tax))
     return EXIT_OK
 
@@ -168,7 +117,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    tax = _load_tax(args)
+    tax = load_tax(args.taxonomy, args.classes)
     ds = synth_hierarchical(tax, per_class=args.per_class, dim=args.dim,
                             step_scale=args.step_scale,
                             noise_scale=args.noise_scale, seed=args.seed,
@@ -195,106 +144,74 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_rows(means: dict, halves: dict, reports: list[MetricReport]):
+def _report_rows(averaged: AveragedReport):
+    """``(metric, k, mean, half_width)`` rows of ``report.csv``."""
     rows = []
-    for name in means:
+    for name, mean in averaged.means.items():
+        half = averaged.half_widths[name]
         if name.startswith("top") and name.endswith("_error"):
-            rows.append(("top_k_error", name[3:-6], means[name], halves[name]))
+            rows.append(("top_k_error", name[3:-6], mean, half))
         elif name.startswith("avg_hier_dist_at_"):
-            rows.append(("avg_hier_dist_topk", name.rsplit("_", 1)[1],
-                         means[name], halves[name]))
+            rows.append(("avg_hier_dist_topk", name.rsplit("_", 1)[1], mean, half))
         else:
-            rows.append((name, "", means[name], halves[name]))
-    counts = [r.mistake_count for r in reports]
+            rows.append((name, "", mean, half))
+    counts = [r.mistake_count for r in averaged.reports]
     rows.append(("mistake_count", "", float(np.mean(counts)),
                  confidence_half_width(counts)))
-    rows.append(("num_examples", "", float(reports[0].num_examples), 0.0))
+    rows.append(("num_examples", "", float(averaged.reports[0].num_examples), 0.0))
     return rows
 
 
-def _write_report_csv(path, rows, meta) -> None:
-    lines = ["metric,k,mean,half_width"]
-    for metric, k, mean, hw in rows:
-        lines.append(f"{metric},{k},{fmt(mean)},{fmt(hw)}")
-    write_text(path, meta_header(meta) + "\n".join(lines) + "\n")
-
-
-def _write_histogram_csv(path, hist: dict, meta) -> None:
-    lines = ["height,count"] + [f"{h},{c}" for h, c in sorted(hist.items())]
-    write_text(path, meta_header(meta) + "\n".join(lines) + "\n")
+def _write_report_csv(path, averaged: AveragedReport, meta) -> None:
+    write_csv(path, meta, ["metric,k,mean,half_width"]
+              + [f"{metric},{k},{fmt(mean)},{fmt(half)}"
+                 for metric, k, mean, half in _report_rows(averaged)])
 
 
 def _train_meta(args, tax, data_text) -> dict:
-    meta = {
-        "loss": args.loss,
-        "head": args.head,
-        "steps": args.steps,
-        "batch_size": args.batch_size,
-        "checkpoint_every": args.checkpoint_every,
-        "discard_before": args.discard_before,
-        "lr": fmt(args.lr),
-        "seed": args.seed,
-        "split": args.split,
-        "split_seed": args.split_seed,
-        "ks": args.ks,
-        "eval_split": args.eval_split,
-        "taxonomy_hash": tax.hash_hex(),
-        "data_sha": sha16(data_text),
-    }
-    if args.alpha is not None:
-        meta["alpha"] = fmt(args.alpha)
-    if args.beta is not None:
-        meta["beta"] = fmt(args.beta)
-    if args.hidden_dim is not None:
-        meta["hidden_dim"] = args.hidden_dim
-    return meta
+    """The run's flags (floats in round-trip form; unset ones omitted) and
+    its input hashes."""
+    meta = {key: getattr(args, key) for key in (
+        "loss", "head", "steps", "batch_size", "checkpoint_every",
+        "discard_before", "seed", "split", "split_seed", "ks", "eval_split",
+        "hidden_dim") if getattr(args, key) is not None}
+    meta.update((key, fmt(getattr(args, key))) for key in ("lr", "alpha", "beta")
+                if getattr(args, key) is not None)
+    return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=sha16(data_text))
 
 
 def cmd_train(args) -> int:
-    tax = _load_tax(args)
-    data_text = _read(args.data, "--data")
-    _check_data_hash(data_text, tax)
-    ds = dataset_from_csv(data_text, tax)
-    parts = split(ds, SplitSpec(_parse_triple(args.split), args.split_seed))
+    ks = convert("--ks", parse_ks, args.ks)
+    tax, data_text, parts = load_inputs(
+        args.taxonomy, args.classes, args.data,
+        convert("--split", parse_split, args.split), args.split_seed)
+    check_ks(ks, tax, "--ks")
     spec = LossSpec(args.loss, alpha=args.alpha, beta=args.beta)
     schedule = TrainSchedule(steps=args.steps, batch_size=args.batch_size,
                              checkpoint_every=args.checkpoint_every,
                              seed=args.seed, discard_before=args.discard_before)
-    ks = _parse_ks(args.ks)
-    model = init_model(tax, args.head, ds.feature_dim, seed=args.seed,
-                       hidden_dim=args.hidden_dim)
-    trace = train(tax, model, parts[0], parts[1], spec, AdamOptimizer(lr=args.lr),
-                  schedule, ks=ks)
-    selected = select_checkpoints(trace, args.discard_before)
-    eval_ds = parts[{"train": 0, "val": 1, "test": 2}[args.eval_split]]
-    averaged = evaluate_checkpoints(tax, model, trace, selected, eval_ds, ks=ks)
+    model, trace, selected, averaged = run_point(
+        tax, parts, args.eval_split, spec, args.head, schedule, args.lr, ks,
+        args.hidden_dim)
 
     meta = _train_meta(args, tax, data_text)
     out = Path(args.out)
-    write_text(out / "trace.csv", meta_header(meta) + trace_to_csv(trace))
-    work = copy.deepcopy(model)
+    write_run_files(out, meta, trace_to_csv(trace),
+                    [(i, trace.records[i].step) for i in selected],
+                    averaged.severity_histogram)
     for rec in trace.records:
-        work.restore(rec.params)
+        model.restore(rec.params)
         write_text(out / "checkpoints" / f"step_{rec.step:06d}.txt",
-                   checkpoint_to_text(work, rec.step, tax.hash_hex()))
-    sel_lines = ["trace_index,step"]
-    sel_lines += [f"{i},{trace.records[i].step}" for i in selected]
-    write_text(out / "selected.csv", meta_header(meta) + "\n".join(sel_lines) + "\n")
-    _write_report_csv(out / "report.csv",
-                      _report_rows(averaged.means, averaged.half_widths,
-                                   averaged.reports), meta)
-    _write_histogram_csv(out / "histogram.csv", averaged.severity_histogram, meta)
+                   checkpoint_to_text(model, rec.step, tax.hash_hex()))
+    _write_report_csv(out / "report.csv", averaged, meta)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    tax = _load_tax(args)
-    data_text = _read(args.data, "--data")
-    _check_data_hash(data_text, tax)
-    ds = dataset_from_csv(data_text, tax)
-    parts = split(ds, SplitSpec(_parse_triple(args.split), args.split_seed))
-    eval_ds = parts[{"train": 0, "val": 1, "test": 2}[args.split_name]]
-    ks = _parse_ks(args.ks)
+    ks = convert("--ks", parse_ks, args.ks)
+    probabilities = convert("--split", parse_split, args.split)
+    tax, data_text, parts = load_inputs(args.taxonomy, args.classes, args.data,
+                                        probabilities, args.split_seed)
     meta = {
         "split": args.split,
         "split_seed": args.split_seed,
@@ -303,43 +220,38 @@ def cmd_evaluate(args) -> int:
         "taxonomy_hash": tax.hash_hex(),
         "data_sha": sha16(data_text),
     }
+    paths = [args.checkpoint]
+    if args.run:
+        run_dir = Path(args.run)
+        sel_text = read_input(run_dir / "selected.csv", "--run")
+        # Scoring on another split could score rows the run trained on.
+        run_meta = _csv_meta(sel_text)
+        for flag, key, parse, ours in (
+                ("--split", "split", parse_split, probabilities),
+                ("--split-seed", "split_seed", int, args.split_seed)):
+            if key in run_meta and parse(run_meta[key]) != ours:
+                raise DataError(f"{flag} does not match the run's "
+                                f"{key}={run_meta[key]}")
+        steps = [int(cells[1]) for cells in _csv_body(sel_text)[1:]]
+        paths = [run_dir / "checkpoints" / f"step_{s:06d}.txt" for s in steps]
+        meta["checkpoints"] = ",".join(str(s) for s in steps)
 
-    def load_ckpt(path: str) -> ClassifierModel:
-        model, _, tax_hash = checkpoint_from_text(_read(path, "--checkpoint"))
+    models = []
+    for path in paths:
+        model, _, tax_hash = checkpoint_from_text(read_input(path, "--checkpoint"))
         if tax_hash != tax.hash_hex():
             raise DataError(
                 f"checkpoint taxonomy hash {tax_hash} does not match "
                 f"--taxonomy hash {tax.hash_hex()}"
             )
-        return model
-
-    if args.run:
-        run_dir = Path(args.run)
-        sel_text = _read(run_dir / "selected.csv", "--run")
-        steps = [int(cells[1]) for cells in _csv_body(sel_text)[1:]]
-        reports = []
-        for step in steps:
-            model = load_ckpt(str(run_dir / "checkpoints" / f"step_{step:06d}.txt"))
-            reports.append(evaluate_model(tax, model, eval_ds, ks=ks))
-        names = reports[0].scalars().keys()
-        series = {n: [r.scalars()[n] for r in reports] for n in names}
-        means = {n: float(np.mean(v)) for n, v in series.items()}
-        halves = {n: confidence_half_width(v) for n, v in series.items()}
-        hist: dict[int, int] = {}
-        for r in reports:
-            for h, c in r.severity_histogram.items():
-                hist[h] = hist.get(h, 0) + c
-        meta["checkpoints"] = ",".join(str(s) for s in steps)
-    else:
-        model = load_ckpt(args.checkpoint)
-        report = evaluate_model(tax, model, eval_ds, ks=ks)
-        reports = [report]
-        means = report.scalars()
-        halves = {n: 0.0 for n in means}
-        hist = report.severity_histogram
-    _write_report_csv(args.out_report, _report_rows(means, halves, reports), meta)
+        models.append(model)
+    check_ks(ks, tax, "--ks")
+    eval_ds = parts[SPLIT_NAMES.index(args.split_name)]
+    averaged = average_reports([evaluate_model(tax, model, eval_ds, ks=ks)
+                                for model in models])
+    _write_report_csv(args.out_report, averaged, meta)
     if args.out_histogram:
-        _write_histogram_csv(args.out_histogram, hist, meta)
+        write_histogram_csv(args.out_histogram, averaged.severity_histogram, meta)
     return EXIT_OK
 
 
@@ -349,8 +261,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg_path = Path(args.config)
-    config = parse_sweep_config(_read(args.config, "--config"), cfg_path.parent)
+    config = parse_sweep_config(read_input(args.config, "--config"),
+                                Path(args.config).parent)
     if args.workers is not None:
         config.workers = args.workers
     failed = run_sweep(config, args.out)
@@ -366,7 +278,7 @@ _ID_COLUMNS = ("method", "head", "parameter", "taxonomy", "seed", "num_seeds")
 
 def cmd_report(args) -> int:
     if args.histogram:
-        text = _read(args.histogram, "--histogram")
+        text = read_input(args.histogram, "--histogram")
         body = _csv_body(text)
         if not body or body[0] != ["height", "count"]:
             raise DataError("histogram input must have a 'height,count' header")
@@ -375,12 +287,12 @@ def cmd_report(args) -> int:
         meta = dict(_csv_meta(text), normalization="frequency")
         lines = ["height,frequency"]
         lines += [f"{h},{fmt(c / total if total else 0.0)}" for h, c in rows]
-        write_text(args.out, meta_header(meta) + "\n".join(lines) + "\n")
+        write_csv(args.out, meta, lines)
         return EXIT_OK
 
     tables, metas = [], []
     for path in args.tables:
-        text = _read(path, "--tables")
+        text = read_input(path, "--tables")
         body = _csv_body(text)
         if not body:
             raise DataError(f"empty table: {path}")
@@ -406,7 +318,7 @@ def cmd_report(args) -> int:
                 out_lines.append(",".join(
                     [source] + [cells[col[c]] for c in ids]
                     + [metric, cells[col[metric]], hw]))
-    write_text(args.out, meta_header(meta) + "\n".join(out_lines) + "\n")
+    write_csv(args.out, meta, out_lines)
     return EXIT_OK
 
 
@@ -467,7 +379,7 @@ def build_parser() -> _Parser:
     p_t.add_argument("--split", default="0.7,0.15,0.15")
     p_t.add_argument("--split-seed", type=int, default=0)
     p_t.add_argument("--ks", default="1,5,20")
-    p_t.add_argument("--eval-split", choices=("train", "val", "test"),
+    p_t.add_argument("--eval-split", choices=SPLIT_NAMES,
                      default="val")
     p_t.add_argument("--out", required=True)
 
@@ -477,7 +389,7 @@ def build_parser() -> _Parser:
     p_e.add_argument("--classes", required=True)
     p_e.add_argument("--split", default="0.7,0.15,0.15")
     p_e.add_argument("--split-seed", type=int, default=0)
-    p_e.add_argument("--split-name", choices=("train", "val", "test"),
+    p_e.add_argument("--split-name", choices=SPLIT_NAMES,
                      default="test")
     p_e.add_argument("--ks", default="1,5,20")
     group = p_e.add_mutually_exclusive_group(required=True)

@@ -45,7 +45,6 @@ __all__ = [
     "soft_label_loss",
     "soft_grad",
     "conditional_head_loss",
-    "conditional_head_grad",
     "ClassCrossEntropy",
     "ClassHxeObjective",
     "ClassSoftLabelObjective",
@@ -368,10 +367,4 @@ def conditional_head_loss(tax: Taxonomy, weights: HxeWeights, z: np.ndarray,
     """Loss for logits over non-root nodes with per-sibling-group softmax."""
     obj = ConditionalHxeObjective(tax, weights)
     return float(_one(obj.loss_batch, z, tax.leaf_index[truth]))
-
-
-def conditional_head_grad(tax: Taxonomy, weights: HxeWeights, z: np.ndarray,
-                          truth: str) -> np.ndarray:
-    obj = ConditionalHxeObjective(tax, weights)
-    return _one(obj.grad_batch, z, tax.leaf_index[truth])
 

@@ -24,7 +24,6 @@ __all__ = [
     "report_from_indices",
     "predictions_to_csv",
     "predictions_from_csv",
-    "report_to_rows",
 ]
 
 
@@ -94,8 +93,7 @@ def top_k_error(batch: PredictionBatch, k: int) -> float:
 def hier_dist_mistake(tax: Taxonomy, batch: PredictionBatch) -> float:
     """Mean LCA height of truth vs top-1 prediction over misclassified
     examples; 0 when there are no mistakes."""
-    R, t = _indices(tax, batch)
-    return _hier_dist_mistake_idx(tax, R, t)
+    return compute_report(tax, batch).hier_dist_mistake
 
 
 def avg_hier_dist_topk(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
@@ -111,25 +109,7 @@ def avg_hier_dist_topk(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
 def severity_histogram(tax: Taxonomy, batch: PredictionBatch) -> dict[int, int]:
     """Counts of mistake severities (LCA heights of truth vs top-1) over the
     misclassified examples; empty when everything is correct."""
-    R, t = _indices(tax, batch)
-    return _severity_histogram_idx(tax, R, t)
-
-
-def _hier_dist_mistake_idx(tax: Taxonomy, R: np.ndarray, t: np.ndarray) -> float:
-    H = tax.lca_height_matrix()
-    top1 = R[:, 0]
-    wrong = top1 != t
-    if not wrong.any():
-        return 0.0
-    return float(H[t[wrong], top1[wrong]].mean())
-
-
-def _severity_histogram_idx(tax: Taxonomy, R: np.ndarray, t: np.ndarray) -> dict[int, int]:
-    H = tax.lca_height_matrix()
-    top1 = R[:, 0]
-    wrong = top1 != t
-    heights, counts = np.unique(H[t[wrong], top1[wrong]], return_counts=True)
-    return {int(h): int(c) for h, c in zip(heights, counts)}
+    return compute_report(tax, batch).severity_histogram
 
 
 def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
@@ -146,11 +126,13 @@ def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
     topk_err = {k: float(1.0 - hits[:, :k].any(axis=1).mean()) for k in ks}
     avg_dist = {k: float(H[t[:, None], R[:, :k]].mean()) for k in ks}
     wrong = R[:, 0] != t
+    severities = H[t[wrong], R[wrong, 0]]
+    heights, counts = np.unique(severities, return_counts=True)
     return MetricReport(
         top_k_error=topk_err,
-        hier_dist_mistake=_hier_dist_mistake_idx(tax, R, t),
+        hier_dist_mistake=float(severities.mean()) if wrong.any() else 0.0,
         avg_hier_dist_topk=avg_dist,
-        severity_histogram=_severity_histogram_idx(tax, R, t),
+        severity_histogram={int(h): int(c) for h, c in zip(heights, counts)},
         mistake_count=int(wrong.sum()),
         num_examples=len(t),
     )
@@ -192,15 +174,3 @@ def predictions_from_csv(text: str) -> PredictionBatch:
         rankings.append(cells[2:])
     return PredictionBatch(rankings=rankings, truths=truths)
 
-
-def report_to_rows(report: MetricReport) -> list[tuple[str, str, float]]:
-    """Long-format (metric, k, value) rows for CSV emission."""
-    rows: list[tuple[str, str, float]] = []
-    for k in sorted(report.top_k_error):
-        rows.append(("top_k_error", str(k), report.top_k_error[k]))
-    rows.append(("hier_dist_mistake", "", report.hier_dist_mistake))
-    for k in sorted(report.avg_hier_dist_topk):
-        rows.append(("avg_hier_dist_topk", str(k), report.avg_hier_dist_topk[k]))
-    rows.append(("mistake_count", "", float(report.mistake_count)))
-    rows.append(("num_examples", "", float(report.num_examples)))
-    return rows

@@ -13,6 +13,7 @@ so identical inputs reproduce traces bitwise.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "select_checkpoints",
     "evaluate_model",
     "evaluate_checkpoints",
+    "average_reports",
     "AveragedReport",
     "confidence_half_width",
     "trace_to_csv",
@@ -69,18 +71,6 @@ class LossSpec:
             raise ValueError("hxe loss needs alpha")
         if self.kind == "soft" and self.beta is None:
             raise ValueError("soft loss needs beta")
-
-    @property
-    def parameter(self) -> float | None:
-        return self.alpha if self.kind == "hxe" else (
-            self.beta if self.kind == "soft" else None)
-
-    def describe(self) -> str:
-        if self.kind == "hxe":
-            return f"hxe(alpha={self.alpha})"
-        if self.kind == "soft":
-            return f"soft(beta={self.beta})"
-        return "ce"
 
 
 def build_objective(tax: Taxonomy, spec: LossSpec, head: str):
@@ -159,11 +149,7 @@ def forward(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
         X = X[None, :]
     if X.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} features, got {X.shape[1]}")
-    h = X
-    for W, b in model.layers[:-1]:
-        h = np.tanh(h @ W + b)
-    W, b = model.layers[-1]
-    return h @ W + b
+    return _forward_with_acts(model, X)[1]
 
 
 def _forward_with_acts(model, X):
@@ -276,9 +262,6 @@ class TrainingTrace:
     head: str
     loss: LossSpec
     ks: tuple[int, ...]
-
-    def steps(self) -> list[int]:
-        return [r.step for r in self.records]
 
 
 def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
@@ -471,6 +454,21 @@ def confidence_half_width(values) -> float:
     return float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
 
 
+def average_reports(reports: list[MetricReport]) -> AveragedReport:
+    """Mean and half-width of every scalar over ``reports``, and their
+    summed severity histogram in height order."""
+    scalars = [r.scalars() for r in reports]
+    series = {name: [s[name] for s in scalars] for name in scalars[0]}
+    hist: Counter[int] = Counter()
+    for r in reports:
+        hist.update(r.severity_histogram)
+    return AveragedReport(
+        means={name: float(np.mean(vals)) for name, vals in series.items()},
+        half_widths={name: confidence_half_width(vals)
+                     for name, vals in series.items()},
+        severity_histogram=dict(sorted(hist.items())), reports=reports)
+
+
 def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
                          trace: TrainingTrace, indices: list[int], ds,
                          ks: tuple[int, ...] = (1, 5, 20)) -> AveragedReport:
@@ -479,17 +477,7 @@ def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
     for i in indices:
         work.restore(trace.records[i].params)
         reports.append(evaluate_model(tax, work, ds, ks))
-    names = reports[0].scalars().keys()
-    series = {name: [r.scalars()[name] for r in reports] for name in names}
-    means = {name: float(np.mean(vals)) for name, vals in series.items()}
-    halves = {name: confidence_half_width(vals) for name, vals in series.items()}
-    hist: dict[int, int] = {}
-    for r in reports:
-        for h, c in r.severity_histogram.items():
-            hist[h] = hist.get(h, 0) + c
-    return AveragedReport(means=means, half_widths=halves,
-                          severity_histogram=dict(sorted(hist.items())),
-                          reports=reports)
+    return average_reports(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ histograms as CSV.
 
 Each sweep point is an isolated deterministic job (train, select
 checkpoints, evaluate the selection); points run in a worker pool and the
-merge is single-threaded, so results do not depend on pool size. A failed
-point is recorded and skipped rather than aborting the grid.
+merge is single-threaded, so results do not depend on pool size. A point
+whose inputs or numerics fail is recorded and skipped rather than aborting
+the grid.
+
+The ``train`` and ``evaluate`` commands share this module's input loader,
+its ``run_point`` pipeline and its run-file writers.
 """
 
 from __future__ import annotations
@@ -14,23 +18,25 @@ import csv
 import io
 import multiprocessing
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, dataset_from_csv, split
+from .data import DataError, Dataset, SplitSpec, dataset_from_csv, split
 from .fileio import fmt, meta_header, sha16, write_text
-from .model import (HEADS, AdamOptimizer, LossSpec, TrainSchedule,
-                    evaluate_checkpoints, init_model, select_checkpoints,
-                    trace_to_csv, train)
+from .model import (HEADS, AdamOptimizer, LossSpec, TrainingDivergedError,
+                    TrainSchedule, confidence_half_width, evaluate_checkpoints,
+                    init_model, select_checkpoints, trace_to_csv, train)
 from .taxonomy import Taxonomy, load_taxonomy, randomize_leaves
 
-__all__ = ["SweepConfig", "parse_sweep_config", "run_sweep", "DEFAULT_ALPHA_GRID",
-           "DEFAULT_BETA_GRID"]
+__all__ = ["SweepConfig", "parse_sweep_config", "run_sweep", "run_point",
+           "load_inputs", "DEFAULT_ALPHA_GRID", "DEFAULT_BETA_GRID"]
 
 DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 DEFAULT_BETA_GRID = [4.0, 5.0, 10.0, 15.0, 20.0, 30.0]
+SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass
@@ -59,13 +65,9 @@ class SweepConfig:
         if self.loss not in ("ce", "hxe", "soft"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if not self.grid:
-            if self.loss == "hxe":
-                self.grid = list(DEFAULT_ALPHA_GRID)
-            elif self.loss == "soft":
-                self.grid = list(DEFAULT_BETA_GRID)
-            else:
-                self.grid = [None]
-        if self.eval_split not in ("train", "val", "test"):
+            self.grid = {"hxe": DEFAULT_ALPHA_GRID,
+                         "soft": DEFAULT_BETA_GRID}.get(self.loss, [None])[:]
+        if self.eval_split not in SPLIT_NAMES:
             raise ValueError(f"unknown eval_split {self.eval_split!r}")
         src = self.taxonomy_source
         if not (src == "true" or src.startswith("randomized:")
@@ -87,60 +89,154 @@ class SweepConfig:
         AdamOptimizer(lr=self.lr)
 
 
+# ---------------------------------------------------------------------------
+# Input values and files (shared with the CLI)
+# ---------------------------------------------------------------------------
+
+
+def convert(name: str, parse: Callable[[str], object], text: str):
+    """``parse(text)``; a ``ValueError`` is re-raised naming the option or
+    config key ``name``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def parse_split(text: str) -> tuple[float, float, float]:
+    """``train,val,test`` split probabilities."""
+    parts = [float(v) for v in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"needs three comma-separated values, got {text!r}")
+    return parts[0], parts[1], parts[2]
+
+
+def parse_ks(text: str) -> tuple[int, ...]:
+    """Comma-separated top-k cutoffs; ``check_ks`` bounds them."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"needs comma-separated integers, got {text!r}") from None
+
+
+# Config key -> value parser; keys not listed keep their text.
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "grid": lambda text: [float(v) for v in text.split(",") if v],
+    "seeds": lambda text: [int(v) for v in text.split(",") if v],
+    "split": parse_split, "ks": parse_ks, "lr": float,
+    **dict.fromkeys(("split_seed", "steps", "batch_size", "checkpoint_every",
+                     "discard_before", "hidden_dim", "workers"), int),
+}
+
+
 def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
     """Parse a ``key = value`` config document; paths resolve against
-    ``base_dir``."""
+    ``base_dir``. A bad value's error names its line and key."""
     known = {f.name for f in fields(SweepConfig)}
-    raw: dict[str, str] = {}
+    kwargs: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        raw[key] = val.strip()
+        kwargs[key] = convert(f"config line {lineno}: {key}",
+                              _CONVERTERS.get(key, str), val)
     for required in ("loss", "data", "taxonomy", "classes"):
-        if required not in raw:
+        if required not in kwargs:
             raise ValueError(f"sweep config is missing the {required!r} key")
-    base = Path(base_dir)
-
-    def path_of(key):
-        return str(base / raw[key])
-
-    def floats(key):
-        return [float(v) for v in raw[key].split(",") if v]
-
-    def ints(key):
-        return [int(v) for v in raw[key].split(",") if v]
-
-    kwargs: dict = dict(loss=raw["loss"], data=path_of("data"),
-                        taxonomy=path_of("taxonomy"), classes=path_of("classes"))
-    if "grid" in raw:
-        kwargs["grid"] = floats("grid")
-    if "head" in raw:
-        kwargs["head"] = raw["head"]
-    if "taxonomy_source" in raw:
-        kwargs["taxonomy_source"] = raw["taxonomy_source"]
-    if "split" in raw:
-        p = floats("split")
-        kwargs["split"] = (p[0], p[1], p[2])
-    for int_key in ("split_seed", "steps", "batch_size", "checkpoint_every",
-                    "discard_before", "hidden_dim", "workers"):
-        if int_key in raw:
-            kwargs[int_key] = int(raw[int_key])
-    if "seeds" in raw:
-        kwargs["seeds"] = ints("seeds")
-    if "lr" in raw:
-        kwargs["lr"] = float(raw["lr"])
-    if "ks" in raw:
-        kwargs["ks"] = tuple(ints("ks"))
-    if "eval_split" in raw:
-        kwargs["eval_split"] = raw["eval_split"]
+    for key in ("data", "taxonomy", "classes"):
+        kwargs[key] = str(Path(base_dir) / kwargs[key])
     return SweepConfig(**kwargs)
+
+
+def read_input(path: str | Path, name: str) -> str:
+    """Text of an input file; ``name`` (its option or key) is in errors."""
+    if not Path(path).exists():
+        raise DataError(f"{name}: file not found: {path}")
+    return Path(path).read_text(encoding="utf-8")
+
+
+def read_classes(path: str | Path, name: str) -> list[str]:
+    """Class ids, one a line; blank lines and ``#`` comments are skipped.
+    An id holding a comma could not be a dataset label, so it is rejected."""
+    classes = []
+    for lineno, line in enumerate(read_input(path, name).splitlines(), start=1):
+        cid = line.strip()
+        if not cid or line.startswith("#"):
+            continue
+        if "," in cid:
+            raise DataError(f"{name} {path} line {lineno}: class id {cid!r} "
+                            "contains a comma")
+        classes.append(cid)
+    if not classes:
+        raise DataError(f"{name}: no class ids in {path}")
+    return classes
+
+
+def load_tax(taxonomy: str, classes: str, prefix: str = "--") -> Taxonomy:
+    """The taxonomy file pruned to the class list; ``prefix`` + key names
+    the option (``--taxonomy``) or config key (``taxonomy``) in errors."""
+    return load_taxonomy(read_input(taxonomy, prefix + "taxonomy"),
+                         read_classes(classes, prefix + "classes"))
+
+
+def check_ks(ks: tuple[int, ...], tax: Taxonomy, name: str) -> None:
+    """Every run needs at least one top-k cutoff, each from 1 to the
+    number of classes."""
+    if not ks or min(ks) < 1 or max(ks) > tax.num_leaves:
+        raise ValueError(f"{name}: needs cutoffs from 1 to the "
+                         f"{tax.num_leaves} classes, got {list(ks)}")
+
+
+def load_inputs(taxonomy: str, classes: str, data: str,
+                probabilities: tuple[float, float, float], split_seed: int,
+                prefix: str = "--"
+                ) -> tuple[Taxonomy, str, tuple[Dataset, Dataset, Dataset]]:
+    """Load a run's taxonomy and dataset and split the dataset.
+
+    Rejects a dataset whose ``taxonomy_hash`` header names another
+    taxonomy. Returns the taxonomy, the dataset text and its (train, val,
+    test) split.
+    """
+    tax = load_tax(taxonomy, classes, prefix)
+    text = read_input(data, prefix + "data")
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        embedded = line.partition("=")[2].strip()
+        if line.startswith("# taxonomy_hash=") and embedded != tax.hash_hex():
+            raise DataError(f"dataset taxonomy hash {embedded} does not match "
+                            f"{prefix}taxonomy hash {tax.hash_hex()}")
+    parts = split(dataset_from_csv(text, tax), SplitSpec(probabilities, split_seed))
+    return tax, text, parts
+
+
+# ---------------------------------------------------------------------------
+# Run files (shared with the CLI)
+# ---------------------------------------------------------------------------
+
+
+def write_csv(path: str | Path, meta: dict, lines: list[str]) -> None:
+    write_text(path, meta_header(meta) + "\n".join(lines) + "\n")
+
+
+def write_histogram_csv(path: str | Path, histogram: dict, meta: dict) -> None:
+    write_csv(path, meta, ["height,count"]
+              + [f"{h},{c}" for h, c in sorted(histogram.items())])
+
+
+def write_run_files(out: Path, meta: dict, trace_csv: str,
+                    selected: list[tuple[int, int]], histogram: dict) -> None:
+    """A run's ``trace.csv``, ``selected.csv`` ((trace index, step) pairs)
+    and ``histogram.csv``, each under the same metadata header."""
+    write_text(out / "trace.csv", meta_header(meta) + trace_csv)
+    write_csv(out / "selected.csv", meta,
+              ["trace_index,step"] + [f"{i},{s}" for i, s in selected])
+    write_histogram_csv(out / "histogram.csv", histogram, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +257,23 @@ def _taxonomy_variants(tax: Taxonomy, source: str) -> list[tuple[str, Taxonomy]]
     return [("true", tax), ("randomized", randomized)]
 
 
-def run_point(tax: Taxonomy, train_ds: Dataset, val_ds: Dataset, eval_ds: Dataset,
-              spec: LossSpec, head: str, schedule: TrainSchedule, lr: float,
-              ks: tuple[int, ...], hidden_dim: int | None):
-    """One deterministic sweep point: train, select 5 checkpoints on the
-    quartic validation-loss fit, evaluate their average."""
-    model = init_model(tax, head, train_ds.feature_dim, seed=schedule.seed,
+def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
+              eval_split: str, spec: LossSpec, head: str,
+              schedule: TrainSchedule, lr: float, ks: tuple[int, ...],
+              hidden_dim: int | None):
+    """The paper's protocol for one model, used by ``train`` and by every
+    sweep point: train on ``splits[0]``, select 5 checkpoints on the quartic
+    fit of the ``splits[1]`` loss, and average their reports on the
+    ``eval_split`` part. Returns the trained model, its trace, the selected
+    trace indices and the averaged report."""
+    model = init_model(tax, head, splits[0].feature_dim, seed=schedule.seed,
                        hidden_dim=hidden_dim)
-    opt = AdamOptimizer(lr=lr)
-    trace = train(tax, model, train_ds, val_ds, spec, opt, schedule, ks=ks)
+    trace = train(tax, model, splits[0], splits[1], spec, AdamOptimizer(lr=lr),
+                  schedule, ks=ks)
     selected = select_checkpoints(trace, schedule.discard_before)
-    averaged = evaluate_checkpoints(tax, model, trace, selected, eval_ds, ks=ks)
-    return trace, selected, averaged
+    averaged = evaluate_checkpoints(tax, model, trace, selected,
+                                    splits[SPLIT_NAMES.index(eval_split)], ks=ks)
+    return model, trace, selected, averaged
 
 
 def _point_tag(loss: str, param, tax_label: str, seed: int) -> str:
@@ -184,7 +285,6 @@ def _job(args):
     tax_label, param, seed = args
     cfg: SweepConfig = _CTX["config"]
     tax: Taxonomy = _CTX["taxonomies"][tax_label]
-    splits = _CTX["splits"]
     tag = _point_tag(cfg.loss, param, tax_label, seed)
     try:
         spec = LossSpec(cfg.loss,
@@ -193,27 +293,29 @@ def _job(args):
         schedule = TrainSchedule(steps=cfg.steps, batch_size=cfg.batch_size,
                                  checkpoint_every=cfg.checkpoint_every,
                                  seed=seed, discard_before=cfg.discard_before)
-        eval_ds = splits[{"train": 0, "val": 1, "test": 2}[cfg.eval_split]]
-        trace, selected, averaged = run_point(
-            tax, splits[0], splits[1], eval_ds, spec, cfg.head, schedule,
+        _, trace, selected, averaged = run_point(
+            tax, _CTX["splits"], cfg.eval_split, spec, cfg.head, schedule,
             cfg.lr, cfg.ks, cfg.hidden_dim)
-        return {
-            "ok": True,
-            "tag": tag,
-            "method": cfg.loss,
-            "head": cfg.head,
-            "parameter": "" if param is None else str(param),
-            "taxonomy": tax_label,
-            "taxonomy_hash": tax.hash_hex(),
-            "seed": seed,
-            "means": averaged.means,
-            "half_widths": averaged.half_widths,
-            "histogram": averaged.severity_histogram,
-            "trace_csv": trace_to_csv(trace),
-            "selected": [(i, trace.records[i].step) for i in selected],
-        }
-    except Exception as exc:  # the grid must survive one bad point
+    except (ValueError, TrainingDivergedError) as exc:
+        # A point's bad parameter or diverged numerics fail only that point
+        # (``ValueError`` includes ``LinAlgError``); any other error is a
+        # bug and propagates with its traceback.
         return {"ok": False, "tag": tag, "error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "ok": True,
+        "tag": tag,
+        "method": cfg.loss,
+        "head": cfg.head,
+        "parameter": "" if param is None else str(param),
+        "taxonomy": tax_label,
+        "taxonomy_hash": tax.hash_hex(),
+        "seed": seed,
+        "means": averaged.means,
+        "half_widths": averaged.half_widths,
+        "histogram": averaged.severity_histogram,
+        "trace_csv": trace_to_csv(trace),
+        "selected": [(i, trace.records[i].step) for i in selected],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -221,54 +323,36 @@ def _job(args):
 # ---------------------------------------------------------------------------
 
 
-def _read(path: str, flag: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"{flag}: file not found: {path}")
-    return p.read_text(encoding="utf-8")
-
-
-def _metric_columns(means: dict) -> list[str]:
-    return list(means.keys())
-
-
-def _table_csv(rows: list[dict], header_meta: dict) -> str:
-    cols = _metric_columns(rows[0]["means"])
-    head_cells = ["method", "head", "parameter", "taxonomy", "seed"]
-    for c in cols:
-        head_cells += [c, c + "_hw"]
-    lines = [",".join(head_cells)]
+def _table_lines(rows: list[dict]) -> list[str]:
+    """``tradeoff.csv``: one row a point."""
+    cols = list(rows[0]["means"])
+    lines = [",".join(["method", "head", "parameter", "taxonomy", "seed"]
+                      + [f"{c},{c}_hw" for c in cols])]
     for r in rows:
         cells = [r["method"], r["head"], r["parameter"], r["taxonomy"], str(r["seed"])]
         for c in cols:
             cells += [fmt(r["means"][c]), fmt(r["half_widths"][c])]
         lines.append(",".join(cells))
-    return meta_header(header_meta) + "\n".join(lines) + "\n"
+    return lines
 
 
-def _mean_table_csv(rows: list[dict], header_meta: dict) -> str:
-    from .model import confidence_half_width
-    cols = _metric_columns(rows[0]["means"])
+def _mean_table_lines(rows: list[dict]) -> list[str]:
+    """``tradeoff_mean.csv``: one row a (method, head, parameter, taxonomy),
+    the mean and half-width over its seeds."""
+    cols = list(rows[0]["means"])
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for r in rows:
         key = (r["method"], r["head"], r["parameter"], r["taxonomy"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
-    head_cells = ["method", "head", "parameter", "taxonomy", "num_seeds"]
-    for c in cols:
-        head_cells += [c, c + "_hw"]
-    lines = [",".join(head_cells)]
-    for key in order:
-        members = groups[key]
+        groups.setdefault(key, []).append(r)
+    lines = [",".join(["method", "head", "parameter", "taxonomy", "num_seeds"]
+                      + [f"{c},{c}_hw" for c in cols])]
+    for key, members in groups.items():
         cells = list(key) + [str(len(members))]
         for c in cols:
             vals = [m["means"][c] for m in members]
             cells += [fmt(float(np.mean(vals))), fmt(confidence_half_width(vals))]
         lines.append(",".join(cells))
-    return meta_header(header_meta) + "\n".join(lines) + "\n"
+    return lines
 
 
 def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
@@ -277,28 +361,27 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     Returns the number of failed points (0 means a fully successful sweep).
     """
     out = Path(out_dir)
-    data_text = _read(config.data, "data")
-    classes = [l.strip() for l in _read(config.classes, "classes").splitlines()
-               if l.strip() and not l.startswith("#")]
-    tax = load_taxonomy(_read(config.taxonomy, "taxonomy"), classes)
-    ds = dataset_from_csv(data_text, tax)
-    splits = split(ds, SplitSpec(config.split, config.split_seed))
+    tax, data_text, splits = load_inputs(
+        config.taxonomy, config.classes, config.data, config.split,
+        config.split_seed, prefix="")
+    check_ks(config.ks, tax, "ks")
     variants = dict(_taxonomy_variants(tax, config.taxonomy_source))
 
-    _CTX.clear()
-    _CTX.update(config=config, taxonomies=variants, splits=splits)
     jobs = [(label, param, seed)
             for label in variants
             for param in config.grid
             for seed in config.seeds]
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(jobs))
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_job, jobs)
-    else:
-        results = [_job(j) for j in jobs]
-    _CTX.clear()
+    _CTX.update(config=config, taxonomies=variants, splits=splits)
+    try:
+        if workers > 1:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = pool.map(_job, jobs)
+        else:
+            results = [_job(j) for j in jobs]
+    finally:
+        _CTX.clear()
 
     header_meta = {
         "loss": config.loss,
@@ -325,17 +408,11 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
         point_meta = dict(header_meta, point=r["tag"], seed=r["seed"],
                           parameter=r["parameter"],
                           point_taxonomy_hash=r["taxonomy_hash"])
-        pdir = out / "points" / r["tag"]
-        write_text(pdir / "trace.csv", meta_header(point_meta) + r["trace_csv"])
-        hist_lines = ["height,count"] + [f"{h},{c}" for h, c in r["histogram"].items()]
-        write_text(pdir / "histogram.csv",
-                   meta_header(point_meta) + "\n".join(hist_lines) + "\n")
-        sel_lines = ["trace_index,step"] + [f"{i},{s}" for i, s in r["selected"]]
-        write_text(pdir / "selected.csv",
-                   meta_header(point_meta) + "\n".join(sel_lines) + "\n")
+        write_run_files(out / "points" / r["tag"], point_meta, r["trace_csv"],
+                        r["selected"], r["histogram"])
     if ok_rows:
-        write_text(out / "tradeoff.csv", _table_csv(ok_rows, header_meta))
-        write_text(out / "tradeoff_mean.csv", _mean_table_csv(ok_rows, header_meta))
+        write_csv(out / "tradeoff.csv", header_meta, _table_lines(ok_rows))
+        write_csv(out / "tradeoff_mean.csv", header_meta, _mean_table_lines(ok_rows))
     if failures:
         # Error text may hold commas, quotes or newlines: quote it as CSV.
         buf = io.StringIO()

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import TOY_TREE_EDGES, TOY_TREE_LEAVES
+from hiercls import sweep
 from hiercls.cli import main
+from hiercls.sweep import parse_sweep_config
 
 TINY_TRAIN = ["--steps", "60", "--batch-size", "16", "--checkpoint-every", "6",
               "--discard-before", "12", "--lr", "0.05", "--ks", "1,2",
@@ -80,6 +82,18 @@ class TestHierarchyCommand:
         assert run("hierarchy", "export", "--taxonomy", tree, "--classes",
                    workdir / "classes.txt", "--out", out) == 0
         assert body(out) == body(tree)
+
+    def test_class_id_with_comma_rejected(self, tmp_path, capsys):
+        # Such an id could never be a dataset label.
+        (tmp_path / "edges.tsv").write_text("R\tA\nR\tB,x\n")
+        classes = tmp_path / "classes.txt"
+        classes.write_text("A\nB,x\n")
+        code = run("hierarchy", "build", "--edges", tmp_path / "edges.tsv",
+                   "--classes", classes, "--out", tmp_path / "tree.tsv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--classes {classes} line 2: class id 'B,x'" in err
+        assert not (tmp_path / "tree.tsv").exists()
 
     def test_missing_file_exits_2(self, workdir, capsys):
         code = run("hierarchy", "build", "--edges", workdir / "missing.tsv",
@@ -235,6 +249,31 @@ class TestEvaluateCommand:
                    "--out-report", rep2) == 0
         assert body(rep2)[0] == "metric,k,mean,half_width"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--split", "0.7,0.15,0.15"],
+         "--split does not match the run's split=0.6,0.2,0.2"),
+        (["--split", "0.6,0.2,0.2", "--split-seed", "1"],
+         "--split-seed does not match the run's split_seed=0"),
+        (["--split", "0.60,0.20,0.200"], None),
+    ], ids=["other_split", "other_split_seed", "same_numbers"])
+    def test_run_split_must_match_training(self, workdir, capsys, flags,
+                                           message):
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "run"
+        assert run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                   "--seed", "1", "--out", out) == 0
+        rep = workdir / "rep.csv"
+        code = run("evaluate", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", *flags, "--ks", "1,2",
+                   "--run", out, "--out-report", rep)
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not rep.exists()
+
     def test_checkpoint_taxonomy_mismatch(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "run"
@@ -381,8 +420,13 @@ class TestSweepCommand:
          "loss = soft requires head = class"),
         ({"lr": "0"}, "lr must be > 0"),
         ({"discard_before": "-1"}, "discard_before must be >= 0"),
+        ({"steps": "ten"}, "config line 10: steps: invalid literal for int()"),
+        ({"split": "0.5,0.5"}, "config line 7: split: needs three "
+                               "comma-separated values, got '0.5,0.5'"),
+        ({"lr": "fast"}, "config line 14: lr: could not convert"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
-            "lr_0", "negative_discard"])
+            "lr_0", "negative_discard", "steps_not_int", "split_two_values",
+            "lr_not_float"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)
@@ -391,6 +435,65 @@ class TestSweepCommand:
         assert run("sweep", "--config", cfg, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_programming_error_in_a_point_propagates(self, workdir,
+                                                      monkeypatch):
+        # Only a point's bad inputs or numerics become a failures.csv row.
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, workers="1")
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(sweep, "run_point", broken)
+        out = workdir / "sweep_bug"
+        with pytest.raises(TypeError, match="bug"):
+            run("sweep", "--config", cfg, "--out", out)
+        assert not (out / "failures.csv").exists()
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        intro = "A sweep config is a `key = value` file"
+        block = readme.split(intro, 1)[1].split("```\n", 2)[1]
+        config = parse_sweep_config(block, "base")
+        assert config.loss == "hxe" and config.grid == [0.1, 0.5, 0.9]
+        assert config.data == str(Path("base") / "data.csv")
+        assert config.hidden_dim == 64 and config.workers == 0
+        assert config.seeds == [0, 1, 2, 3, 4] and config.ks == (1, 5, 20)
+
+
+@pytest.mark.parametrize("ks, message", [
+    ("", "needs cutoffs from 1 to the 3 classes, got []"),
+    ("1,x", "needs comma-separated integers, got '1,x'"),
+    ("0,1", "needs cutoffs from 1 to the 3 classes, got [0, 1]"),
+    ("1,4", "needs cutoffs from 1 to the 3 classes, got [1, 4]"),
+], ids=["empty", "not_integer", "zero", "above_classes"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_bad_ks_exits_2_before_training(workdir, capsys, command, ks, message):
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree,
+              "--classes", workdir / "classes.txt"]
+    out = workdir / "out"
+    if command == "sweep":
+        cfg = write_sweep_config(workdir, tree, data, ks=ks)
+        code = run("sweep", "--config", cfg, "--out", out)
+        name = "ks: "
+    elif command == "train":
+        code = run("train", *inputs, "--loss", "ce", *TINY_TRAIN, "--ks", ks,
+                   "--out", out)
+        name = "--ks: "
+    else:
+        trained = workdir / "run"
+        assert run("train", *inputs, "--loss", "ce", *TINY_TRAIN,
+                   "--out", trained) == 0
+        capsys.readouterr()
+        code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--ks", ks,
+                   "--run", trained, "--out-report", out / "report.csv")
+        name = "--ks: "
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and message in err
+    assert not out.exists()
 
 
 class TestReportCommand:

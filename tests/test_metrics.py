@@ -3,6 +3,8 @@ import pytest
 
 from conftest import make_random_tree
 from hiercls import metrics as M
+from hiercls.cli import _report_rows
+from hiercls.model import average_reports
 from hiercls.taxonomy import Taxonomy
 
 
@@ -191,7 +193,7 @@ class TestCsvSurfaces:
     def test_report_rows_cover_metrics(self, toy_tree):
         b = batch([["B"], ["C"], ["A"]], ["A", "A", "A"])
         report = M.compute_report(toy_tree, b, ks=(1,))
-        rows = M.report_to_rows(report)
+        rows = _report_rows(average_reports([report]))
         names = [r[0] for r in rows]
         assert "top_k_error" in names
         assert "hier_dist_mistake" in names

@@ -24,7 +24,6 @@ __all__ = [
     "dataset_to_csv",
     "split",
     "synth_hierarchical",
-    "class_means",
 ]
 
 
@@ -164,15 +163,3 @@ def synth_hierarchical(tax: Taxonomy, per_class: int, dim: int,
         labels.extend([leaf] * per_class)
     return Dataset(np.vstack(blocks), labels)
 
-
-def class_means(ds: Dataset) -> dict[str, np.ndarray]:
-    """Empirical per-class feature means (generator diagnostics)."""
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for row, label in zip(ds.features, ds.labels):
-        if label not in sums:
-            sums[label] = np.zeros_like(row)
-            counts[label] = 0
-        sums[label] += row
-        counts[label] += 1
-    return {l: sums[l] / counts[l] for l in sums}

@@ -98,6 +98,15 @@ def _lam_vector(tax: Taxonomy, weights: HxeWeights) -> np.ndarray:
     return np.array([weights.lam[n] for n in tax.nonroot_bfs])
 
 
+def _sibling_groups(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
+    """Each sibling group's parent row in ``nodes_bfs`` and its start in
+    ``nonroot_bfs`` (breadth-first order keeps a group contiguous)."""
+    parents = [n for n in tax.nodes_bfs if tax.children[n]]
+    return (np.array([tax.node_index[n] for n in parents], dtype=np.int64),
+            np.array([tax.node_index[tax.children[n][0]] - 1 for n in parents],
+                     dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Class-probability <-> conditional-probability conversions
 # ---------------------------------------------------------------------------
@@ -122,7 +131,8 @@ def conditionals_from_class_probs(tax: Taxonomy, p: np.ndarray) -> dict[str, flo
 
 
 def factorized_prob(tax: Taxonomy, conditionals: dict[str, float], leaf: str) -> float:
-    """Product of edge conditionals along the leaf-to-root path."""
+    """Product of edge conditionals along the leaf-to-root path (a per-leaf
+    ``ancestry`` walk, kept as the reference for the batch objectives)."""
     if leaf not in tax.leaf_index:
         raise UnknownNodeError(f"unknown leaf {leaf!r}")
     prob = 1.0
@@ -145,7 +155,8 @@ def cross_entropy(tax: Taxonomy, p: np.ndarray, truth: str) -> float:
 def hxe_loss(tax: Taxonomy, weights: HxeWeights, p: np.ndarray, truth: str) -> float:
     """Weighted sum of lineage edge information along the truth's path.
 
-    Equals ``-log p(truth)`` exactly when all weights are 1.
+    Equals ``-log p(truth)`` exactly when all weights are 1. Its ``ancestry``
+    walk is the reference the batch objectives are checked against.
     """
     if truth not in tax.leaf_index:
         raise UnknownNodeError(f"unknown leaf {truth!r}")
@@ -175,13 +186,6 @@ class SoftLabelMatrix:
     def row(self, truth: str) -> np.ndarray:
         return self.rows[self.leaves.index(truth)]
 
-    def to_csv_text(self) -> str:
-        header = "truth," + ",".join(self.leaves)
-        lines = [header]
-        for i, leaf in enumerate(self.leaves):
-            lines.append(leaf + "," + ",".join(repr(float(v)) for v in self.rows[i]))
-        return "\n".join(lines) + "\n"
-
 
 def soft_label_matrix(tax: Taxonomy, beta: float) -> SoftLabelMatrix:
     if beta < 0:
@@ -208,7 +212,6 @@ class ClassCrossEntropy:
     """Plain softmax cross-entropy over leaf logits."""
 
     def __init__(self, tax: Taxonomy):
-        self.tax = tax
         self.num_outputs = tax.num_leaves
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
@@ -231,26 +234,20 @@ class ClassHxeObjective:
     the truth's path: the leaf keeps its own weight, each inner node gets
     (own weight - child-on-path weight), and the root gets minus the weight
     of its child on the path.
+
+    Row ``i``: the weights (root 0) times leaf ``i``'s membership column,
+    less in each parent's column the weight of its child on that lineage
+    (one product per sibling group, one exact subtraction an entry).
     """
 
     def __init__(self, tax: Taxonomy, weights: HxeWeights):
-        self.tax = tax
-        self.weights = weights
         self.num_outputs = tax.num_leaves
-        self.membership = tax.leaf_membership()
-        L, N = tax.num_leaves, tax.num_nodes
-        K = np.zeros((L, N))
-        for leaf in tax.leaves:
-            i = tax.leaf_index[leaf]
-            path = tax.ancestry(leaf)
-            if len(path) == 1:  # leaf is the root; nothing to predict
-                continue
-            lam = [weights.lam[n] for n in path[:-1]]
-            K[i, tax.node_index[path[0]]] = lam[0]
-            for l in range(1, len(path) - 1):
-                K[i, tax.node_index[path[l]]] = lam[l] - lam[l - 1]
-            K[i, tax.node_index[path[-1]]] = -lam[-1]
-        self.coeff = K
+        self.membership = M = tax.leaf_membership()
+        lam = _lam_vector(tax, weights)
+        parents, starts = _sibling_groups(tax)
+        self.coeff = K = np.multiply(M.T, np.concatenate(([0.0], lam)), order="C")
+        for parent, lo, hi in zip(parents, starts, np.append(starts[1:], len(lam))):
+            K[:, parent] -= lam[lo:hi] @ M[1 + lo:1 + hi]
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         P = softmax_batch(Z)
@@ -292,28 +289,20 @@ class ConditionalHxeObjective:
     keeps every sibling group contiguous; one softmax per group yields the
     edge conditionals directly. With uniform weights the loss equals
     ``-log`` of the factorized leaf posterior.
+
+    Row ``i`` of ``path_indicator`` marks leaf ``i``'s non-root lineage; the
+    losses weight the truth's row by ``lam``.
     """
 
     def __init__(self, tax: Taxonomy, weights: HxeWeights):
-        self.tax = tax
-        self.weights = weights
         self.num_outputs = len(tax.nonroot_bfs)
         if self.num_outputs == 0:
             raise ValueError("conditional head needs a taxonomy with edges")
-        sizes = [len(tax.children[n]) for n in tax.nodes_bfs if tax.children[n]]
-        self.group_sizes = np.array(sizes, dtype=np.int64)
-        self.group_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        col = {n: i for i, n in enumerate(tax.nonroot_bfs)}
-        L, N = tax.num_leaves, self.num_outputs
-        lam_path = np.zeros((L, N))
-        path_ind = np.zeros((L, N))
-        for leaf in tax.leaves:
-            i = tax.leaf_index[leaf]
-            for node in tax.ancestry(leaf)[:-1]:
-                lam_path[i, col[node]] = weights.lam[node]
-                path_ind[i, col[node]] = 1.0
-        self.lam_path = lam_path
-        self.path_indicator = path_ind
+        self.group_starts = _sibling_groups(tax)[1]
+        self.group_sizes = np.diff(self.group_starts, append=self.num_outputs)
+        self.lam = _lam_vector(tax, weights)
+        # Leaf-major: BLAS rounds a one-row product differently otherwise.
+        self.path_indicator = np.ascontiguousarray(tax.leaf_membership()[1:].T)
 
     def _expand(self, per_group: np.ndarray) -> np.ndarray:
         return np.repeat(per_group, self.group_sizes, axis=1)
@@ -331,12 +320,12 @@ class ConditionalHxeObjective:
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         logq = self._log_softmax_groups(Z)
-        return -(self.lam_path[truth_idx] * logq).sum(axis=1)
+        return -(self.path_indicator[truth_idx] * self.lam * logq).sum(axis=1)
 
     def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         logq = self._log_softmax_groups(Z)
         q = np.exp(logq)
-        lam = self.lam_path[truth_idx]
+        lam = self.path_indicator[truth_idx] * self.lam
         group_w = np.add.reduceat(lam, self.group_starts, axis=1)
         return q * self._expand(group_w) - lam
 

@@ -22,8 +22,6 @@ __all__ = [
     "severity_histogram",
     "compute_report",
     "report_from_indices",
-    "predictions_to_csv",
-    "predictions_from_csv",
 ]
 
 
@@ -101,9 +99,7 @@ def avg_hier_dist_topk(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
     classes, over all examples (correct hits contribute height 0)."""
     if k < 1 or k > batch.width:
         raise ValueError(f"k={k} outside ranking width {batch.width}")
-    R, t = _indices(tax, batch)
-    H = tax.lca_height_matrix()
-    return float(H[t[:, None], R[:, :k]].mean())
+    return compute_report(tax, batch, (k,)).avg_hier_dist_topk[k]
 
 
 def severity_histogram(tax: Taxonomy, batch: PredictionBatch) -> dict[int, int]:
@@ -142,35 +138,4 @@ def compute_report(tax: Taxonomy, batch: PredictionBatch,
                    ks: tuple[int, ...] = (1,)) -> MetricReport:
     R, t = _indices(tax, batch)
     return report_from_indices(tax, R, t, ks)
-
-
-# ---------------------------------------------------------------------------
-# CSV surfaces
-# ---------------------------------------------------------------------------
-
-
-def predictions_to_csv(batch: PredictionBatch, example_ids=None) -> str:
-    """``example_id,truth,pred_1,...,pred_K`` rows with a header line."""
-    k = batch.width
-    header = "example_id,truth," + ",".join(f"pred_{i + 1}" for i in range(k))
-    ids = example_ids if example_ids is not None else range(len(batch.truths))
-    lines = [header]
-    for ex, truth, ranking in zip(ids, batch.truths, batch.rankings):
-        lines.append(f"{ex},{truth}," + ",".join(ranking))
-    return "\n".join(lines) + "\n"
-
-
-def predictions_from_csv(text: str) -> PredictionBatch:
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    if len(lines) < 2:
-        raise ValueError("prediction CSV needs a header and at least one row")
-    header = lines[0].split(",")
-    if header[:2] != ["example_id", "truth"]:
-        raise ValueError(f"unexpected prediction CSV header: {lines[0]!r}")
-    truths, rankings = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        truths.append(cells[1])
-        rankings.append(cells[2:])
-    return PredictionBatch(rankings=rankings, truths=truths)
 

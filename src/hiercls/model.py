@@ -259,9 +259,6 @@ class CheckpointRecord:
 @dataclass
 class TrainingTrace:
     records: list[CheckpointRecord]
-    head: str
-    loss: LossSpec
-    ks: tuple[int, ...]
 
 
 def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
@@ -320,7 +317,7 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
                 params=model.snapshot(),
             ))
             run_sum, run_count = 0.0, 0
-    return TrainingTrace(records=records, head=model.head, loss=spec, ks=tuple(ks))
+    return TrainingTrace(records=records)
 
 
 def _scores_from_logits(tax: Taxonomy, head: str, obj, Z: np.ndarray) -> np.ndarray:

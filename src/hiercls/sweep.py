@@ -161,17 +161,20 @@ def read_input(path: str | Path, name: str) -> str:
 
 
 def read_classes(path: str | Path, name: str) -> list[str]:
-    """Class ids, one a line; blank lines and ``#`` comments are skipped.
-    An id holding a comma could not be a dataset label, so it is rejected."""
+    """Class ids, one a line, taken verbatim; blank lines and ``#`` comments
+    are skipped. Surrounding whitespace, a tab (no edge-list node has one)
+    or a comma (no dataset label has one) is rejected."""
     classes = []
     for lineno, line in enumerate(read_input(path, name).splitlines(), start=1):
-        cid = line.strip()
-        if not cid or line.startswith("#"):
+        if not line.strip() or line.startswith("#"):
             continue
-        if "," in cid:
-            raise DataError(f"{name} {path} line {lineno}: class id {cid!r} "
-                            "contains a comma")
-        classes.append(cid)
+        problem = ("has surrounding whitespace" if line != line.strip()
+                   else "contains a tab" if "\t" in line
+                   else "contains a comma" if "," in line else None)
+        if problem:
+            raise DataError(f"{name} {path} line {lineno}: class id {line!r} "
+                            + problem)
+        classes.append(line)
     if not classes:
         raise DataError(f"{name}: no class ids in {path}")
     return classes

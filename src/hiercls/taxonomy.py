@@ -77,7 +77,8 @@ def load_edges(text: str) -> TaxonomyGraph:
     """Parse an edge-list document into a graph.
 
     One ``parent<TAB>child`` pair per line; blank lines and lines starting
-    with ``#`` are ignored; duplicate edges collapse. Raises
+    with ``#`` are ignored; duplicate edges collapse. A node id may not start
+    with ``#``, since a class list would read it as a comment. Raises
     ``EdgeListParseError`` with the offending line number, or ``CycleError``
     if the edge set is cyclic.
     """
@@ -94,6 +95,9 @@ def load_edges(text: str) -> TaxonomyGraph:
         parent, child = fields[0].strip(), fields[1].strip()
         if not parent or not child:
             raise EdgeListParseError(f"line {lineno}: empty node id in {raw!r}")
+        if child.startswith("#"):  # a parent id with '#' makes a comment line
+            raise EdgeListParseError(f"line {lineno}: node id {child!r} starts "
+                                     "with '#', read as a comment in a class list")
         edges.add((parent, child))
     graph = TaxonomyGraph.from_edges(edges)
     _check_acyclic(graph)
@@ -156,56 +160,44 @@ class Taxonomy:
                 raise UnknownNodeError(f"parent {par!r} of {node!r} is not a node")
             if node not in self.children.get(par, []):
                 raise HierarchyError(f"children map misses edge {par!r}->{node!r}")
-        # BFS from the root assigns depths and checks connectivity.
-        depth = {self.root: 0}
-        order = [self.root]
-        i = 0
-        while i < len(order):
-            node = order[i]
-            i += 1
-            for child in self.children.get(node, []):
-                if child in depth:
-                    raise CycleError(f"node {child!r} reached twice")
-                depth[child] = depth[node] + 1
-                order.append(child)
-        if len(order) != len(nodes):
-            missing = sorted(nodes - set(order))
+        # One depth-first walk checks connectivity. Parents precede their
+        # children in it, and sorted stably by depth it is breadth-first.
+        self._preorder = _preorder(self.root, self.children)
+        if set(self._preorder) != nodes:
+            missing = sorted(nodes - set(self._preorder))
             raise HierarchyError(f"nodes unreachable from root: {missing}")
-        for node in order:
-            self.children.setdefault(node, [])
-        self.depth = depth
-        self.nodes_bfs = order
-        self.nonroot_bfs = order[1:]
-        zero_child = [n for n in order if not self.children.get(n)]
-        if sorted(zero_child) != sorted(self.leaves):
-            raise HierarchyError(
-                "leaf list must equal the set of zero-child nodes; "
-                f"tree has {sorted(zero_child)}, got {sorted(self.leaves)}"
-            )
-        for node in order:
-            kids = self.children.get(node, [])
+        depth = {self.root: 0}
+        for node in self._preorder:
+            kids = self.children.setdefault(node, [])
+            depth.update((kid, depth[node] + 1) for kid in kids)
             if node != self.root and len(kids) == 1:
                 raise HierarchyError(f"internal node {node!r} has a single child")
+        self.depth = depth
+        self.nodes_bfs = sorted(self._preorder, key=depth.__getitem__)
+        self.nonroot_bfs = self.nodes_bfs[1:]
         # Depth-first leaf numbering: every subtree is the contiguous span
         # [lo, hi) of ``dfs_leaves``, since children are visited in order.
-        dfs_leaves = _dfs_zero_child(self.root, self.children)
+        dfs_leaves = [n for n in self._preorder if not self.children[n]]
+        if sorted(dfs_leaves) != sorted(self.leaves):
+            raise HierarchyError(
+                "leaf list must equal the set of zero-child nodes; "
+                f"tree has {sorted(dfs_leaves)}, got {sorted(self.leaves)}"
+            )
         lo = {leaf: i for i, leaf in enumerate(dfs_leaves)}
         hi = {leaf: i + 1 for i, leaf in enumerate(dfs_leaves)}
-        # Heights and spans bottom-up in reverse BFS order.
-        height = {}
-        for node in reversed(order):
-            kids = self.children.get(node, [])
+        # Heights and spans bottom-up in reverse preorder.
+        height = dict.fromkeys(dfs_leaves, 0)
+        for node in reversed(self._preorder):
+            kids = self.children[node]
             if kids:
                 height[node] = 1 + max(height[k] for k in kids)
                 lo[node], hi[node] = lo[kids[0]], hi[kids[-1]]
-            else:
-                height[node] = 0
         self.height = height
         self.tree_height = height[self.root]
         self.leaf_index = {leaf: i for i, leaf in enumerate(self.leaves)}
         self.node_index = {n: i for i, n in enumerate(self.nodes_bfs)}
         self._dfs_pos = np.array([lo[leaf] for leaf in self.leaves], dtype=np.int64)
-        self._span = np.array([(lo[n], hi[n]) for n in order], dtype=np.int64)
+        self._span = np.array([(lo[n], hi[n]) for n in self.nodes_bfs], dtype=np.int64)
         self._lca_height_matrix = None
         self._leaf_membership = None
 
@@ -306,15 +298,8 @@ class Taxonomy:
 
     def export_edges(self) -> str:
         """Edge list in depth-first order from the root (diff-stable)."""
-        lines = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            kids = self.children.get(node, [])
-            for child in kids:
-                lines.append(f"{node}\t{child}")
-            stack.extend(reversed(kids))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(f"{node}\t{child}\n" for node in self._preorder
+                       for child in self.children[node])
 
     def hash_hex(self) -> str:
         """Stable 16-hex-digit digest of structure plus canonical leaf order."""
@@ -495,19 +480,25 @@ def apply_edits(tax: Taxonomy, edits: list[tuple[str, str]]) -> Taxonomy:
 
     _splice_single_child(tax.root, parent, children)
 
-    zero_child = _dfs_zero_child(tax.root, children)
+    zero_child = dict.fromkeys(n for n in _preorder(tax.root, children)
+                               if not children.get(n))
     still = [leaf for leaf in tax.leaves if leaf in zero_child]
-    new = [n for n in zero_child if n not in set(tax.leaves)]
+    new = [n for n in zero_child if n not in tax.leaf_index]
     return Taxonomy(tax.root, parent, children, still + new)
 
 
-def _dfs_zero_child(root: str, children: dict[str, list[str]]) -> list[str]:
-    out, stack = [], [root]
+def _preorder(root: str, children: dict[str, list[str]]) -> list[str]:
+    """Depth-first preorder from ``root``, children in stored order; a node
+    reached twice raises ``CycleError``."""
+    out, stack, seen = [], [root], {root}
     while stack:
         node = stack.pop()
+        out.append(node)
         kids = children.get(node, [])
-        if not kids:
-            out.append(node)
+        for kid in kids:
+            if kid in seen:
+                raise CycleError(f"node {kid!r} reached twice")
+            seen.add(kid)
         stack.extend(reversed(kids))
     return out
 
@@ -520,8 +511,7 @@ def randomize_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
     while individual pair distances change. The permutation is uniformly
     random and deterministic per seed.
     """
-    perm = np.random.default_rng(seed).permutation(tax.num_leaves)
-    relabel = {tax.leaves[i]: tax.leaves[perm[i]] for i in range(tax.num_leaves)}
+    relabel = dict(leaf_permutation(tax, seed))
 
     def ren(n: str) -> str:
         return relabel.get(n, n)

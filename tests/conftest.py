@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hiercls.taxonomy import Taxonomy, TaxonomyGraph, load_edges, prune_to_tree
 
@@ -90,3 +91,24 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Max absolute deviation scaled by the largest numeric component."""
     scale = max(float(np.abs(numeric).max()), 1e-12)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+@st.composite
+def shaped_trees(draw):
+    """A taxonomy built through the pruning path in one of four shapes, with
+    its class list shuffled so canonical and depth-first order differ."""
+    shape = draw(st.sampled_from(["random", "deep", "fan", "single_child_root"]))
+    n = draw(st.integers(2, 30))
+    if shape == "fan":  # every class hangs off the root
+        parents = [0] * (n - 1)
+    elif shape == "deep":  # each node hangs off one of the two newest
+        parents = [draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, n)]
+    elif shape == "single_child_root":  # the root's only child holds the rest
+        parents = [0] + [draw(st.integers(1, i - 1)) for i in range(2, n)]
+    else:
+        parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = {(f"v{p}", f"v{i}") for i, p in enumerate(parents, start=1)}
+    has_child = {p for p, _ in edges}
+    sinks = [f"v{i}" for i in range(n) if f"v{i}" not in has_child]
+    classes = draw(st.permutations(sinks))
+    return prune_to_tree(TaxonomyGraph.from_edges(edges), list(classes))

@@ -197,8 +197,7 @@ def test_criterion_08_epoch_selection():
         records = [Md.CheckpointRecord(step=(i + 1) * 100, train_loss=0.0,
                                        val_loss=v, val_report=None, params=[])
                    for i, v in enumerate(losses)]
-        return Md.TrainingTrace(records=records, head="class",
-                                loss=Md.LossSpec("ce"), ks=(1,))
+        return Md.TrainingTrace(records=records)
 
     xs = np.arange(1, 21, dtype=float) * 100
     quartic = 1e-11 * (xs - 1400.0) ** 4 + ((xs - 1400.0) / 2000.0) ** 2

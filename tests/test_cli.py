@@ -95,6 +95,35 @@ class TestHierarchyCommand:
         assert f"--classes {classes} line 2: class id 'B,x'" in err
         assert not (tmp_path / "tree.tsv").exists()
 
+    @pytest.mark.parametrize("line, problem", [
+        (" B", "has surrounding whitespace"),
+        ("B ", "has surrounding whitespace"),
+        ("\tB", "has surrounding whitespace"),
+        ("B\tx", "contains a tab"),
+    ])
+    def test_class_id_taken_verbatim(self, tmp_path, capsys, line, problem):
+        # Such ids used to be stripped silently.
+        (tmp_path / "edges.tsv").write_text("R\tA\nR\tB\n")
+        classes = tmp_path / "classes.txt"
+        classes.write_text(f"A\n{line}\n")
+        code = run("hierarchy", "build", "--edges", tmp_path / "edges.tsv",
+                   "--classes", classes, "--out", tmp_path / "tree.tsv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--classes {classes} line 2: class id {line!r} {problem}" in err
+        assert not (tmp_path / "tree.tsv").exists()
+
+    def test_node_id_starting_with_hash_rejected(self, tmp_path, capsys):
+        # The class list reads '#A' as a comment, so this built a 2-leaf tree.
+        (tmp_path / "edges.tsv").write_text("R\tB\nR\t#A\nR\tC\n")
+        (tmp_path / "classes.txt").write_text("#A\nB\nC\n")
+        code = run("hierarchy", "build", "--edges", tmp_path / "edges.tsv",
+                   "--classes", tmp_path / "classes.txt",
+                   "--out", tmp_path / "tree.tsv")
+        assert code == 2
+        assert "line 2: node id '#A' starts with '#'" in capsys.readouterr().err
+        assert not (tmp_path / "tree.tsv").exists()
+
     def test_missing_file_exits_2(self, workdir, capsys):
         code = run("hierarchy", "build", "--edges", workdir / "missing.tsv",
                    "--classes", workdir / "classes.txt",

@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import make_balanced_tree
-from hiercls.data import (DataError, Dataset, SplitSpec, class_means,
-                          dataset_from_csv, dataset_to_csv, split,
-                          synth_hierarchical)
+from hiercls.data import (DataError, Dataset, SplitSpec, dataset_from_csv,
+                          dataset_to_csv, split, synth_hierarchical)
+
+
+def class_means(ds: Dataset) -> dict[str, np.ndarray]:
+    """Empirical per-class feature means (generator diagnostics)."""
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for row, label in zip(ds.features, ds.labels):
+        if label not in sums:
+            sums[label] = np.zeros_like(row)
+            counts[label] = 0
+        sums[label] += row
+        counts[label] += 1
+    return {l: sums[l] / counts[l] for l in sums}
 
 
 class TestCsv:

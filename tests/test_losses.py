@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (finite_difference, make_balanced_tree, make_random_tree,
-                      max_rel_error, random_prob_vector)
+                      max_rel_error, random_prob_vector, shaped_trees)
 from hiercls import losses as L
-from hiercls.taxonomy import load_edges, prune_to_tree
+from hiercls.taxonomy import Taxonomy, load_edges, prune_to_tree
 
 
 class TestSoftmax:
@@ -136,6 +138,14 @@ class TestHxeLoss:
         assert np.isfinite(value) and value >= 0.0
 
 
+def soft_label_csv(m: L.SoftLabelMatrix) -> str:
+    """``truth,<class ids>`` header, then one row of target masses a class."""
+    lines = ["truth," + ",".join(m.leaves)]
+    for leaf, row in zip(m.leaves, m.rows):
+        lines.append(leaf + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestSoftLabelMatrix:
     def test_zero_beta_uniform(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 0.0)
@@ -185,7 +195,7 @@ class TestSoftLabelMatrix:
 
     def test_csv_export_round_trips_values(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1.0)
-        lines = m.to_csv_text().splitlines()
+        lines = soft_label_csv(m).splitlines()
         assert lines[0] == "truth,A,B,C"
         cells = lines[1].split(",")
         assert cells[0] == "A"
@@ -296,6 +306,79 @@ class TestConditionalHead:
         obj = L.ConditionalHxeObjective(toy_tree, L.hxe_weights(toy_tree, 0.0))
         assert obj.num_outputs == 4
         assert toy_tree.nonroot_bfs == ["D", "C", "A", "B"]
+
+
+def class_coeff_oracle(tax, weights) -> np.ndarray:
+    """``ClassHxeObjective.coeff`` by a per-leaf ``ancestry`` walk."""
+    K = np.zeros((tax.num_leaves, tax.num_nodes))
+    for leaf in tax.leaves:
+        i = tax.leaf_index[leaf]
+        path = tax.ancestry(leaf)
+        if len(path) == 1:  # leaf is the root; nothing to predict
+            continue
+        lam = [weights.lam[n] for n in path[:-1]]
+        K[i, tax.node_index[path[0]]] = lam[0]
+        for l in range(1, len(path) - 1):
+            K[i, tax.node_index[path[l]]] = lam[l] - lam[l - 1]
+        K[i, tax.node_index[path[-1]]] = -lam[-1]
+    return K
+
+
+def conditional_oracle(tax, weights):
+    """Sibling-group starts and sizes, weighted lineage rows and lineage
+    indicator rows of ``ConditionalHxeObjective`` by per-leaf walks."""
+    sizes = [len(tax.children[n]) for n in tax.nodes_bfs if tax.children[n]]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    col = {n: i for i, n in enumerate(tax.nonroot_bfs)}
+    lam_path = np.zeros((tax.num_leaves, len(col)))
+    path_ind = np.zeros((tax.num_leaves, len(col)))
+    for leaf in tax.leaves:
+        i = tax.leaf_index[leaf]
+        for node in tax.ancestry(leaf)[:-1]:
+            lam_path[i, col[node]] = weights.lam[node]
+            path_ind[i, col[node]] = 1.0
+    return starts, np.array(sizes), lam_path, path_ind
+
+
+class TestObjectiveTreeData:
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_trees(), st.sampled_from([0.0, 0.5, 0.9, 1.7]))
+    def test_match_ancestry_oracles(self, tax, alpha):
+        w = L.hxe_weights(tax, alpha)
+        np.testing.assert_array_equal(L.ClassHxeObjective(tax, w).coeff,
+                                      class_coeff_oracle(tax, w))
+        obj = L.ConditionalHxeObjective(tax, w)
+        starts, sizes, lam_path, path_ind = conditional_oracle(tax, w)
+        np.testing.assert_array_equal(obj.group_starts, starts)
+        np.testing.assert_array_equal(obj.group_sizes, sizes)
+        np.testing.assert_array_equal(obj.path_indicator, path_ind)
+        assert obj.path_indicator.flags.c_contiguous
+        truth = np.arange(tax.num_leaves)
+        np.testing.assert_array_equal(obj.path_indicator[truth] * obj.lam,
+                                      lam_path)
+
+    def test_root_that_is_its_only_leaf(self):
+        tax = Taxonomy("R", {}, {"R": []}, ["R"])
+        w = L.hxe_weights(tax, 0.5)
+        obj = L.ClassHxeObjective(tax, w)
+        np.testing.assert_array_equal(obj.coeff, class_coeff_oracle(tax, w))
+        assert obj.coeff.shape == (1, 1)
+        assert obj.loss_batch(np.zeros((1, 1)), np.array([0]))[0] == 0.0
+        with pytest.raises(ValueError, match="edges"):
+            L.ConditionalHxeObjective(tax, w)
+
+    def test_objectives_do_not_walk_lineages(self, monkeypatch):
+        # Lineages come from the taxonomy's spans; a per-leaf walk is the
+        # slow path these objectives replaced.
+        tax = make_random_tree(np.random.default_rng(9), max_nodes=40)
+
+        def walk(self, node):
+            raise AssertionError(f"per-leaf ancestry walk from {node!r}")
+
+        monkeypatch.setattr(Taxonomy, "ancestry", walk)
+        w = L.hxe_weights(tax, 0.5)
+        L.ClassHxeObjective(tax, w)
+        L.ConditionalHxeObjective(tax, w)
 
 
 class TestBatchSingleConsistency:

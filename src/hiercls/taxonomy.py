@@ -49,17 +49,26 @@ class UnknownNodeError(HierarchyError):
 class TaxonomyGraph:
     """A parsed parent->child edge set, prior to tree pruning.
 
-    May be a general DAG: nodes can have several parents. ``parents_of`` and
-    ``children_of`` views are derived once at construction.
+    May be a general DAG: nodes can have several parents. ``parents_of``,
+    ``children_of`` and ``depth`` are derived once by ``from_edges``.
     """
 
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
     parents_of: dict[str, list[str]] = field(repr=False, default_factory=dict)
     children_of: dict[str, list[str]] = field(repr=False, default_factory=dict)
+    depth: dict[str, int] = field(repr=False, default_factory=dict)
 
     @staticmethod
     def from_edges(edges) -> "TaxonomyGraph":
+        """The graph of ``edges``; raises ``CycleError`` if they are cyclic.
+
+        Kahn's algorithm orders the nodes so that each follows all its
+        parents, and the same pass sets ``depth``: each node's longest edge
+        distance to a root, one ``max`` over its parents. A node that never
+        enters the order lies on a cycle or below one, and the error names
+        one such node.
+        """
         edge_set = frozenset(edges)
         nodes = frozenset(n for e in edge_set for n in e)
         parents: dict[str, list[str]] = {n: [] for n in nodes}
@@ -67,66 +76,64 @@ class TaxonomyGraph:
         for parent, child in sorted(edge_set):
             parents[child].append(parent)
             children[parent].append(child)
-        return TaxonomyGraph(nodes, edge_set, parents, children)
+        waiting = {n: len(p) for n, p in parents.items()}
+        order = [n for n in nodes if not waiting[n]]
+        depth = dict.fromkeys(order, 0)
+        for node in order:  # grows while it is read
+            for child in children[node]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    depth[child] = 1 + max(depth[p] for p in parents[child])
+                    order.append(child)
+        if len(order) != len(nodes):
+            stuck = min(n for n in nodes if waiting[n])
+            raise CycleError(f"node {stuck!r} lies on a cycle or below one")
+        return TaxonomyGraph(nodes, edge_set, parents, children, depth)
 
     def roots(self) -> list[str]:
         return sorted(n for n in self.nodes if not self.parents_of[n])
 
 
-def load_edges(text: str) -> TaxonomyGraph:
-    """Parse an edge-list document into a graph.
+def parse_pairs(text: str, layout: str, source: str = "") -> list[tuple[str, str]]:
+    """The ``a<TAB>b`` pairs of an edge list or edits file, in line order.
 
-    One ``parent<TAB>child`` pair per line; blank lines and lines starting
-    with ``#`` are ignored; duplicate edges collapse. A node id may not start
-    with ``#``, since a class list would read it as a comment. Raises
-    ``EdgeListParseError`` with the offending line number, or ``CycleError``
-    if the edge set is cyclic.
+    Blank lines and lines starting with ``#`` are skipped. Ids are taken
+    verbatim: a line without exactly one tab, or an id that is empty, has
+    surrounding whitespace or starts with ``#`` (a class list would read it
+    as a comment) raises ``EdgeListParseError`` naming ``source`` (the
+    option that gave the file, if any) and the line. ``layout`` names the
+    two fields in that message.
     """
-    edges = set()
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        where = f"{source} line {lineno}".lstrip()
+        fields = raw.split("\t")
         if len(fields) != 2:
-            raise EdgeListParseError(
-                f"line {lineno}: expected 'parent<TAB>child', got {raw!r}"
-            )
-        parent, child = fields[0].strip(), fields[1].strip()
-        if not parent or not child:
-            raise EdgeListParseError(f"line {lineno}: empty node id in {raw!r}")
-        if child.startswith("#"):  # a parent id with '#' makes a comment line
-            raise EdgeListParseError(f"line {lineno}: node id {child!r} starts "
-                                     "with '#', read as a comment in a class list")
-        edges.add((parent, child))
-    graph = TaxonomyGraph.from_edges(edges)
-    _check_acyclic(graph)
-    return graph
+            raise EdgeListParseError(f"{where}: expected '{layout}', got {raw!r}")
+        for node in fields:
+            problem = ("is empty" if not node
+                       else "has surrounding whitespace" if node != node.strip()
+                       else "starts with '#', read as a comment in a class list"
+                       if node.startswith("#") else None)
+            if problem:
+                raise EdgeListParseError(f"{where}: node id {node!r} {problem}")
+        pairs.append((fields[0], fields[1]))
+    return pairs
 
 
-def _check_acyclic(graph: TaxonomyGraph) -> None:
-    # Iterative three-color DFS over the child relation.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-    for start in sorted(graph.nodes):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(graph.children_of[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if color[child] == GRAY:
-                    raise CycleError(f"cycle through node {child!r}")
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, iter(graph.children_of[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+def load_edges(text: str) -> TaxonomyGraph:
+    """Parse an edge-list document into a graph.
+
+    One ``parent<TAB>child`` pair per line, read by ``parse_pairs``, so a
+    node id with surrounding whitespace or a leading ``#`` is rejected;
+    duplicate edges collapse. Raises ``EdgeListParseError`` with the
+    offending line number, or ``CycleError`` (from ``TaxonomyGraph.from_edges``)
+    if the edge set is cyclic.
+    """
+    return TaxonomyGraph.from_edges(parse_pairs(text, "parent<TAB>child"))
 
 
 class Taxonomy:
@@ -328,6 +335,13 @@ def prune_to_tree(graph: TaxonomyGraph, leaves: list[str]) -> Taxonomy:
     to a node is final, which keeps the growing structure a tree. Afterwards
     every single-child node other than the root is spliced out and the class
     list becomes the canonical leaf order.
+
+    A longest path steps from each node to a parent exactly one level
+    shallower in ``graph.depth``. For each class, the nodes on such paths up
+    to the growing tree are visited shallowest first, and each keeps one
+    step up: the parent whose best path adds the fewest new nodes, then the
+    smallest parent id. Candidate paths through distinct parents first
+    differ at that parent, so this is the whole-sequence order.
     """
     if not leaves:
         raise HierarchyError("class list is empty")
@@ -341,70 +355,38 @@ def prune_to_tree(graph: TaxonomyGraph, leaves: list[str]) -> Taxonomy:
         if cls not in graph.nodes:
             raise UnknownNodeError(f"class {cls!r} is not a node of the graph")
 
-    # Longest distance to the root along parent edges, memoized over the DAG.
-    longest: dict[str, int] = {root: 0}
+    depth = graph.depth
 
-    def longest_of(node: str) -> int:
-        stack = [node]
-        while stack:
-            cur = stack[-1]
-            if cur in longest:
-                stack.pop()
-                continue
-            pending = [p for p in graph.parents_of[cur] if p not in longest]
-            if pending:
-                stack.extend(pending)
-            else:
-                longest[cur] = 1 + max(longest[p] for p in graph.parents_of[cur])
-                stack.pop()
-        return longest[node]
+    def steps_up(node: str) -> list[str]:
+        return [p for p in graph.parents_of[node] if depth[p] == depth[node] - 1]
 
     tree_nodes: set[str] = {root}
     tree_parent: dict[str, str] = {}
     tree_children: dict[str, list[str]] = {root: []}
-
-    def tree_lineage(node: str) -> tuple[str, ...]:
-        path = [node]
-        while path[-1] != root:
-            path.append(tree_parent[path[-1]])
-        return tuple(path)
-
     for cls in leaves:
-        longest_of(cls)
-        # Best effective path from each node: (new node count, path tuple).
-        best: dict[str, tuple[int, tuple[str, ...]]] = {}
-
-        def best_of(node: str) -> tuple[int, tuple[str, ...]]:
-            stack = [node]
-            while stack:
-                cur = stack[-1]
-                if cur in best:
-                    stack.pop()
-                    continue
-                if cur in tree_nodes:
-                    best[cur] = (0, tree_lineage(cur))
-                    stack.pop()
-                    continue
-                allowed = [p for p in graph.parents_of[cur]
-                           if longest[cur] == longest_of(p) + 1]
-                pending = [p for p in allowed if p not in best]
-                if pending:
-                    stack.extend(pending)
+        # The nodes on the class's longest root paths, up to the growing
+        # tree, one depth level a set.
+        levels = [{cls}]
+        while levels[-1]:
+            levels.append({p for node in levels[-1] if node not in tree_nodes
+                           for p in steps_up(node)})
+        # (new nodes on the node's best path, its step up), shallowest first.
+        best: dict[str, tuple[int, str]] = {}
+        for level in reversed(levels):
+            for node in level:
+                if node in tree_nodes:
+                    best[node] = (0, node)  # the path ends here
                 else:
-                    count, path = min(best[p] for p in allowed)
-                    best[cur] = (count + 1, (cur,) + path)
-                    stack.pop()
-            return best[node]
-
-        _, path = best_of(cls)
-        for i, node in enumerate(path[:-1]):
-            if node in tree_nodes:
-                break
-            par = path[i + 1]
+                    count, par = min((best[p][0], p) for p in steps_up(node))
+                    best[node] = (count + 1, par)
+        node = cls
+        while node not in tree_nodes:
+            par = best[node][1]
             tree_parent[node] = par
             tree_nodes.add(node)
             tree_children.setdefault(node, [])
             tree_children.setdefault(par, []).append(node)
+            node = par
 
     for cls in leaves:
         if tree_children.get(cls):

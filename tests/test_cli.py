@@ -124,6 +124,34 @@ class TestHierarchyCommand:
         assert "line 2: node id '#A' starts with '#'" in capsys.readouterr().err
         assert not (tmp_path / "tree.tsv").exists()
 
+    def test_edge_list_node_id_with_whitespace_exits_2(self, workdir, capsys):
+        # Such ids used to be stripped silently.
+        (workdir / "edges.tsv").write_text("R\tD\nR\tC\nD\t A\nD\tB\n")
+        code = run("hierarchy", "build", "--edges", workdir / "edges.tsv",
+                   "--classes", workdir / "classes.txt",
+                   "--out", workdir / "tree.tsv")
+        assert code == 2
+        assert ("line 3: node id ' A' has surrounding whitespace"
+                in capsys.readouterr().err)
+        assert not (workdir / "tree.tsv").exists()
+
+    @pytest.mark.parametrize("edits, message", [
+        ("C \tD\n", "--edits line 1: node id 'C ' has surrounding whitespace"),
+        ("# move C\n\nC\tD \n",
+         "--edits line 3: node id 'D ' has surrounding whitespace"),
+        ("C\tD\tR\n", "--edits line 1: expected 'node<TAB>new_parent'"),
+        ("C\t\n", "--edits line 1: node id '' is empty"),
+    ], ids=["trailing_space", "after_comment_and_blank", "three_fields",
+            "empty_parent"])
+    def test_bad_edits_line_exits_2(self, workdir, capsys, edits, message):
+        (workdir / "edits.tsv").write_text(edits)
+        code = run("hierarchy", "build", "--edges", workdir / "edges.tsv",
+                   "--classes", workdir / "classes.txt",
+                   "--edits", workdir / "edits.tsv", "--out", workdir / "tree.tsv")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "tree.tsv").exists()
+
     def test_missing_file_exits_2(self, workdir, capsys):
         code = run("hierarchy", "build", "--edges", workdir / "missing.tsv",
                    "--classes", workdir / "classes.txt",
@@ -581,6 +609,22 @@ class TestEndToEndDeterminism:
                     "points/hxe_0.4_true_seed0/trace.csv",
                     "points/hxe_0.4_true_seed0/histogram.csv",
                     "points/hxe_0.4_true_seed0/selected.csv"):
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+    def test_sweep_files_do_not_depend_on_workers(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        outs = []
+        for workers in ("1", "2"):
+            cfg = write_sweep_config(workdir, tree, data, taxonomy_source="both:3",
+                                     workers=workers)
+            out = workdir / f"sw{workers}"
+            assert run("sweep", "--config", cfg, "--out", out) == 0
+            outs.append(out)
+        files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+                 for out in outs]
+        assert files[0] == files[1]
+        assert len(files[0]) == 2 + 4 * 3  # two tables, three files a point
+        for rel in files[0]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
     def test_infeasible_selection_schedule_exits_2(self, workdir, capsys):

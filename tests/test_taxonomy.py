@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, brute_lca,
                       make_random_dag, make_random_tree, shaped_trees)
 from hiercls.taxonomy import (CycleError, EdgeListParseError, HierarchyError,
-                              Taxonomy, UnknownNodeError, apply_edits,
+                              Taxonomy, TaxonomyGraph, UnknownNodeError,
+                              apply_edits,
                               leaf_permutation, load_edges, load_taxonomy,
                               prune_to_tree, randomize_leaves)
 
@@ -46,6 +50,32 @@ class TestLoadEdges:
         g = load_edges("# heading\n\nR\tD\n")
         assert g.edges == frozenset({("R", "D")})
 
+    @pytest.mark.parametrize("text, message", [
+        ("R\t A \nR\tB\n", "line 1: node id ' A ' has surrounding whitespace"),
+        ("R\tB\nR\tA \n", "line 2: node id 'A ' has surrounding whitespace"),
+        ("R \tA\nR\tB\n", "line 1: node id 'R ' has surrounding whitespace"),
+        ("R\tA\n R\tB\n", "line 2: node id ' R' has surrounding whitespace"),
+        ("R\tA\t\n", "line 1: expected 'parent<TAB>child'"),
+    ], ids=["both_sides", "trailing", "parent_trailing", "leading",
+            "trailing_tab"])
+    def test_node_id_taken_verbatim(self, text, message):
+        # Such ids used to be stripped silently.
+        with pytest.raises(EdgeListParseError, match=re.escape(message)):
+            load_edges(text)
+
+    @pytest.mark.parametrize("text, on_or_below", [
+        ("R\tA\nA\tA\n", {"A"}),
+        ("R\tA\nA\tB\nB\tA\n", {"A", "B"}),
+        ("R\tA\nX\tY\nY\tX\n", {"X", "Y"}),
+        ("R\tX\nX\tY\nY\tX\nY\tA\nA\tB\n", {"X", "Y", "A", "B"}),
+    ], ids=["self_loop", "reachable_from_root", "detached_under_valid_root",
+            "below_a_cycle"])
+    def test_cycle_error_names_a_node_on_or_below_the_cycle(self, text,
+                                                            on_or_below):
+        with pytest.raises(CycleError, match="lies on a cycle or below one") as err:
+            load_edges(text)
+        assert re.search(r"node '(\w+)'", str(err.value)).group(1) in on_or_below
+
 
 class TestTaxonomyValidation:
     @pytest.mark.parametrize("parent, children, error, match", [
@@ -60,7 +90,95 @@ class TestTaxonomyValidation:
             Taxonomy("R", parent, children, ["C"])
 
 
+def small_layered_dag(rng: np.random.Generator):
+    """A single-rooted DAG of at most 12 nodes and a class list drawn from
+    its sinks. Nodes sit on levels; most parents are one level up, some are
+    shortcuts from further up, so a class often has several longest root
+    paths. Ids are shuffled against the levels."""
+    n = int(rng.integers(4, 13))
+    names = [f"n{k}" for k in rng.permutation(n)]
+    level = [0] + sorted(int(v) for v in rng.integers(1, 5, size=n - 1))
+    edges = set()
+    for i in range(1, n):
+        above = [j for j in range(i) if level[j] < level[i]]
+        near = [j for j in above if level[j] == level[i] - 1] or above
+        for j in rng.choice(near, size=min(len(near), int(rng.integers(1, 4))),
+                            replace=False):
+            edges.add((names[j], names[i]))
+        if rng.random() < 0.3:
+            edges.add((names[int(rng.choice(above))], names[i]))
+    sinks = sorted({c for _, c in edges} - {p for p, _ in edges})
+    classes = [str(c) for c in rng.permutation(sinks)]
+    return edges, classes
+
+
+def prune_oracle(edges, classes) -> Taxonomy:
+    """Brute force over whole paths: for each class in order, every longest
+    class-to-root path, the minimum (nodes not yet in the tree, path) spliced
+    in; then non-root single-child nodes removed one at a time."""
+    parents: dict[str, list[str]] = {}
+    for p, c in edges:
+        parents.setdefault(c, []).append(p)
+    root, = {p for p, _ in edges} - set(parents)
+
+    def paths_up(node):
+        if node == root:
+            return [(root,)]
+        return [(node,) + rest for p in parents[node] for rest in paths_up(p)]
+
+    parent: dict[str, str] = {}
+    children: dict[str, list[str]] = {root: []}  # one key per tree node
+    for cls in classes:
+        paths = paths_up(cls)
+        longest = max(map(len, paths))
+        _, path = min((sum(n not in children for n in p), p)
+                      for p in paths if len(p) == longest)
+        tree = set(children)
+        for node, par in zip(path, path[1:]):
+            if node in tree:
+                break
+            parent[node] = par
+            children.setdefault(node, [])
+            children.setdefault(par, []).append(node)
+    while True:
+        single = [n for n, kids in children.items() if n != root and len(kids) == 1]
+        if not single:
+            return Taxonomy(root, parent, children, classes)
+        node = single[0]
+        (child,), par = children.pop(node), parent.pop(node)
+        siblings = children[par]
+        siblings[siblings.index(node)] = child
+        parent[child] = par
+
+
 class TestPruneToTree:
+    def test_matches_whole_path_oracle_on_small_dags(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            edges, classes = small_layered_dag(rng)
+            graph = TaxonomyGraph.from_edges(edges)
+            t = prune_to_tree(graph, classes)
+            expected = prune_oracle(edges, classes)
+            assert t.export_edges() == expected.export_edges(), (edges, classes)
+            assert t.parent == expected.parent
+            longest = dict.fromkeys(graph.nodes, 0)
+            for _ in graph.nodes:  # relax every edge once per node
+                for p, c in edges:
+                    longest[c] = max(longest[c], longest[p] + 1)
+            assert graph.depth == longest
+
+    def test_deep_chain_with_shortcuts_prunes_without_recursion(self):
+        n = 3000  # above the default recursion limit
+        assert n > sys.getrecursionlimit()
+        edges = ([(f"c{i}", f"c{i + 1}") for i in range(n)]
+                 + [(f"c{i}", f"c{i + 2}") for i in range(n - 1)]
+                 + [(f"c{n // 2}", "side")])
+        graph = TaxonomyGraph.from_edges(edges)
+        assert graph.depth[f"c{n}"] == n and graph.depth["side"] == n // 2 + 1
+        t = prune_to_tree(graph, [f"c{n}", "side"])
+        assert t.export_edges() == (f"c0\tc{n // 2}\nc{n // 2}\tc{n}\n"
+                                    f"c{n // 2}\tside\n")
+
     def test_longest_path_kept_then_spliced(self):
         # Both R->A and R->X->A exist; the long route wins, then the
         # single-child X disappears.

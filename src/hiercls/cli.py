@@ -23,7 +23,8 @@ from .data import DataError, dataset_to_csv, synth_hierarchical
 from .fileio import fmt, meta_header, sha16, write_text
 from .model import (AveragedReport, LossSpec, TrainSchedule, average_reports,
                     checkpoint_from_text, checkpoint_to_text,
-                    confidence_half_width, evaluate_model, trace_to_csv)
+                    confidence_half_width, evaluate_model, output_dim_for,
+                    trace_to_csv)
 from .sweep import (SPLIT_NAMES, check_ks, convert, load_inputs, load_tax,
                     parse_ks, parse_split, parse_sweep_config, read_classes,
                     read_input, run_point, run_sweep, write_csv,
@@ -78,7 +79,8 @@ def _export_with_header(tax, extra_meta=None) -> str:
 
 def cmd_hierarchy(args) -> int:
     if args.action == "build":
-        graph = load_edges(read_input(args.edges, "--edges"))
+        graph = load_edges(read_input(args.edges, "--edges"),
+                           f"--edges {args.edges}")
         tax = prune_to_tree(graph, read_classes(args.classes, "--classes"))
         if args.edits:
             edits = read_input(args.edits, "--edits")
@@ -193,7 +195,7 @@ def cmd_train(args) -> int:
                     averaged.severity_histogram)
     for rec in trace.records:
         write_text(out / "checkpoints" / f"step_{rec.step:06d}.txt",
-                   checkpoint_to_text(replace(model, layers=rec.params),
+                   checkpoint_to_text(replace(model, params=rec.params),
                                       rec.step, tax.hash_hex()))
     _write_report_csv(out / "report.csv", averaged, meta)
     return EXIT_OK
@@ -228,17 +230,26 @@ def cmd_evaluate(args) -> int:
         paths = [run_dir / "checkpoints" / f"step_{s:06d}.txt" for s in steps]
         meta["checkpoints"] = ",".join(str(s) for s in steps)
 
+    eval_ds = parts[SPLIT_NAMES.index(args.split_name)]
+    name = "--run" if args.run else "--checkpoint"
     models = []
     for path in paths:
-        model, _, tax_hash = checkpoint_from_text(read_input(path, "--checkpoint"))
+        source = f"{name} {path}"
+        model, _, tax_hash = checkpoint_from_text(read_input(path, name), source)
         if tax_hash != tax.hash_hex():
             raise DataError(
-                f"checkpoint taxonomy hash {tax_hash} does not match "
+                f"{source}: checkpoint taxonomy hash {tax_hash} does not match "
                 f"--taxonomy hash {tax.hash_hex()}"
             )
+        width = output_dim_for(tax, model.head)
+        if model.output_dim != width:
+            raise DataError(f"{source}: head={model.head} needs output_dim={width}"
+                            f" for --taxonomy, got {model.output_dim}")
+        if model.input_dim != eval_ds.feature_dim:
+            raise DataError(f"{source}: input_dim={model.input_dim}, but --data "
+                            f"has {eval_ds.feature_dim} features")
         models.append(model)
     check_ks(ks, tax, "--ks")
-    eval_ds = parts[SPLIT_NAMES.index(args.split_name)]
     averaged = average_reports([evaluate_model(tax, model, eval_ds, ks=ks)
                                 for model in models])
     _write_report_csv(args.out_report, averaged, meta)

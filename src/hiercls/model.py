@@ -96,19 +96,26 @@ def build_objective(tax: Taxonomy, spec: LossSpec, head: str):
 
 @dataclass
 class ClassifierModel:
+    """A model's parameters live in one flat float64 vector, in checkpoint
+    order: layer by layer, weight matrix row-major, then bias. ``layers``
+    holds ``(W, b)`` views of it, one per ``(d_in, d_out)`` in ``shapes``."""
+
     head: str
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    input_dim: int
-    output_dim: int
+    params: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
 
-    def parameters(self) -> list[np.ndarray]:
-        flat = []
-        for W, b in self.layers:
-            flat.extend((W, b))
-        return flat
+    def __post_init__(self):
+        self.layers = _layer_views(self.params, self.shapes)
+        self.input_dim, self.output_dim = self.shapes[0][0], self.shapes[-1][1]
 
-    def snapshot(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(W.copy(), b.copy()) for W, b in self.layers]
+
+def _layer_views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    views, pos = [], 0
+    for d_in, d_out in shapes:
+        end = pos + d_in * d_out
+        views.append((flat[pos:end].reshape(d_in, d_out), flat[end:end + d_out]))
+        pos = end + d_out
+    return views
 
 
 def output_dim_for(tax: Taxonomy, head: str) -> int:
@@ -127,13 +134,9 @@ def init_model(tax: Taxonomy, head: str, input_dim: int, seed: int,
     out = output_dim_for(tax, head)
     rng = np.random.default_rng([seed, 0])
     dims = [input_dim, out] if hidden_dim is None else [input_dim, hidden_dim, out]
-    layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        W = rng.uniform(-0.01, 0.01, size=(d_in, d_out))
-        b = rng.uniform(-0.01, 0.01, size=d_out)
-        layers.append((W, b))
-    return ClassifierModel(head=head, layers=layers, input_dim=input_dim,
-                           output_dim=out)
+    shapes = tuple(zip(dims[:-1], dims[1:]))
+    n = sum(d_in * d_out + d_out for d_in, d_out in shapes)
+    return ClassifierModel(head, rng.uniform(-0.01, 0.01, size=n), shapes)
 
 
 def forward(model: ClassifierModel, X: np.ndarray) -> np.ndarray:
@@ -157,23 +160,19 @@ def _forward_with_acts(model, X):
 
 
 def backprop(model: ClassifierModel, X: np.ndarray, dZ: np.ndarray,
-             acts=None) -> list[np.ndarray]:
-    """Gradients of the batch-mean loss w.r.t. every parameter, given the
-    per-sample logit gradients ``dZ``. Returned flat, matching
-    ``model.parameters()`` order."""
+             acts=None) -> np.ndarray:
+    """Gradient of the batch-mean loss w.r.t. ``model.params`` (same flat
+    order), given the per-sample logit gradients ``dZ``."""
     if acts is None:
         acts, _ = _forward_with_acts(model, X)
     B = len(X)
     delta = dZ
     grads: list[np.ndarray] = []
     for li in reversed(range(len(model.layers))):
-        a_prev = acts[li]
-        dW = a_prev.T @ delta / B
-        db = delta.mean(axis=0)
-        grads[:0] = [dW, db]
+        grads[:0] = [(acts[li].T @ delta / B).ravel(), delta.mean(axis=0)]
         if li > 0:
             delta = (delta @ model.layers[li][0].T) * (1.0 - acts[li] ** 2)
-    return grads
+    return np.concatenate(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +193,28 @@ class AdamOptimizer:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One step on the flat ``params`` in place."""
+        if not self.m.size:
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grads
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grads * grads
+        params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ class CheckpointRecord:
     train_loss: float
     val_loss: float
     val_report: MetricReport
-    params: list
+    params: np.ndarray
 
 
 @dataclass
@@ -279,7 +279,6 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
     pos = 0
     records: list[CheckpointRecord] = []
     run_sum, run_count = 0.0, 0
-    params = model.parameters()
     for step in range(1, schedule.steps + 1):
         if pos + bsz > n:
             perm = rng.permutation(n)
@@ -296,7 +295,7 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
             )
         dZ = obj.grad_batch(Z, t[idx])
         grads = backprop(model, X[idx], dZ, acts=acts)
-        optimizer.update(params, grads)
+        optimizer.update(model.params, grads)
         run_sum += loss
         run_count += 1
         if step % schedule.checkpoint_every == 0:
@@ -308,7 +307,7 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
                 train_loss=run_sum / run_count,
                 val_loss=val_loss,
                 val_report=report,
-                params=model.snapshot(),
+                params=model.params.copy(),
             ))
             run_sum, run_count = 0.0, 0
     return TrainingTrace(records=records)
@@ -464,7 +463,7 @@ def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
                          trace: TrainingTrace, indices: list[int], ds,
                          ks: tuple[int, ...] = (1, 5, 20)) -> AveragedReport:
     return average_reports([
-        evaluate_model(tax, replace(model, layers=trace.records[i].params), ds, ks)
+        evaluate_model(tax, replace(model, params=trace.records[i].params), ds, ks)
         for i in indices])
 
 
@@ -488,9 +487,10 @@ def trace_to_csv(trace: TrainingTrace) -> str:
 
 def checkpoint_to_text(model: ClassifierModel, step: int, taxonomy_hash: str) -> str:
     """Flat text checkpoint: header comments, then one parameter per line in
-    layer order (weight matrix row-major, then bias)."""
-    shapes = ";".join(f"{W.shape[0]}x{W.shape[1]}" for W, _ in model.layers)
-    lines = [
+    ``model.params`` order (layer by layer, weight matrix row-major, then
+    bias)."""
+    shapes = ";".join(f"{d_in}x{d_out}" for d_in, d_out in model.shapes)
+    return "\n".join([
         "# format=hiercls-checkpoint-v1",
         f"# head={model.head}",
         f"# input_dim={model.input_dim}",
@@ -498,38 +498,62 @@ def checkpoint_to_text(model: ClassifierModel, step: int, taxonomy_hash: str) ->
         f"# layer_shapes={shapes}",
         f"# step={step}",
         f"# taxonomy_hash={taxonomy_hash}",
-    ]
-    for W, b in model.layers:
-        lines.extend(fmt(v) for v in W.ravel())
-        lines.extend(fmt(v) for v in b)
-    return "\n".join(lines) + "\n"
+        *map(fmt, model.params.tolist()),
+    ]) + "\n"
 
 
-def checkpoint_from_text(text: str) -> tuple[ClassifierModel, int, str]:
-    meta: dict[str, str] = {}
-    values: list[float] = []
-    for line in text.splitlines():
-        if line.startswith("# "):
-            key, _, val = line[2:].partition("=")
-            meta[key] = val
-        elif line.strip():
-            values.append(float(line))
+_CHECKPOINT_KEYS = ("head", "input_dim", "output_dim", "layer_shapes", "step",
+                    "taxonomy_hash")
+
+
+def checkpoint_from_text(text: str, source: str = "checkpoint"
+                         ) -> tuple[ClassifierModel, int, str]:
+    """Read a ``checkpoint_to_text`` document: the header lines, then the
+    values. A missing or inconsistent header key, a value count that does
+    not fit ``layer_shapes``, or a value that is not a finite float raises
+    ``ValueError`` naming ``source`` (and the line, for a value)."""
+    lines = text.splitlines()
+    n_meta = next((i for i, line in enumerate(lines) if not line.startswith("# ")),
+                  len(lines))
+    meta = dict(line[2:].partition("=")[::2] for line in lines[:n_meta])
     if meta.get("format") != "hiercls-checkpoint-v1":
-        raise ValueError("not a recognizable checkpoint file")
-    shapes = [tuple(int(d) for d in s.split("x"))
-              for s in meta["layer_shapes"].split(";")]
-    arr = np.array(values)
-    layers = []
-    pos = 0
-    for d_in, d_out in shapes:
-        W = arr[pos:pos + d_in * d_out].reshape(d_in, d_out).copy()
-        pos += d_in * d_out
-        b = arr[pos:pos + d_out].copy()
-        pos += d_out
-        layers.append((W, b))
-    if pos != len(arr):
-        raise ValueError("checkpoint value count does not match declared shapes")
-    model = ClassifierModel(head=meta["head"], layers=layers,
-                            input_dim=int(meta["input_dim"]),
-                            output_dim=int(meta["output_dim"]))
-    return model, int(meta["step"]), meta["taxonomy_hash"]
+        raise ValueError(f"{source}: not a recognizable checkpoint file")
+    missing = [key for key in _CHECKPOINT_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{source}: missing header key {missing[0]!r}")
+    if meta["head"] not in HEADS:
+        raise ValueError(f"{source}: head must be one of {HEADS}, "
+                         f"got {meta['head']!r}")
+    try:
+        shapes = tuple((int(d_in), int(d_out)) for d_in, d_out in
+                       (s.split("x") for s in meta["layer_shapes"].split(";")))
+        dims = (int(meta["input_dim"]), int(meta["output_dim"]))
+        step = int(meta["step"])
+    except ValueError as exc:
+        raise ValueError(f"{source}: bad header value: {exc}") from None
+    if (dims != (shapes[0][0], shapes[-1][1]) or min(map(min, shapes)) < 1
+            or any(a[1] != b[0] for a, b in zip(shapes, shapes[1:]))):
+        raise ValueError(f"{source}: input_dim={dims[0]} and output_dim={dims[1]}"
+                         f" do not fit layer_shapes={meta['layer_shapes']}, or "
+                         "its layers do not chain")
+    body = lines[n_meta:]
+    n = sum(d_in * d_out + d_out for d_in, d_out in shapes)
+    if len(body) != n:
+        raise ValueError(f"{source}: {len(body)} values, but "
+                         f"layer_shapes={meta['layer_shapes']} needs {n}")
+    try:
+        params = np.array(body, dtype=float)
+    except ValueError:  # parse line by line to find the bad one
+        params = np.array([_float_or_nan(v) for v in body])
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ValueError(f"{source} line {n_meta + bad[0] + 1}: value "
+                         f"{body[bad[0]]!r} is not a finite float")
+    return ClassifierModel(meta["head"], params, shapes), step, meta["taxonomy_hash"]
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan

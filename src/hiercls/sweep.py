@@ -184,7 +184,8 @@ def load_tax(taxonomy: str, classes: str, prefix: str = "--") -> Taxonomy:
     """The taxonomy file pruned to the class list; ``prefix`` + key names
     the option (``--taxonomy``) or config key (``taxonomy``) in errors."""
     return load_taxonomy(read_input(taxonomy, prefix + "taxonomy"),
-                         read_classes(classes, prefix + "classes"))
+                         read_classes(classes, prefix + "classes"),
+                         f"{prefix}taxonomy {taxonomy}")
 
 
 def check_ks(ks: tuple[int, ...], tax: Taxonomy, name: str) -> None:

@@ -101,7 +101,7 @@ def parse_pairs(text: str, layout: str, source: str = "") -> list[tuple[str, str
     verbatim: a line without exactly one tab, or an id that is empty, has
     surrounding whitespace or starts with ``#`` (a class list would read it
     as a comment) raises ``EdgeListParseError`` naming ``source`` (the
-    option that gave the file, if any) and the line. ``layout`` names the
+    option or key and the file, if any) and the line. ``layout`` names the
     two fields in that message.
     """
     pairs = []
@@ -124,16 +124,17 @@ def parse_pairs(text: str, layout: str, source: str = "") -> list[tuple[str, str
     return pairs
 
 
-def load_edges(text: str) -> TaxonomyGraph:
+def load_edges(text: str, source: str = "") -> TaxonomyGraph:
     """Parse an edge-list document into a graph.
 
     One ``parent<TAB>child`` pair per line, read by ``parse_pairs``, so a
     node id with surrounding whitespace or a leading ``#`` is rejected;
-    duplicate edges collapse. Raises ``EdgeListParseError`` with the
-    offending line number, or ``CycleError`` (from ``TaxonomyGraph.from_edges``)
-    if the edge set is cyclic.
+    duplicate edges collapse. Raises ``EdgeListParseError`` naming
+    ``source`` (the option or key and the file, if any) and the offending
+    line number, or ``CycleError`` (from ``TaxonomyGraph.from_edges``) if
+    the edge set is cyclic.
     """
-    return TaxonomyGraph.from_edges(parse_pairs(text, "parent<TAB>child"))
+    return TaxonomyGraph.from_edges(parse_pairs(text, "parent<TAB>child", source))
 
 
 class Taxonomy:
@@ -416,13 +417,14 @@ def _splice_single_child(root: str, parent: dict[str, str],
         del children[node]
 
 
-def load_taxonomy(edge_text: str, leaves: list[str]) -> Taxonomy:
-    """Parse an edge list and prune it to a tree over ``leaves``.
+def load_taxonomy(edge_text: str, leaves: list[str], source: str = "") -> Taxonomy:
+    """Parse an edge list (parse errors name ``source``) and prune it to a
+    tree over ``leaves``.
 
     On input that is already a pruned tree this is the identity, so exported
     taxonomies reload through the same path.
     """
-    return prune_to_tree(load_edges(edge_text), leaves)
+    return prune_to_tree(load_edges(edge_text, source), leaves)
 
 
 def apply_edits(tax: Taxonomy, edits: list[tuple[str, str]]) -> Taxonomy:

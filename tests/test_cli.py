@@ -135,6 +135,30 @@ class TestHierarchyCommand:
                 in capsys.readouterr().err)
         assert not (workdir / "tree.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["build", "gen-data", "sweep"])
+    def test_edge_list_error_names_option_and_file(self, workdir, capsys,
+                                                   command):
+        bad = workdir / "bad_edges.tsv"
+        bad.write_text("R\tD\nR\tC\nD\t A\nD\tB\n")
+        out = workdir / "out"
+        classes = workdir / "classes.txt"
+        if command == "build":
+            code = run("hierarchy", "build", "--edges", bad, "--classes",
+                       classes, "--out", out)
+            source = f"--edges {bad}"
+        elif command == "gen-data":
+            code = run("gen-data", "--taxonomy", bad, "--classes", classes,
+                       "--out", out)
+            source = f"--taxonomy {bad}"
+        else:
+            cfg = write_sweep_config(workdir, bad, workdir / "data.csv")
+            code = run("sweep", "--config", cfg, "--out", out)
+            source = f"taxonomy {bad}"
+        assert code == 2
+        assert (f"error: {source} line 3: node id ' A' has surrounding "
+                "whitespace") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edits, message", [
         ("C \tD\n", "--edits line 1: node id 'C ' has surrounding whitespace"),
         ("# move C\n\nC\tD \n",
@@ -353,6 +377,98 @@ class TestEvaluateCommand:
                    "--out-report", workdir / "r.csv")
         assert code == 2
         assert "hash" in capsys.readouterr().err
+
+
+def _with_header(lines, **values):
+    """``lines`` with the header keys in ``values`` set to new values."""
+    out = []
+    for line in lines:
+        key = line[2:].partition("=")[0] if line.startswith("# ") else None
+        out.append(f"# {key}={values[key]}" if key in values else line)
+    return out
+
+
+# A trained toy checkpoint: 7 header lines, then 21 values (6x3 weights and 3
+# biases) on lines 8 to 28. Each edit breaks one thing the reader or
+# ``evaluate`` checks; the message follows the option and file name.
+CHECKPOINT_EDITS = {
+    "missing_header_key": (
+        lambda L: [l for l in L if not l.startswith("# head=")],
+        ": missing header key 'head'"),
+    "unknown_head": (
+        lambda L: _with_header(L, head="softmax"),
+        ": head must be one of ('class', 'conditional'), got 'softmax'"),
+    "input_dim_vs_shapes": (
+        lambda L: _with_header(L, input_dim=7),
+        ": input_dim=7 and output_dim=3 do not fit layer_shapes=6x3"),
+    "output_dim_vs_shapes": (
+        lambda L: _with_header(L, output_dim=4),
+        ": input_dim=6 and output_dim=4 do not fit layer_shapes=6x3"),
+    "unchained_layers": (
+        lambda L: _with_header(L, layer_shapes="6x5;4x3"),
+        ": input_dim=6 and output_dim=3 do not fit layer_shapes=6x5;4x3, "
+        "or its layers do not chain"),
+    "value_count": (
+        lambda L: L[:-1], ": 20 values, but layer_shapes=6x3 needs 21"),
+    "unparsable_value": (
+        lambda L: L[:7] + ["0.1.2"] + L[8:],
+        " line 8: value '0.1.2' is not a finite float"),
+    "nan_value": (
+        lambda L: L[:8] + ["nan"] + L[9:],
+        " line 9: value 'nan' is not a finite float"),
+    "infinite_value": (
+        lambda L: L[:27] + ["-inf"],
+        " line 28: value '-inf' is not a finite float"),
+    "head_vs_taxonomy": (
+        lambda L: _with_header(L, head="conditional"),
+        ": head=conditional needs output_dim=4 for --taxonomy, got 3"),
+    "output_dim_vs_taxonomy": (
+        lambda L: _with_header(L, output_dim=2, layer_shapes="6x2")[:21],
+        ": head=class needs output_dim=3 for --taxonomy, got 2"),
+    "input_dim_vs_data": (
+        lambda L: _with_header(L, input_dim=5, layer_shapes="5x3")[:25],
+        ": input_dim=5, but --data has 6 features"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_EDITS))
+def test_bad_checkpoint_exits_2_naming_file(workdir, capsys, case):
+    edit, message = CHECKPOINT_EDITS[case]
+    tree, data = gen_tree_and_data(workdir)
+    trained = workdir / "run"
+    assert run("train", "--data", data, "--taxonomy", tree, "--classes",
+               workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+               "--out", trained) == 0
+    ckpt = trained / "checkpoints" / "step_000060.txt"
+    lines = ckpt.read_text().splitlines()
+    assert len(lines) == 28
+    ckpt.write_text("\n".join(edit(lines)) + "\n")
+    report = workdir / "report.csv"
+    code = run("evaluate", "--data", data, "--taxonomy", tree, "--classes",
+               workdir / "classes.txt", "--split", "0.6,0.2,0.2",
+               "--checkpoint", ckpt, "--out-report", report)
+    assert code == 2
+    assert f"error: --checkpoint {ckpt}{message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_bad_checkpoint_in_run_names_run_file(workdir, capsys):
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree,
+              "--classes", workdir / "classes.txt"]
+    trained = workdir / "run"
+    assert run("train", *inputs, "--loss", "ce", *TINY_TRAIN,
+               "--out", trained) == 0
+    step = int(body(trained / "selected.csv")[1].split(",")[1])
+    ckpt = trained / "checkpoints" / f"step_{step:06d}.txt"
+    lines = ckpt.read_text().splitlines()
+    lines[8] = "nan"
+    ckpt.write_text("\n".join(lines) + "\n")
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--run", trained,
+               "--out-report", workdir / "report.csv")
+    assert code == 2
+    assert (f"error: --run {ckpt} line 9: value 'nan' is not a finite float"
+            in capsys.readouterr().err)
 
 
 def write_sweep_config(workdir, tree, data, **overrides) -> Path:

@@ -1,0 +1,26 @@
+"""Every script in ``demos/`` runs unchanged as its own process, from an
+empty working directory, and exits 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_present():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_0(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr

@@ -65,16 +65,115 @@ class TestAdam:
         opt = Md.AdamOptimizer(lr=lr, beta1=b1, beta2=b2, eps=eps)
         seen = []
         for g in grads:
-            opt.update([param], [np.array([g])])
+            opt.update(param, np.array([g]))
             seen.append(float(param[0]))
         np.testing.assert_allclose(seen, expected, rtol=1e-12)
 
     def test_state_shapes_follow_params(self):
         opt = Md.AdamOptimizer(lr=0.1)
-        params = [np.zeros((2, 3)), np.zeros(3)]
-        opt.update(params, [np.ones((2, 3)), np.ones(3)])
+        params = np.zeros(9)
+        opt.update(params, np.ones(9))
         assert opt.step_count == 1
-        assert opt.m[0].shape == (2, 3) and opt.v[1].shape == (3,)
+        assert opt.m.shape == (9,) and opt.v.shape == (9,)
+
+
+# The list-of-arrays model code that the flat parameter vector replaced,
+# kept as a bitwise reference: one (W, b) pair of arrays per layer, Adam
+# state per tensor.
+def reference_init(dims, seed):
+    rng = np.random.default_rng([seed, 0])
+    return [(rng.uniform(-0.01, 0.01, size=(d_in, d_out)),
+             rng.uniform(-0.01, 0.01, size=d_out))
+            for d_in, d_out in zip(dims[:-1], dims[1:])]
+
+
+def reference_forward(layers, X):
+    acts = [X]
+    h = X
+    for W, b in layers[:-1]:
+        h = np.tanh(h @ W + b)
+        acts.append(h)
+    W, b = layers[-1]
+    return acts, h @ W + b
+
+
+def reference_backprop(layers, X, dZ):
+    acts, _ = reference_forward(layers, X)
+    B = len(X)
+    delta = dZ
+    grads = []
+    for li in reversed(range(len(layers))):
+        dW = acts[li].T @ delta / B
+        db = delta.mean(axis=0)
+        grads[:0] = [dW, db]
+        if li > 0:
+            delta = (delta @ layers[li][0].T) * (1.0 - acts[li] ** 2)
+    return grads
+
+
+class ReferenceAdam:
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m, self.v = [], []
+
+    def update(self, params, grads):
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.step_count += 1
+        t = self.step_count
+        c1 = 1.0 - self.beta1 ** t
+        c2 = 1.0 - self.beta2 ** t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def flatten(layers):
+    return np.concatenate([a.ravel() for W, b in layers for a in (W, b)])
+
+
+class TestFlatParametersMatchReference:
+    @pytest.mark.parametrize("head", ["class", "conditional"])
+    @pytest.mark.parametrize("hidden_dim", [None, 5])
+    def test_init_matches_per_layer_draws(self, toy_tree, head, hidden_dim):
+        model = Md.init_model(toy_tree, head, 6, seed=11, hidden_dim=hidden_dim)
+        dims = [6, model.output_dim] if hidden_dim is None else [6, 5, model.output_dim]
+        ref = reference_init(dims, 11)
+        assert model.params.tobytes() == flatten(ref).tobytes()
+        assert model.shapes == tuple(W.shape for W, _ in ref)
+        for (W, b), (W_ref, b_ref) in zip(model.layers, ref):
+            np.testing.assert_array_equal(W, W_ref)
+            np.testing.assert_array_equal(b, b_ref)
+
+    @pytest.mark.parametrize("head", ["class", "conditional"])
+    @pytest.mark.parametrize("hidden_dim", [None, 5])
+    def test_fifty_adam_steps_bitwise(self, toy_tree, head, hidden_dim):
+        ds = toy_points(toy_tree, per_class=20)
+        X, t = ds.features, ds.label_indices(toy_tree)
+        obj = Md.build_objective(toy_tree, Md.LossSpec("hxe", alpha=0.4), head)
+        model = Md.init_model(toy_tree, head, ds.feature_dim, seed=4,
+                              hidden_dim=hidden_dim)
+        dims = [d for d, _ in model.shapes] + [model.output_dim]
+        ref_layers = reference_init(dims, 4)
+        opt, ref_opt = Md.AdamOptimizer(lr=0.05), ReferenceAdam(lr=0.05)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            idx = rng.choice(len(X), size=15, replace=False)
+            Z = Md.forward(model, X[idx])
+            opt.update(model.params,
+                       Md.backprop(model, X[idx], obj.grad_batch(Z, t[idx])))
+            _, Z_ref = reference_forward(ref_layers, X[idx])
+            ref_params = [a for W, b in ref_layers for a in (W, b)]
+            ref_opt.update(ref_params, reference_backprop(
+                ref_layers, X[idx], obj.grad_batch(Z_ref, t[idx])))
+            assert np.array_equal(model.params, flatten(ref_layers))
+        assert opt.m.tobytes() == np.concatenate(
+            [m.ravel() for m in ref_opt.m]).tobytes()
 
 
 class TestTraining:
@@ -98,9 +197,7 @@ class TestTraining:
         for ra, rb in zip(a.records, b.records):
             assert ra.train_loss == rb.train_loss
             assert ra.val_loss == rb.val_loss
-            for (Wa, ba), (Wb, bb) in zip(ra.params, rb.params):
-                np.testing.assert_array_equal(Wa, Wb)
-                np.testing.assert_array_equal(ba, bb)
+            assert ra.params.tobytes() == rb.params.tobytes()
 
     def test_separable_two_class_reaches_zero_error(self):
         tax = prune_to_tree(load_edges("R\tA\nR\tB"), ["A", "B"])
@@ -144,13 +241,12 @@ class TestTraining:
         obj = Md.build_objective(toy_tree, spec, head)
         model = Md.init_model(toy_tree, head, ds.feature_dim, seed=1)
         opt = Md.AdamOptimizer(lr=1e-3)
-        params = model.parameters()
         X, t = ds.features, ds.label_indices(toy_tree)
         losses = []
         for _ in range(100):
             Z = Md.forward(model, X)
             losses.append(float(obj.loss_batch(Z, t).mean()))
-            opt.update(params, Md.backprop(model, X, obj.grad_batch(Z, t)))
+            opt.update(model.params, Md.backprop(model, X, obj.grad_batch(Z, t)))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_divergence_aborts_with_step(self, toy_tree, monkeypatch):
@@ -188,20 +284,21 @@ class TestTraining:
 
         Z = Md.forward(model, X)
         grads = Md.backprop(model, X, obj.grad_batch(Z, t))
-        flat = model.parameters()
-        for p, g in zip(flat, grads):
-            shape = p.shape
-            num = np.zeros_like(p).ravel()
-            pr = p.ravel()
-            for i in range(pr.size):
-                orig = pr[i]
-                pr[i] = orig + 1e-6
-                up = total_loss()
-                pr[i] = orig - 1e-6
-                down = total_loss()
-                pr[i] = orig
-                num[i] = (up - down) / 2e-6
-            assert max_rel_error(g.ravel(), num.reshape(shape).ravel()) < 1e-4
+        p = model.params
+        num = np.zeros_like(p)
+        for i in range(p.size):
+            orig = p[i]
+            p[i] = orig + 1e-6
+            up = total_loss()
+            p[i] = orig - 1e-6
+            down = total_loss()
+            p[i] = orig
+            num[i] = (up - down) / 2e-6
+        # Checked one tensor at a time, each against its own scale.
+        for g_layer, num_layer in zip(Md._layer_views(grads, model.shapes),
+                                      Md._layer_views(num, model.shapes)):
+            for g, n in zip(g_layer, num_layer):
+                assert max_rel_error(g.ravel(), n.ravel()) < 1e-4
 
 
 class TestSelectCheckpoints:
@@ -418,6 +515,30 @@ class TestCheckpointText:
         for (W, b), (W2, b2) in zip(model.layers, again.layers):
             np.testing.assert_array_equal(W, W2)
             np.testing.assert_array_equal(b, b2)
+
+    EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_keeps_bytes(self, data):
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+        shapes = tuple(zip(dims[:-1], dims[1:]))
+        n = sum(d_in * d_out + d_out for d_in, d_out in shapes)
+        values = st.sampled_from(self.EXTREMES) | st.floats(allow_nan=False,
+                                                            allow_infinity=False)
+        params = np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
+                          dtype=float)
+        head = data.draw(st.sampled_from(Md.HEADS))
+        step = data.draw(st.integers(0, 10**9))
+        tax_hash = data.draw(st.text("0123456789abcdef", min_size=1, max_size=16))
+        model = Md.ClassifierModel(head, params, shapes)
+        text = Md.checkpoint_to_text(model, step, tax_hash)
+        again, step2, hash2 = Md.checkpoint_from_text(text)
+        assert (again.head, again.shapes, step2, hash2) == (head, shapes, step,
+                                                             tax_hash)
+        assert again.params.tobytes() == params.tobytes()
+        assert Md.checkpoint_to_text(again, step2, hash2) == text
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,10 @@ print(tax.export_edges())
 # LAMP kept its longer route through FURNITURE, not the direct shortcut,
 # and ARTIFACT vanished: once the shortcut was dropped it had furniture as
 # its only child, and single-child nodes carry no information.
-print("lineage of lamp:", " -> ".join(tax.ancestry("lamp")))
+lineage = ["lamp"]
+while lineage[-1] != tax.root:
+    lineage.append(tax.parent[lineage[-1]])
+print("lineage of lamp:", " -> ".join(lineage))
 
 print("\npairwise severity (LCA height) in canonical class order:")
 print(tax.lca_height_matrix())

@@ -17,8 +17,11 @@ tax = prune_to_tree(load_edges("R\tD\nR\tC\nD\tA\nD\tB"), ["A", "B", "C"])
 p_sibling = np.array([0.6, 0.3, 0.1])
 p_outlier = np.array([0.6, 0.1, 0.3])
 
+# Each edge conditional is a subtree's leaf mass over its parent's.
+masses = tax.leaf_membership() @ p_sibling
 print("edge conditionals for p =", p_sibling)
-for node, cond in L.conditionals_from_class_probs(tax, p_sibling).items():
+for node in tax.nonroot_bfs:
+    cond = masses[tax.node_index[node]] / masses[tax.node_index[tax.parent[node]]]
     print(f"  p({node} | parent) = {cond:.4f}")
 
 for alpha in (0.0, 0.5, 1.5):
@@ -35,7 +38,7 @@ for alpha in (0.0, 0.5, 1.5):
 for beta in (0.0, 4.0, 30.0):
     m = L.soft_label_matrix(tax, beta)
     print(f"beta={beta:>4}: target row for truth A =",
-          np.round(m.row("A"), 4))
+          np.round(m.rows[tax.leaf_index["A"]], 4))
 # Small beta spreads the target toward relatives; large beta recovers the
 # one-hot target, and the loss collapses to ordinary cross-entropy:
 m_hot = L.soft_label_matrix(tax, 1e9)

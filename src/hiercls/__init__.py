@@ -10,11 +10,8 @@ from .taxonomy import (HierarchyError, EdgeListParseError, CycleError,
                        UnknownNodeError, TaxonomyGraph, Taxonomy, load_edges,
                        prune_to_tree, load_taxonomy, apply_edits,
                        randomize_leaves)
-from .losses import (EPS, softmax, HxeWeights, hxe_weights,
-                     conditionals_from_class_probs, factorized_prob,
-                     cross_entropy, hxe_loss, hxe_grad, SoftLabelMatrix,
-                     soft_label_matrix, soft_label_loss, soft_grad,
-                     conditional_head_loss)
+from .losses import (EPS, HxeWeights, hxe_weights, hxe_loss, hxe_grad,
+                     SoftLabelMatrix, soft_label_matrix, soft_label_loss)
 from .metrics import (PredictionBatch, MetricReport, top_k_error,
                       hier_dist_mistake, avg_hier_dist_topk,
                       severity_histogram, compute_report)

@@ -22,19 +22,19 @@ import numpy as np
 from .data import DataError, dataset_to_csv, synth_hierarchical
 from .fileio import fmt, meta_header, sha16, write_text
 from .model import (AveragedReport, LossSpec, TrainSchedule, average_reports,
-                    checkpoint_from_text, checkpoint_to_text,
+                    build_objective, checkpoint_from_text, checkpoint_to_text,
                     confidence_half_width, evaluate_model, output_dim_for,
                     trace_to_csv)
 from .sweep import (SPLIT_NAMES, check_ks, convert, load_inputs, load_tax,
                     parse_ks, parse_split, parse_sweep_config, read_classes,
-                    read_input, run_point, run_sweep, write_csv,
+                    read_input, read_meta, run_point, run_sweep, write_csv,
                     write_histogram_csv, write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
-                       load_edges, parse_pairs, prune_to_tree,
-                       randomize_leaves)
+                       load_taxonomy, parse_pairs, randomize_leaves)
 # Not called here: perfbench/tracer.py patches these lookup sites.
 from .data import dataset_from_csv, split  # noqa: F401
 from .model import select_checkpoints, train  # noqa: F401
+from .taxonomy import prune_to_tree  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,18 +51,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _csv_body(text: str) -> list[list[str]]:
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    return [l.split(",") for l in lines]
-
-
-def _csv_meta(text: str) -> dict:
-    meta = {}
-    for line in text.splitlines():
-        if line.startswith("# ") and "=" in line:
-            key, _, val = line[2:].partition("=")
-            meta[key] = val
-    return meta
+def _csv_body(text: str, source: str, ints: tuple[int, ...] = ()
+              ) -> list[tuple[int, list]]:
+    """``(line number, cells)`` of the lines that are neither blank nor
+    ``#`` comments, the header first, with the rows' ``ints`` columns read
+    as integers. A row of another width than the header, or a bad integer,
+    raises ``DataError`` naming ``source`` (option and file) and the line."""
+    body = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if body:
+            if len(cells) != len(body[0][1]):
+                raise DataError(f"{source} line {lineno}: {len(cells)} cells, "
+                                f"but the header has {len(body[0][1])}")
+            for col in ints:
+                try:
+                    cells[col] = int(cells[col])
+                except ValueError:
+                    raise DataError(f"{source} line {lineno}: {cells[col]!r} "
+                                    "is not an integer") from None
+        body.append((lineno, cells))
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +90,9 @@ def _export_with_header(tax, extra_meta=None) -> str:
 
 def cmd_hierarchy(args) -> int:
     if args.action == "build":
-        graph = load_edges(read_input(args.edges, "--edges"),
-                           f"--edges {args.edges}")
-        tax = prune_to_tree(graph, read_classes(args.classes, "--classes"))
+        tax = load_taxonomy(read_input(args.edges, "--edges"),
+                            read_classes(args.classes, "--classes"),
+                            f"--edges {args.edges}", f"--classes {args.classes}")
         if args.edits:
             edits = read_input(args.edits, "--edits")
             tax = apply_edits(tax, parse_pairs(edits, "node<TAB>new_parent",
@@ -217,16 +228,23 @@ def cmd_evaluate(args) -> int:
     paths = [args.checkpoint]
     if args.run:
         run_dir = Path(args.run)
-        sel_text = read_input(run_dir / "selected.csv", "--run")
+        sel_path = run_dir / "selected.csv"
+        sel_text = read_input(sel_path, "--run")
         # Scoring on another split could score rows the run trained on.
-        run_meta = _csv_meta(sel_text)
+        run_meta = read_meta(sel_text)
         for flag, key, parse, ours in (
                 ("--split", "split", parse_split, probabilities),
                 ("--split-seed", "split_seed", int, args.split_seed)):
             if key in run_meta and parse(run_meta[key]) != ours:
                 raise DataError(f"{flag} does not match the run's "
                                 f"{key}={run_meta[key]}")
-        steps = [int(cells[1]) for cells in _csv_body(sel_text)[1:]]
+        source = f"--run {sel_path}"
+        body = _csv_body(sel_text, source, ints=(1,))
+        if not body or body[0][1] != ["trace_index", "step"]:
+            raise DataError(f"{source}: expected a 'trace_index,step' header")
+        if len(body) == 1:
+            raise DataError(f"{source} line {body[0][0]}: no rows after the header")
+        steps = [cells[1] for _, cells in body[1:]]
         paths = [run_dir / "checkpoints" / f"step_{s:06d}.txt" for s in steps]
         meta["checkpoints"] = ",".join(str(s) for s in steps)
 
@@ -248,9 +266,13 @@ def cmd_evaluate(args) -> int:
         if model.input_dim != eval_ds.feature_dim:
             raise DataError(f"{source}: input_dim={model.input_dim}, but --data "
                             f"has {eval_ds.feature_dim} features")
+        if models and model.head != models[0].head:
+            raise DataError(f"{source}: head={model.head}, but the run's first "
+                            f"checkpoint has head={models[0].head}")
         models.append(model)
     check_ks(ks, tax, "--ks")
-    averaged = average_reports([evaluate_model(tax, model, eval_ds, ks=ks)
+    obj = build_objective(tax, LossSpec("ce"), models[0].head)
+    averaged = average_reports([evaluate_model(tax, model, eval_ds, obj, ks=ks)
                                 for model in models])
     _write_report_csv(args.out_report, averaged, meta)
     if args.out_histogram:
@@ -282,12 +304,14 @@ _ID_COLUMNS = ("method", "head", "parameter", "taxonomy", "seed", "num_seeds")
 def cmd_report(args) -> int:
     if args.histogram:
         text = read_input(args.histogram, "--histogram")
-        body = _csv_body(text)
-        if not body or body[0] != ["height", "count"]:
-            raise DataError("histogram input must have a 'height,count' header")
-        rows = [(cells[0], int(cells[1])) for cells in body[1:]]
+        source = f"--histogram {args.histogram}"
+        body = _csv_body(text, source, ints=(1,))
+        if not body or body[0][1] != ["height", "count"]:
+            raise DataError(f"{source}: histogram input must have a "
+                            "'height,count' header")
+        rows = [cells for _, cells in body[1:]]
         total = sum(c for _, c in rows)
-        meta = dict(_csv_meta(text), normalization="frequency")
+        meta = dict(read_meta(text), normalization="frequency")
         lines = ["height,frequency"]
         lines += [f"{h},{fmt(c / total if total else 0.0)}" for h, c in rows]
         write_csv(args.out, meta, lines)
@@ -296,11 +320,11 @@ def cmd_report(args) -> int:
     tables, metas = [], []
     for path in args.tables:
         text = read_input(path, "--tables")
-        body = _csv_body(text)
+        body = [cells for _, cells in _csv_body(text, f"--tables {path}")]
         if not body:
             raise DataError(f"empty table: {path}")
         tables.append((Path(path).stem, body[0], body[1:]))
-        metas.append(_csv_meta(text))
+        metas.append(read_meta(text))
     header0 = tables[0][1]
     for _, header, _ in tables[1:]:
         if header != header0:

@@ -80,33 +80,44 @@ class SplitSpec:
             raise DataError(f"split probabilities must sum to 1: {p}")
 
 
-def dataset_from_csv(text: str, tax: Taxonomy) -> Dataset:
-    """Parse ``f0..f{D-1},label`` rows; labels must be leaves of ``tax``."""
+def dataset_from_csv(text: str, tax: Taxonomy, source: str = "") -> Dataset:
+    """Parse ``f0..f{D-1},label`` rows; labels must be leaves of ``tax``.
+
+    A bad header or row, including a feature cell that is not a finite
+    number, raises ``DataError`` naming ``source`` (the option or key and
+    the file, if any) and the line.
+    """
     lines = text.splitlines()
     body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
+    at = f"{source} line" if source else "line"
     if not body:
-        raise DataError("dataset file has no header")
+        raise DataError(f"{source or 'dataset'}: file has no header")
     header_no, header = body[0]
     cols = header.split(",")
     if cols[-1] != "label" or cols[:-1] != [f"f{i}" for i in range(len(cols) - 1)]:
-        raise DataError(f"line {header_no}: expected header 'f0,..,f{{D-1}},label'")
+        raise DataError(f"{at} {header_no}: expected header 'f0,..,f{{D-1}},label'")
     dim = len(cols) - 1
     rows, labels = [], []
     for lineno, line in body[1:]:
         cells = line.split(",")
         if len(cells) != dim + 1:
-            raise DataError(f"row at line {lineno}: expected {dim + 1} cells, got {len(cells)}")
+            raise DataError(f"{at} {lineno}: expected {dim + 1} cells, got {len(cells)}")
         try:
             rows.append([float(c) for c in cells[:-1]])
         except ValueError:
-            raise DataError(f"row at line {lineno}: non-numeric feature cell")
+            raise DataError(f"{at} {lineno}: non-numeric feature cell") from None
         label = cells[-1]
         if label not in tax.leaf_index:
-            raise DataError(f"row at line {lineno}: unknown label {label!r}")
+            raise DataError(f"{at} {lineno}: unknown label {label!r}")
         labels.append(label)
     if not labels:
-        raise DataError("dataset file contains a header but no rows")
-    return Dataset(np.array(rows, dtype=float), labels)
+        raise DataError(f"{source or 'dataset'}: file has a header but no rows")
+    features = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataError(f"{at} {body[1 + bad[0]][0]}: feature cell is not a "
+                        "finite number")
+    return Dataset(features, labels)
 
 
 def dataset_to_csv(ds: Dataset) -> str:

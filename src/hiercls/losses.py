@@ -16,6 +16,9 @@ Two families are implemented over a ``Taxonomy``:
   from the true class. ``beta -> inf`` recovers one-hot targets,
   ``beta = 0`` the uniform distribution.
 
+The batch objectives are the one implementation of each loss; ``hxe_loss``,
+``hxe_grad`` and ``soft_label_loss`` evaluate them on a single sample.
+
 Every log and denominator is floored at ``EPS`` so losses stay finite for
 degenerate probability vectors; gradients are the exact gradients of the
 floored losses (clamped coordinates contribute zero).
@@ -31,20 +34,14 @@ from .taxonomy import Taxonomy, UnknownNodeError
 
 __all__ = [
     "EPS",
-    "softmax",
     "softmax_batch",
     "HxeWeights",
     "hxe_weights",
-    "conditionals_from_class_probs",
-    "factorized_prob",
-    "cross_entropy",
     "hxe_loss",
     "hxe_grad",
     "SoftLabelMatrix",
     "soft_label_matrix",
     "soft_label_loss",
-    "soft_grad",
-    "conditional_head_loss",
     "ClassCrossEntropy",
     "ClassHxeObjective",
     "ClassSoftLabelObjective",
@@ -52,14 +49,6 @@ __all__ = [
 ]
 
 EPS = 1e-12
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 1-D logit vector."""
-    z = np.asarray(z, dtype=float)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def softmax_batch(Z: np.ndarray) -> np.ndarray:
@@ -107,66 +96,6 @@ def _sibling_groups(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
                      dtype=np.int64))
 
 
-# ---------------------------------------------------------------------------
-# Class-probability <-> conditional-probability conversions
-# ---------------------------------------------------------------------------
-
-
-def conditionals_from_class_probs(tax: Taxonomy, p: np.ndarray) -> dict[str, float]:
-    """Edge conditionals implied by a class probability vector.
-
-    Keyed by the child endpoint of each edge: the value for node ``C`` is the
-    leaf mass of ``C``'s subtree divided by the leaf mass of its parent's
-    subtree. Sibling values under a parent sum to 1 whenever the parent mass
-    is at least ``EPS``.
-    """
-    p = np.asarray(p, dtype=float)
-    masses = tax.leaf_membership() @ p
-    out = {}
-    for node in tax.nonroot_bfs:
-        num = masses[tax.node_index[node]]
-        den = masses[tax.node_index[tax.parent[node]]]
-        out[node] = float(num / max(den, EPS))
-    return out
-
-
-def factorized_prob(tax: Taxonomy, conditionals: dict[str, float], leaf: str) -> float:
-    """Product of edge conditionals along the leaf-to-root path (a per-leaf
-    ``ancestry`` walk, kept as the reference for the batch objectives)."""
-    if leaf not in tax.leaf_index:
-        raise UnknownNodeError(f"unknown leaf {leaf!r}")
-    prob = 1.0
-    for node in tax.ancestry(leaf)[:-1]:
-        prob *= conditionals[node]
-    return prob
-
-
-# ---------------------------------------------------------------------------
-# Losses on probability vectors
-# ---------------------------------------------------------------------------
-
-
-def cross_entropy(tax: Taxonomy, p: np.ndarray, truth: str) -> float:
-    """Ordinary cross-entropy, ``-log p(truth)``."""
-    idx = tax.leaf_index[truth]
-    return float(-np.log(max(float(p[idx]), EPS)))
-
-
-def hxe_loss(tax: Taxonomy, weights: HxeWeights, p: np.ndarray, truth: str) -> float:
-    """Weighted sum of lineage edge information along the truth's path.
-
-    Equals ``-log p(truth)`` exactly when all weights are 1. Its ``ancestry``
-    walk is the reference the batch objectives are checked against.
-    """
-    if truth not in tax.leaf_index:
-        raise UnknownNodeError(f"unknown leaf {truth!r}")
-    conds = conditionals_from_class_probs(tax, p)
-    total = 0.0
-    for node in tax.ancestry(truth)[:-1]:
-        total -= weights.lam[node] * np.log(max(conds[node], EPS))
-    return float(total)
-
-
 @dataclass(frozen=True)
 class SoftLabelMatrix:
     """Row-stochastic soft targets: row = true class, column = target class.
@@ -183,9 +112,6 @@ class SoftLabelMatrix:
     rows: np.ndarray
     leaves: tuple[str, ...]
 
-    def row(self, truth: str) -> np.ndarray:
-        return self.rows[self.leaves.index(truth)]
-
 
 def soft_label_matrix(tax: Taxonomy, beta: float) -> SoftLabelMatrix:
     if beta < 0:
@@ -196,19 +122,20 @@ def soft_label_matrix(tax: Taxonomy, beta: float) -> SoftLabelMatrix:
     return SoftLabelMatrix(beta=float(beta), rows=rows, leaves=tuple(tax.leaves))
 
 
-def soft_label_loss(matrix: SoftLabelMatrix, p: np.ndarray, truth: str) -> float:
-    """Cross-entropy of ``p`` against the soft target row of ``truth``."""
-    row = matrix.row(truth)
-    p = np.asarray(p, dtype=float)
-    return float(-(row * np.log(np.maximum(p, EPS))).sum())
-
-
 # ---------------------------------------------------------------------------
 # Batch objectives (loss and exact logit gradient)
 # ---------------------------------------------------------------------------
 
 
-class ClassCrossEntropy:
+class _LeafLogits:
+    """A class head ranks the classes by its leaf logits as they are."""
+
+    @staticmethod
+    def scores(Z: np.ndarray) -> np.ndarray:
+        return Z
+
+
+class ClassCrossEntropy(_LeafLogits):
     """Plain softmax cross-entropy over leaf logits."""
 
     def __init__(self, tax: Taxonomy):
@@ -226,7 +153,7 @@ class ClassCrossEntropy:
         return G
 
 
-class ClassHxeObjective:
+class ClassHxeObjective(_LeafLogits):
     """Hierarchical cross-entropy driven from leaf logits.
 
     The lineage sum telescopes into per-node coefficients on the log leaf
@@ -250,9 +177,12 @@ class ClassHxeObjective:
             K[:, parent] -= lam[lo:hi] @ M[1 + lo:1 + hi]
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        P = softmax_batch(Z)
-        masses = P @ self.membership.T
-        logm = np.log(np.maximum(masses, EPS))
+        return self.loss_from_probs(softmax_batch(Z), truth_idx)
+
+    def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        """The loss of class-probability rows ``P``: each truth's row of
+        ``coeff`` against the floored log subtree masses."""
+        logm = np.log(np.maximum(P @ self.membership.T, EPS))
         return -(self.coeff[truth_idx] * logm).sum(axis=1)
 
     def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
@@ -263,7 +193,7 @@ class ClassHxeObjective:
         return P * (G - (G * P).sum(axis=1, keepdims=True))
 
 
-class ClassSoftLabelObjective:
+class ClassSoftLabelObjective(_LeafLogits):
     """Cross-entropy against soft target rows, over leaf logits."""
 
     def __init__(self, matrix: SoftLabelMatrix):
@@ -271,7 +201,9 @@ class ClassSoftLabelObjective:
         self.num_outputs = matrix.rows.shape[0]
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        P = softmax_batch(Z)
+        return self.loss_from_probs(softmax_batch(Z), truth_idx)
+
+    def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         Y = self.matrix.rows[truth_idx]
         return -(Y * np.log(np.maximum(P, EPS))).sum(axis=1)
 
@@ -315,8 +247,11 @@ class ConditionalHxeObjective:
         return shifted - self._expand(np.log(gsum))
 
     def log_class_probs(self, Z: np.ndarray) -> np.ndarray:
-        """Log leaf posteriors reconstructed by summing lineage conditionals."""
+        """Log leaf posteriors reconstructed by summing lineage conditionals;
+        they rank the classes. The weights play no part."""
         return self._log_softmax_groups(Z) @ self.path_indicator.T
+
+    scores = log_class_probs
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         logq = self._log_softmax_groups(Z)
@@ -331,29 +266,39 @@ class ConditionalHxeObjective:
 
 
 # ---------------------------------------------------------------------------
-# Single-sample gradient surface
+# Single-sample surface over the batch objectives
 # ---------------------------------------------------------------------------
 
 
-def _one(fn, z, idx):
-    return fn(np.asarray(z, dtype=float)[None, :], np.array([idx]))[0]
+def _leaf_position(leaves, truth: str) -> int:
+    """Canonical index of ``truth`` in ``leaves``; ``UnknownNodeError`` if
+    it is not a class."""
+    try:
+        return leaves.index(truth)
+    except ValueError:
+        raise UnknownNodeError(f"unknown leaf {truth!r}") from None
+
+
+def _one(fn, v, idx):
+    return fn(np.asarray(v, dtype=float)[None, :], np.array([idx]))[0]
+
+
+def hxe_loss(tax: Taxonomy, weights: HxeWeights, p: np.ndarray, truth: str) -> float:
+    """Hierarchical cross-entropy of class probabilities ``p``: the weighted
+    information of each lineage edge on the truth's path. Equals
+    ``-log p(truth)`` when all weights are 1."""
+    idx = _leaf_position(tax.leaves, truth)
+    return float(_one(ClassHxeObjective(tax, weights).loss_from_probs, p, idx))
 
 
 def hxe_grad(tax: Taxonomy, weights: HxeWeights, z: np.ndarray, truth: str) -> np.ndarray:
     """Gradient of the class-head hierarchical cross-entropy w.r.t. leaf logits."""
-    obj = ClassHxeObjective(tax, weights)
-    return _one(obj.grad_batch, z, tax.leaf_index[truth])
+    idx = _leaf_position(tax.leaves, truth)
+    return _one(ClassHxeObjective(tax, weights).grad_batch, z, idx)
 
 
-def soft_grad(matrix: SoftLabelMatrix, z: np.ndarray, truth: str) -> np.ndarray:
-    """Gradient of the soft-label loss w.r.t. leaf logits."""
-    obj = ClassSoftLabelObjective(matrix)
-    return _one(obj.grad_batch, z, matrix.leaves.index(truth))
-
-
-def conditional_head_loss(tax: Taxonomy, weights: HxeWeights, z: np.ndarray,
-                          truth: str) -> float:
-    """Loss for logits over non-root nodes with per-sibling-group softmax."""
-    obj = ConditionalHxeObjective(tax, weights)
-    return float(_one(obj.loss_batch, z, tax.leaf_index[truth]))
-
+def soft_label_loss(matrix: SoftLabelMatrix, p: np.ndarray, truth: str) -> float:
+    """Cross-entropy of class probabilities ``p`` against the soft target
+    row of ``truth``."""
+    idx = _leaf_position(matrix.leaves, truth)
+    return float(_one(ClassSoftLabelObjective(matrix).loss_from_probs, p, idx))

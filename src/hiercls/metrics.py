@@ -42,10 +42,6 @@ class PredictionBatch:
             if len(set(r)) != len(r):
                 raise ValueError(f"ranking contains duplicates: {r}")
 
-    @property
-    def width(self) -> int:
-        return len(self.rankings[0])
-
 
 @dataclass
 class MetricReport:
@@ -58,10 +54,6 @@ class MetricReport:
     mistake_count: int
     num_examples: int
 
-    @property
-    def no_mistakes(self) -> bool:
-        return self.mistake_count == 0
-
     def scalars(self) -> dict[str, float]:
         """Flat name -> value view used by trace and table writers."""
         out: dict[str, float] = {}
@@ -73,19 +65,9 @@ class MetricReport:
         return out
 
 
-def _indices(tax: Taxonomy, batch: PredictionBatch) -> tuple[np.ndarray, np.ndarray]:
-    idx = tax.leaf_index
-    R = np.array([[idx[c] for c in r] for r in batch.rankings], dtype=np.int64)
-    t = np.array([idx[c] for c in batch.truths], dtype=np.int64)
-    return R, t
-
-
-def top_k_error(batch: PredictionBatch, k: int) -> float:
+def top_k_error(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
     """Fraction of examples whose truth is absent from the first k ranks."""
-    if k < 1 or k > batch.width:
-        raise ValueError(f"k={k} outside ranking width {batch.width}")
-    misses = sum(t not in r[:k] for r, t in zip(batch.rankings, batch.truths))
-    return misses / len(batch.truths)
+    return compute_report(tax, batch, (k,)).top_k_error[k]
 
 
 def hier_dist_mistake(tax: Taxonomy, batch: PredictionBatch) -> float:
@@ -97,8 +79,6 @@ def hier_dist_mistake(tax: Taxonomy, batch: PredictionBatch) -> float:
 def avg_hier_dist_topk(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
     """Grand mean LCA height between truth and each of the first k ranked
     classes, over all examples (correct hits contribute height 0)."""
-    if k < 1 or k > batch.width:
-        raise ValueError(f"k={k} outside ranking width {batch.width}")
     return compute_report(tax, batch, (k,)).avg_hier_dist_topk[k]
 
 
@@ -115,8 +95,9 @@ def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
     t = np.asarray(t, dtype=np.int64)
     if R.ndim != 2 or len(R) != len(t) or len(t) == 0:
         raise ValueError("rank matrix and truths must align with length >= 1")
-    if max(ks) > R.shape[1]:
-        raise ValueError(f"max k {max(ks)} exceeds ranking width {R.shape[1]}")
+    if min(ks) < 1 or max(ks) > R.shape[1]:
+        raise ValueError(f"cutoffs {list(ks)} must lie from 1 to the ranking "
+                         f"width {R.shape[1]}")
     H = tax.lca_height_matrix()
     hits = R == t[:, None]
     topk_err = {k: float(1.0 - hits[:, :k].any(axis=1).mean()) for k in ks}
@@ -136,6 +117,9 @@ def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
 
 def compute_report(tax: Taxonomy, batch: PredictionBatch,
                    ks: tuple[int, ...] = (1,)) -> MetricReport:
-    R, t = _indices(tax, batch)
+    """The report of a batch of class ids; the public metrics read it."""
+    idx = tax.leaf_index
+    R = np.array([[idx[c] for c in r] for r in batch.rankings], dtype=np.int64)
+    t = np.array([idx[c] for c in batch.truths], dtype=np.int64)
     return report_from_indices(tax, R, t, ks)
 

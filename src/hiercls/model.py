@@ -301,7 +301,7 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
         if step % schedule.checkpoint_every == 0:
             Zv = forward(model, Xv)
             val_loss = float(obj.loss_batch(Zv, tv).mean())
-            report = _report_from_logits(tax, model.head, obj, Zv, tv, ks)
+            report = _report_from_logits(tax, obj, Zv, tv, ks)
             records.append(CheckpointRecord(
                 step=step,
                 train_loss=run_sum / run_count,
@@ -311,14 +311,6 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
             ))
             run_sum, run_count = 0.0, 0
     return TrainingTrace(records=records)
-
-
-def _scores_from_logits(tax: Taxonomy, head: str, obj, Z: np.ndarray) -> np.ndarray:
-    if head == "class":
-        return Z
-    if isinstance(obj, L.ConditionalHxeObjective):
-        return obj.log_class_probs(Z)
-    return L.ConditionalHxeObjective(tax, L.hxe_weights(tax, 0.0)).log_class_probs(Z)
 
 
 def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
@@ -345,22 +337,23 @@ def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
     return top
 
 
-def _report_from_logits(tax, head, obj, Z, truth_idx, ks) -> MetricReport:
-    scores = _scores_from_logits(tax, head, obj, Z)
-    R = _top_ranks(scores, max(ks))
+def _report_from_logits(tax, obj, Z, truth_idx, ks) -> MetricReport:
+    R = _top_ranks(obj.scores(Z), max(ks))
     return report_from_indices(tax, R, truth_idx, tuple(ks))
 
 
-def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds,
+def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
                    ks: tuple[int, ...] = (1, 5, 20)) -> MetricReport:
-    """Metric report for one parameter set. Conditional-head scores are the
-    factorized leaf posteriors. Each example ranks only its top ``max(ks)``
-    classes (a partial partition, then a sort of that slice, when that is at
-    most a third of the classes); ties break toward the lower canonical
-    class index, exactly as a full stable sort of the negated scores would
-    order them."""
+    """Metric report for one parameter set, ranked by ``obj.scores``: any
+    objective of the model's head, built once by the caller (class-head
+    scores are the logits, conditional-head scores the factorized log leaf
+    posteriors). Each example ranks only its top ``max(ks)`` classes (a
+    partial partition, then a sort of that slice, when that is at most a
+    third of the classes); ties break toward the lower canonical class
+    index, exactly as a full stable sort of the negated scores would order
+    them."""
     Z = forward(model, ds.features)
-    return _report_from_logits(tax, model.head, None, Z, ds.label_indices(tax), ks)
+    return _report_from_logits(tax, obj, Z, ds.label_indices(tax), ks)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +455,12 @@ def average_reports(reports: list[MetricReport]) -> AveragedReport:
 def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
                          trace: TrainingTrace, indices: list[int], ds,
                          ks: tuple[int, ...] = (1, 5, 20)) -> AveragedReport:
+    """Average the reports of the trace's checkpoints at ``indices``, all
+    ranked by one objective of the model's head."""
+    obj = build_objective(tax, LossSpec("ce"), model.head)
     return average_reports([
-        evaluate_model(tax, replace(model, params=trace.records[i].params), ds, ks)
+        evaluate_model(tax, replace(model, params=trace.records[i].params), ds,
+                       obj, ks)
         for i in indices])
 
 

@@ -160,6 +160,16 @@ def read_input(path: str | Path, name: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def read_meta(text: str) -> dict[str, str]:
+    """The ``# key=value`` metadata lines of a file hiercls wrote."""
+    meta = {}
+    for line in text.splitlines():
+        if line.startswith("# ") and "=" in line:
+            key, _, val = line[2:].partition("=")
+            meta[key] = val
+    return meta
+
+
 def read_classes(path: str | Path, name: str) -> list[str]:
     """Class ids, one a line, taken verbatim; blank lines and ``#`` comments
     are skipped. Surrounding whitespace, a tab (no edge-list node has one)
@@ -185,7 +195,8 @@ def load_tax(taxonomy: str, classes: str, prefix: str = "--") -> Taxonomy:
     the option (``--taxonomy``) or config key (``taxonomy``) in errors."""
     return load_taxonomy(read_input(taxonomy, prefix + "taxonomy"),
                          read_classes(classes, prefix + "classes"),
-                         f"{prefix}taxonomy {taxonomy}")
+                         f"{prefix}taxonomy {taxonomy}",
+                         f"{prefix}classes {classes}")
 
 
 def check_ks(ks: tuple[int, ...], tax: Taxonomy, name: str) -> None:
@@ -208,14 +219,12 @@ def load_inputs(taxonomy: str, classes: str, data: str,
     """
     tax = load_tax(taxonomy, classes, prefix)
     text = read_input(data, prefix + "data")
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            break
-        embedded = line.partition("=")[2].strip()
-        if line.startswith("# taxonomy_hash=") and embedded != tax.hash_hex():
-            raise DataError(f"dataset taxonomy hash {embedded} does not match "
-                            f"{prefix}taxonomy hash {tax.hash_hex()}")
-    parts = split(dataset_from_csv(text, tax), SplitSpec(probabilities, split_seed))
+    embedded = read_meta(text).get("taxonomy_hash", tax.hash_hex()).strip()
+    if embedded != tax.hash_hex():
+        raise DataError(f"dataset taxonomy hash {embedded} does not match "
+                        f"{prefix}taxonomy hash {tax.hash_hex()}")
+    parts = split(dataset_from_csv(text, tax, f"{prefix}data {data}"),
+                  SplitSpec(probabilities, split_seed))
     return tax, text, parts
 
 

@@ -45,6 +45,11 @@ class UnknownNodeError(HierarchyError):
     """A node id was not found in the graph or tree."""
 
 
+def _named(exc: HierarchyError, source: str) -> HierarchyError:
+    """``exc`` with ``source`` in front of its message, if there is one."""
+    return type(exc)(f"{source}: {exc}") if source else exc
+
+
 @dataclass(frozen=True)
 class TaxonomyGraph:
     """A parsed parent->child edge set, prior to tree pruning.
@@ -60,8 +65,9 @@ class TaxonomyGraph:
     depth: dict[str, int] = field(repr=False, default_factory=dict)
 
     @staticmethod
-    def from_edges(edges) -> "TaxonomyGraph":
-        """The graph of ``edges``; raises ``CycleError`` if they are cyclic.
+    def from_edges(edges, source: str = "") -> "TaxonomyGraph":
+        """The graph of ``edges``; raises ``CycleError``, naming ``source``
+        (the option or key and the file, if any), if they are cyclic.
 
         Kahn's algorithm orders the nodes so that each follows all its
         parents, and the same pass sets ``depth``: each node's longest edge
@@ -87,7 +93,8 @@ class TaxonomyGraph:
                     order.append(child)
         if len(order) != len(nodes):
             stuck = min(n for n in nodes if waiting[n])
-            raise CycleError(f"node {stuck!r} lies on a cycle or below one")
+            raise _named(CycleError(f"node {stuck!r} lies on a cycle or below one"),
+                         source)
         return TaxonomyGraph(nodes, edge_set, parents, children, depth)
 
     def roots(self) -> list[str]:
@@ -131,10 +138,11 @@ def load_edges(text: str, source: str = "") -> TaxonomyGraph:
     node id with surrounding whitespace or a leading ``#`` is rejected;
     duplicate edges collapse. Raises ``EdgeListParseError`` naming
     ``source`` (the option or key and the file, if any) and the offending
-    line number, or ``CycleError`` (from ``TaxonomyGraph.from_edges``) if
-    the edge set is cyclic.
+    line number, or ``CycleError`` (from ``TaxonomyGraph.from_edges``),
+    also naming ``source``, if the edge set is cyclic.
     """
-    return TaxonomyGraph.from_edges(parse_pairs(text, "parent<TAB>child", source))
+    return TaxonomyGraph.from_edges(parse_pairs(text, "parent<TAB>child", source),
+                                    source)
 
 
 class Taxonomy:
@@ -219,42 +227,6 @@ class Taxonomy:
     def num_nodes(self) -> int:
         return len(self.nodes_bfs)
 
-    def ancestry(self, node: str) -> list[str]:
-        """Path from ``node`` to the root, inclusive on both ends."""
-        if node not in self.node_index:
-            raise UnknownNodeError(f"unknown node {node!r}")
-        path = [node]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        return path
-
-    def lca(self, a: str, b: str) -> str:
-        """Deepest node that is an ancestor-or-self of both ``a`` and ``b``."""
-        for n in (a, b):
-            if n not in self.node_index:
-                raise UnknownNodeError(f"unknown node {n!r}")
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            a = self.parent[a]
-            da -= 1
-        while db > da:
-            b = self.parent[b]
-            db -= 1
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
-
-    def lca_height(self, a: str, b: str) -> int:
-        """Height of the lowest common ancestor of two leaves."""
-        return self.height[self.lca(a, b)]
-
-    def normalized_distance(self, a: str, b: str) -> float:
-        """LCA height divided by the tree height; 0 iff ``a == b``."""
-        if self.tree_height == 0:
-            return 0.0
-        return self.lca_height(a, b) / self.tree_height
-
     def lca_height_matrix(self) -> np.ndarray:
         """(L, L) integer matrix of pairwise leaf LCA heights, canonical order.
 
@@ -295,11 +267,8 @@ class Taxonomy:
         depth-first span ``[lo, hi)``.
         """
         if self._leaf_membership is None:
-            canonical = np.argsort(self._dfs_pos)
-            mat = np.zeros((self.num_nodes, self.num_leaves))
-            for row, (lo, hi) in enumerate(self._span):
-                mat[row, canonical[lo:hi]] = 1.0
-            self._leaf_membership = mat
+            lo, hi, pos = self._span[:, :1], self._span[:, 1:], self._dfs_pos
+            self._leaf_membership = ((lo <= pos) & (pos < hi)).astype(float)
         return self._leaf_membership
 
     # -- serialization ---------------------------------------------------
@@ -417,14 +386,18 @@ def _splice_single_child(root: str, parent: dict[str, str],
         del children[node]
 
 
-def load_taxonomy(edge_text: str, leaves: list[str], source: str = "") -> Taxonomy:
-    """Parse an edge list (parse errors name ``source``) and prune it to a
-    tree over ``leaves``.
-
-    On input that is already a pruned tree this is the identity, so exported
-    taxonomies reload through the same path.
+def load_taxonomy(edge_text: str, leaves: list[str], source: str = "",
+                  classes_source: str = "") -> Taxonomy:
+    """Parse an edge list (errors name ``source``, the option or key and the
+    file) and prune it to a tree over ``leaves`` (errors also name their
+    ``classes_source``). On input that is already a pruned tree this is the
+    identity, so exported taxonomies reload through the same path.
     """
-    return prune_to_tree(load_edges(edge_text, source), leaves)
+    graph = load_edges(edge_text, source)
+    try:
+        return prune_to_tree(graph, leaves)
+    except HierarchyError as exc:
+        raise _named(exc, ", ".join(filter(None, (classes_source, source)))) from None
 
 
 def apply_edits(tax: Taxonomy, edits: list[tuple[str, str]]) -> Taxonomy:

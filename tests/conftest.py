@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hiercls.taxonomy import Taxonomy, TaxonomyGraph, load_edges, prune_to_tree
+from hiercls.losses import EPS
+from hiercls.taxonomy import (Taxonomy, TaxonomyGraph, UnknownNodeError,
+                              load_edges, prune_to_tree)
 
 TOY_TREE_EDGES = "R\tD\nR\tC\nD\tA\nD\tB\n"
 TOY_TREE_LEAVES = ["A", "B", "C"]
@@ -64,11 +66,80 @@ def make_random_dag(rng: np.random.Generator, max_nodes: int = 300):
     return TaxonomyGraph.from_edges(edges), chosen
 
 
+# ---------------------------------------------------------------------------
+# Reference walks: per-node parent-pointer walks that the span matrices and
+# batch objectives in ``hiercls`` are checked against.
+# ---------------------------------------------------------------------------
+
+
+def ancestry(tax: Taxonomy, node: str) -> list[str]:
+    """Path from ``node`` to the root, inclusive on both ends."""
+    if node not in tax.node_index:
+        raise UnknownNodeError(f"unknown node {node!r}")
+    path = [node]
+    while path[-1] != tax.root:
+        path.append(tax.parent[path[-1]])
+    return path
+
+
+def lca(tax: Taxonomy, a: str, b: str) -> str:
+    """Deepest common ancestor-or-self of ``a`` and ``b``, by walking the
+    deeper node up to the other's depth, then both up together."""
+    for n in (a, b):
+        if n not in tax.node_index:
+            raise UnknownNodeError(f"unknown node {n!r}")
+    while tax.depth[a] > tax.depth[b]:
+        a = tax.parent[a]
+    while tax.depth[b] > tax.depth[a]:
+        b = tax.parent[b]
+    while a != b:
+        a, b = tax.parent[a], tax.parent[b]
+    return a
+
+
+def lca_height(tax: Taxonomy, a: str, b: str) -> int:
+    return tax.height[lca(tax, a, b)]
+
+
+def normalized_distance(tax: Taxonomy, a: str, b: str) -> float:
+    """LCA height over the tree height; 0 iff ``a == b``."""
+    return lca_height(tax, a, b) / tax.tree_height if tax.tree_height else 0.0
+
+
 def brute_lca(tax: Taxonomy, a: str, b: str) -> str:
-    """Oracle: intersect full ancestor chains, take the deepest member."""
-    chain_a = tax.ancestry(a)
-    common = [n for n in chain_a if n in set(tax.ancestry(b))]
+    """Intersect full ancestor chains, take the deepest member."""
+    chain_a = ancestry(tax, a)
+    common = [n for n in chain_a if n in set(ancestry(tax, b))]
     return max(common, key=lambda n: tax.depth[n])
+
+
+def conditionals_from_class_probs(tax: Taxonomy, p: np.ndarray) -> dict[str, float]:
+    """Edge conditionals implied by class probabilities, keyed by the child
+    node: its subtree's leaf mass over its parent's (floored at ``EPS``),
+    each mass summed bottom-up over the node's children."""
+    mass = {leaf: float(p[i]) for i, leaf in enumerate(tax.leaves)}
+    for node in reversed(tax.nodes_bfs):
+        if tax.children[node]:
+            mass[node] = sum(mass[kid] for kid in tax.children[node])
+    return {n: mass[n] / max(mass[tax.parent[n]], EPS) for n in tax.nonroot_bfs}
+
+
+def factorized_prob(tax: Taxonomy, conditionals: dict[str, float], leaf: str) -> float:
+    """Product of edge conditionals along the leaf-to-root path."""
+    if leaf not in tax.leaf_index:
+        raise UnknownNodeError(f"unknown leaf {leaf!r}")
+    prob = 1.0
+    for node in ancestry(tax, leaf)[:-1]:
+        prob *= conditionals[node]
+    return prob
+
+
+def hxe_walk(tax: Taxonomy, weights, p: np.ndarray, truth: str) -> float:
+    """Hierarchical cross-entropy as the paper writes it: the weighted
+    information of each edge conditional along the truth's lineage."""
+    conds = conditionals_from_class_probs(tax, p)
+    return float(-sum(weights.lam[n] * np.log(max(conds[n], EPS))
+                      for n in ancestry(tax, truth)[:-1]))
 
 
 def random_prob_vector(rng: np.random.Generator, size: int) -> np.ndarray:

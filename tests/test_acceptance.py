@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (brute_lca, finite_difference, make_balanced_tree,
-                      make_random_dag, make_random_tree, max_rel_error,
-                      random_prob_vector)
+from conftest import (brute_lca, conditionals_from_class_probs,
+                      finite_difference, make_balanced_tree, make_random_dag,
+                      make_random_tree, max_rel_error, random_prob_vector)
 from hiercls import losses as L
 from hiercls import metrics as M
 from hiercls import model as Md
@@ -56,15 +56,19 @@ def test_criterion_01_limit_equivalences():
 
 
 def test_criterion_02_factorization_round_trip():
-    """Conditionals derived from class probabilities multiply back to them."""
+    """Conditionals derived from class probabilities multiply back to them:
+    the conditional head's log leaf posteriors, given the log conditionals
+    of ``p``, give back ``p``."""
     t0 = time.time()
     rng = np.random.default_rng(102)
     for _ in range(1000):
         tax = make_random_tree(rng, max_nodes=40)
         p = random_prob_vector(rng, tax.num_leaves)
-        conds = L.conditionals_from_class_probs(tax, p)
-        for i, leaf in enumerate(tax.leaves):
-            assert abs(L.factorized_prob(tax, conds, leaf) - p[i]) < 1e-9
+        conds = conditionals_from_class_probs(tax, p)
+        logq = np.log([conds[n] for n in tax.nonroot_bfs])
+        obj = L.ConditionalHxeObjective(tax, L.hxe_weights(tax, 0.0))
+        back = np.exp(obj.log_class_probs(logq[None, :])[0])
+        assert np.abs(back - p).max() < 1e-9
     stamp(2, "factorization round-trip", time.time() - t0, 1.0)
 
 
@@ -117,16 +121,17 @@ def test_criterion_04_soft_label_structure():
 
 
 def test_criterion_05_lca_oracle_equivalence():
-    """Depth-walk LCA equals brute-force ancestor-chain intersection."""
+    """The span-built LCA-height matrix equals the heights of brute-force
+    ancestor-chain intersections."""
     t0 = time.time()
     rng = np.random.default_rng(105)
     for _ in range(1000):
         tax = make_random_tree(rng, max_nodes=200)
-        nodes = tax.nodes_bfs
+        H = tax.lca_height_matrix()
+        leaves = tax.leaves
         for _ in range(12):
-            a = nodes[rng.integers(len(nodes))]
-            b = nodes[rng.integers(len(nodes))]
-            assert tax.lca(a, b) == brute_lca(tax, a, b)
+            i, j = rng.integers(len(leaves), size=2)
+            assert H[i, j] == tax.height[brute_lca(tax, leaves[i], leaves[j])]
     stamp(5, "LCA oracle equivalence", time.time() - t0, 5.0)
 
 

@@ -159,6 +159,41 @@ class TestHierarchyCommand:
                 "whitespace") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["cycle", "unknown_class"])
+    @pytest.mark.parametrize("command", ["build", "gen-data", "sweep"])
+    def test_cycle_and_unknown_class_name_the_source(self, workdir, capsys,
+                                                     command, case):
+        edges = workdir / "bad_edges.tsv"
+        classes = workdir / "classes.txt"
+        if case == "cycle":
+            edges.write_text(TOY_TREE_EDGES + "A\tX\nX\tA\n")
+            message = "node 'A' lies on a cycle or below one"
+        else:
+            edges.write_text(TOY_TREE_EDGES)
+            classes = workdir / "more_classes.txt"
+            classes.write_text("A\nB\nZ\n")
+            message = "class 'Z' is not a node of the graph"
+        out = workdir / "out"
+        if command == "build":
+            code = run("hierarchy", "build", "--edges", edges, "--classes",
+                       classes, "--out", out)
+            source = f"--edges {edges}"
+        elif command == "gen-data":
+            code = run("gen-data", "--taxonomy", edges, "--classes", classes,
+                       "--out", out)
+            source = f"--taxonomy {edges}"
+        else:
+            cfg = write_sweep_config(workdir, edges, workdir / "data.csv",
+                                     classes=classes.name)
+            code = run("sweep", "--config", cfg, "--out", out)
+            source = f"taxonomy {edges}"
+        if case == "unknown_class":
+            option = "classes" if command == "sweep" else "--classes"
+            source = f"{option} {classes}, {source}"
+        assert code == 2
+        assert f"error: {source}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edits, message", [
         ("C \tD\n", "--edits line 1: node id 'C ' has surrounding whitespace"),
         ("# move C\n\nC\tD \n",
@@ -471,6 +506,73 @@ def test_bad_checkpoint_in_run_names_run_file(workdir, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("rows, problem", [
+    (["trace_index,step", "4,10", "5"], "line {last}: 1 cells, but the header has 2"),
+    (["trace_index,step", "4,x"], "line {last}: 'x' is not an integer"),
+    (["trace_index,step"], "line {last}: no rows after the header"),
+], ids=["short_row", "step_not_integer", "header_only"])
+def test_bad_selected_csv_names_run_file_and_line(workdir, capsys, rows, problem):
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree,
+              "--classes", workdir / "classes.txt"]
+    trained = workdir / "run"
+    assert run("train", *inputs, "--loss", "ce", *TINY_TRAIN,
+               "--out", trained) == 0
+    selected = trained / "selected.csv"
+    meta = [l for l in selected.read_text().splitlines() if l.startswith("#")]
+    selected.write_text("\n".join(meta + rows) + "\n")
+    report = workdir / "report.csv"
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--run", trained,
+               "--out-report", report)
+    assert code == 2
+    where = problem.format(last=len(meta) + len(rows))
+    assert f"error: --run {selected} {where}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_run_with_mixed_heads_names_the_checkpoint(workdir, capsys):
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree,
+              "--classes", workdir / "classes.txt"]
+    for head in ("class", "conditional"):
+        assert run("train", *inputs, "--loss", "ce", "--head", head, *TINY_TRAIN,
+                   "--out", workdir / head) == 0
+    step = int(body(workdir / "class" / "selected.csv")[-1].split(",")[1])
+    name = f"step_{step:06d}.txt"
+    ckpt = workdir / "class" / "checkpoints" / name
+    ckpt.write_text((workdir / "conditional" / "checkpoints" / name).read_text())
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2",
+               "--run", workdir / "class", "--out-report", workdir / "report.csv")
+    assert code == 2
+    assert (f"error: --run {ckpt}: head=conditional, but the run's first "
+            "checkpoint has head=class") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_non_finite_data_cell_names_file_and_line(workdir, capsys, command,
+                                                  value):
+    tree, data = gen_tree_and_data(workdir, per_class=5)
+    lines = data.read_text().splitlines()
+    row = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 2
+    lines[row] = ",".join([value] + lines[row].split(",")[1:])
+    data.write_text("\n".join(lines) + "\n")
+    out = workdir / "out"
+    if command == "train":
+        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                   "--out", out)
+        source = f"--data {data}"
+    else:
+        cfg = write_sweep_config(workdir, tree, data)
+        code = run("sweep", "--config", cfg, "--out", out)
+        source = f"data {data}"
+    assert code == 2
+    assert (f"error: {source} line {row + 1}: feature cell is not a finite "
+            "number") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_sweep_config(workdir, tree, data, **overrides) -> Path:
     base = {
         "loss": "hxe",
@@ -676,6 +778,29 @@ class TestReportCommand:
         out = workdir / "freq.csv"
         assert run("report", "--histogram", src, "--out", out) == 0
         assert body(out) == ["height,frequency", "1,0.5", "2,0.5"]
+
+    @pytest.mark.parametrize("rows, line, problem", [
+        ("height,count\n1,3\n2\n", 4, "1 cells, but the header has 2"),
+        ("height,count\n1,3\n2,x\n", 4, "'x' is not an integer"),
+    ], ids=["row_without_count", "count_not_integer"])
+    def test_bad_histogram_row_exits_2(self, workdir, capsys, rows, line,
+                                       problem):
+        src = workdir / "h.csv"
+        src.write_text("# taxonomy_hash=abc\n" + rows)
+        out = workdir / "freq.csv"
+        assert run("report", "--histogram", src, "--out", out) == 2
+        assert (f"error: --histogram {src} line {line}: {problem}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_short_table_row_exits_2(self, workdir, capsys):
+        table = workdir / "t.csv"
+        table.write_text("method,parameter,top1_error\nce,,0.5\nce,0.5\n")
+        out = workdir / "m.csv"
+        assert run("report", "--tables", table, "--out", out) == 2
+        assert (f"error: --tables {table} line 3: 2 cells, but the header has 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_tables_merge_long_format(self, workdir):
         tree, data = gen_tree_and_data(workdir)

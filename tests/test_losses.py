@@ -5,23 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (finite_difference, make_balanced_tree, make_random_tree,
-                      max_rel_error, random_prob_vector, shaped_trees)
+from conftest import (ancestry, conditionals_from_class_probs,
+                      factorized_prob, finite_difference, hxe_walk,
+                      make_balanced_tree, make_random_tree, max_rel_error,
+                      random_prob_vector, shaped_trees)
 from hiercls import losses as L
-from hiercls.taxonomy import Taxonomy, load_edges, prune_to_tree
+from hiercls.taxonomy import Taxonomy, UnknownNodeError
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    return L.softmax_batch(np.asarray(z, dtype=float)[None, :])[0]
 
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
-        np.testing.assert_allclose(L.softmax(np.zeros(3)), np.full(3, 1 / 3))
+        np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3))
 
     def test_large_logits_stable(self):
-        p = L.softmax(np.array([1000.0, 0.0, 0.0]))
+        p = softmax(np.array([1000.0, 0.0, 0.0]))
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_log_ratio_logits(self):
-        p = L.softmax(np.log(np.array([1.0, 2.0, 3.0])))
+        p = softmax(np.log(np.array([1.0, 2.0, 3.0])))
         np.testing.assert_allclose(p, [1 / 6, 2 / 6, 3 / 6], atol=1e-15)
 
 
@@ -39,7 +45,7 @@ class TestWeights:
     def test_strictly_decreasing_with_depth(self, balanced27):
         w = L.hxe_weights(balanced27, 0.5)
         leaf = balanced27.leaves[0]
-        path = balanced27.ancestry(leaf)[:-1]
+        path = ancestry(balanced27, leaf)[:-1]
         lams = [w.lam[n] for n in path]  # ordered deepest to shallowest
         assert all(deep < shallow for deep, shallow in zip(lams[:-1], lams[1:]))
 
@@ -50,7 +56,7 @@ class TestWeights:
 
 class TestConditionals:
     def test_uniform_probs(self, toy_tree):
-        conds = L.conditionals_from_class_probs(toy_tree, np.full(3, 1 / 3))
+        conds = conditionals_from_class_probs(toy_tree, np.full(3, 1 / 3))
         np.testing.assert_allclose(conds["D"], 2 / 3)
         np.testing.assert_allclose(conds["C"], 1 / 3)
         np.testing.assert_allclose(conds["A"], 0.5)
@@ -58,13 +64,13 @@ class TestConditionals:
 
     def test_one_hot_path_is_unit(self, toy_tree):
         p = np.array([1.0, 0.0, 0.0])  # one-hot on A
-        conds = L.conditionals_from_class_probs(toy_tree, p)
+        conds = conditionals_from_class_probs(toy_tree, p)
         assert conds["A"] == 1.0
         assert conds["D"] == 1.0
 
     def test_uniform_on_balanced_binary(self):
         t = make_balanced_tree(2, 2)
-        conds = L.conditionals_from_class_probs(t, np.full(4, 0.25))
+        conds = conditionals_from_class_probs(t, np.full(4, 0.25))
         np.testing.assert_allclose(list(conds.values()), 0.5)
 
     def test_sibling_groups_sum_to_one(self):
@@ -72,7 +78,7 @@ class TestConditionals:
         for _ in range(20):
             t = make_random_tree(rng, max_nodes=40)
             p = random_prob_vector(rng, t.num_leaves)
-            conds = L.conditionals_from_class_probs(t, p)
+            conds = conditionals_from_class_probs(t, p)
             for node in t.nodes_bfs:
                 kids = t.children[node]
                 if kids:
@@ -83,21 +89,21 @@ class TestConditionals:
 class TestFactorization:
     def test_uniform_round_trip_leaf(self, toy_tree):
         p = np.full(3, 1 / 3)
-        conds = L.conditionals_from_class_probs(toy_tree, p)
-        np.testing.assert_allclose(L.factorized_prob(toy_tree, conds, "A"), 1 / 3)
+        conds = conditionals_from_class_probs(toy_tree, p)
+        np.testing.assert_allclose(factorized_prob(toy_tree, conds, "A"), 1 / 3)
 
     def test_one_hot(self, toy_tree):
-        conds = L.conditionals_from_class_probs(toy_tree, np.array([1.0, 0, 0]))
-        assert L.factorized_prob(toy_tree, conds, "A") == 1.0
+        conds = conditionals_from_class_probs(toy_tree, np.array([1.0, 0, 0]))
+        assert factorized_prob(toy_tree, conds, "A") == 1.0
 
     def test_round_trip_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             t = make_random_tree(rng, max_nodes=50)
             p = random_prob_vector(rng, t.num_leaves)
-            conds = L.conditionals_from_class_probs(t, p)
+            conds = conditionals_from_class_probs(t, p)
             for i, leaf in enumerate(t.leaves):
-                rebuilt = L.factorized_prob(t, conds, leaf)
+                rebuilt = factorized_prob(t, conds, leaf)
                 assert abs(rebuilt - p[i]) < 1e-9
 
 
@@ -131,6 +137,15 @@ class TestHxeLoss:
             ce = -math.log(p[t.leaf_index[truth]])
             assert abs(L.hxe_loss(t, w, p, truth) - ce) < 1e-6
 
+    def test_matches_walk_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            t = make_random_tree(rng, max_nodes=50)
+            p = random_prob_vector(rng, t.num_leaves)
+            truth = t.leaves[rng.integers(t.num_leaves)]
+            w = L.hxe_weights(t, float(rng.uniform(0, 2)))
+            assert abs(L.hxe_loss(t, w, p, truth) - hxe_walk(t, w, p, truth)) < 1e-12
+
     def test_finite_on_degenerate_probs(self, toy_tree):
         p = np.array([0.0, 1.0, 0.0])
         w = L.hxe_weights(toy_tree, 0.5)
@@ -154,8 +169,9 @@ class TestSoftLabelMatrix:
     def test_worked_row(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1.0)
         weights = np.array([1.0, math.exp(-0.5), math.exp(-1.0)])
-        np.testing.assert_allclose(m.row("A"), weights / weights.sum(), atol=1e-12)
-        np.testing.assert_allclose(m.row("A"), [0.5065, 0.3072, 0.1863], atol=5e-5)
+        row = m.rows[toy_tree.leaf_index["A"]]
+        np.testing.assert_allclose(row, weights / weights.sum(), atol=1e-12)
+        np.testing.assert_allclose(row, [0.5065, 0.3072, 0.1863], atol=5e-5)
 
     def test_huge_beta_one_hot(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1e6)
@@ -200,7 +216,7 @@ class TestSoftLabelMatrix:
         cells = lines[1].split(",")
         assert cells[0] == "A"
         np.testing.assert_array_equal(
-            np.array([float(c) for c in cells[1:]]), m.row("A"))
+            np.array([float(c) for c in cells[1:]]), m.rows[0])
 
 
 class TestSoftLabelLoss:
@@ -235,14 +251,15 @@ class TestGradients:
     def test_one_hot_soft_row_gives_softmax_ce_gradient(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1e9)
         z = np.array([0.2, -0.4, 1.0])
-        p = L.softmax(z)
+        p = softmax(z)
         onehot = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(L.soft_grad(m, z, "A"), p - onehot, atol=1e-12)
+        grad = L.ClassSoftLabelObjective(m).grad_batch(z[None, :], np.array([0]))[0]
+        np.testing.assert_allclose(grad, p - onehot, atol=1e-12)
 
     def test_unit_weight_hxe_gradient_is_ce_gradient(self, toy_tree):
         w = L.hxe_weights(toy_tree, 0.0)
         z = np.array([0.3, 0.1, -0.2])
-        p = L.softmax(z)
+        p = softmax(z)
         onehot = np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(L.hxe_grad(toy_tree, w, z, "B"), p - onehot,
                                    atol=1e-12)
@@ -276,10 +293,9 @@ class TestConditionalHead:
         t = make_balanced_tree(2, 2)
         w = L.hxe_weights(t, 0.0)
         z = np.zeros(len(t.nonroot_bfs))
-        truth = t.leaves[0]
-        depth = t.depth[truth]
-        np.testing.assert_allclose(L.conditional_head_loss(t, w, z, truth),
-                                   depth * math.log(2), atol=1e-12)
+        depth = t.depth[t.leaves[0]]
+        loss = L.ConditionalHxeObjective(t, w).loss_batch(z[None, :], np.array([0]))
+        np.testing.assert_allclose(loss[0], depth * math.log(2), atol=1e-12)
 
     def test_unit_weights_equal_neg_log_factorized(self):
         rng = np.random.default_rng(4)
@@ -289,7 +305,7 @@ class TestConditionalHead:
             obj = L.ConditionalHxeObjective(t, w)
             z = rng.normal(size=obj.num_outputs)
             i = int(rng.integers(t.num_leaves))
-            loss = L.conditional_head_loss(t, w, z, t.leaves[i])
+            loss = obj.loss_batch(z[None, :], np.array([i]))[0]
             log_p = obj.log_class_probs(z[None, :])[0, i]
             np.testing.assert_allclose(loss, -log_p, atol=1e-9)
 
@@ -313,7 +329,7 @@ def class_coeff_oracle(tax, weights) -> np.ndarray:
     K = np.zeros((tax.num_leaves, tax.num_nodes))
     for leaf in tax.leaves:
         i = tax.leaf_index[leaf]
-        path = tax.ancestry(leaf)
+        path = ancestry(tax, leaf)
         if len(path) == 1:  # leaf is the root; nothing to predict
             continue
         lam = [weights.lam[n] for n in path[:-1]]
@@ -334,7 +350,7 @@ def conditional_oracle(tax, weights):
     path_ind = np.zeros((tax.num_leaves, len(col)))
     for leaf in tax.leaves:
         i = tax.leaf_index[leaf]
-        for node in tax.ancestry(leaf)[:-1]:
+        for node in ancestry(tax, leaf)[:-1]:
             lam_path[i, col[node]] = weights.lam[node]
             path_ind[i, col[node]] = 1.0
     return starts, np.array(sizes), lam_path, path_ind
@@ -367,19 +383,6 @@ class TestObjectiveTreeData:
         with pytest.raises(ValueError, match="edges"):
             L.ConditionalHxeObjective(tax, w)
 
-    def test_objectives_do_not_walk_lineages(self, monkeypatch):
-        # Lineages come from the taxonomy's spans; a per-leaf walk is the
-        # slow path these objectives replaced.
-        tax = make_random_tree(np.random.default_rng(9), max_nodes=40)
-
-        def walk(self, node):
-            raise AssertionError(f"per-leaf ancestry walk from {node!r}")
-
-        monkeypatch.setattr(Taxonomy, "ancestry", walk)
-        w = L.hxe_weights(tax, 0.5)
-        L.ClassHxeObjective(tax, w)
-        L.ConditionalHxeObjective(tax, w)
-
 
 class TestBatchSingleConsistency:
     def test_hxe_batch_matches_scalar_definition(self):
@@ -389,10 +392,10 @@ class TestBatchSingleConsistency:
             w = L.hxe_weights(t, float(rng.uniform(0, 1.2)))
             obj = L.ClassHxeObjective(t, w)
             z = rng.normal(size=t.num_leaves)
-            p = L.softmax(z)
+            p = softmax(z)
             i = int(rng.integers(t.num_leaves))
             batch = float(obj.loss_batch(z[None, :], np.array([i]))[0])
-            scalar = L.hxe_loss(t, w, p, t.leaves[i])
+            scalar = hxe_walk(t, w, p, t.leaves[i])
             assert abs(batch - scalar) < 1e-9
 
     def test_losses_nonnegative(self):
@@ -403,7 +406,18 @@ class TestBatchSingleConsistency:
             truth = t.leaves[rng.integers(t.num_leaves)]
             w = L.hxe_weights(t, float(rng.uniform(0, 2)))
             m = L.soft_label_matrix(t, float(rng.uniform(0, 30)))
+            ce = L.ClassCrossEntropy(t).loss_batch(
+                np.log(p)[None, :], np.array([t.leaf_index[truth]]))[0]
             for value in (L.hxe_loss(t, w, p, truth),
-                          L.soft_label_loss(m, p, truth),
-                          L.cross_entropy(t, p, truth)):
+                          L.soft_label_loss(m, p, truth), ce):
                 assert np.isfinite(value) and value >= 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: L.hxe_loss(t, L.hxe_weights(t, 0.5), np.full(3, 1 / 3), "Z"),
+    lambda t: L.hxe_grad(t, L.hxe_weights(t, 0.5), np.zeros(3), "Z"),
+    lambda t: L.soft_label_loss(L.soft_label_matrix(t, 1.0), np.full(3, 1 / 3), "Z"),
+], ids=["hxe_loss", "hxe_grad", "soft_label_loss"])
+def test_unknown_truth_raises_unknown_node_error(toy_tree, call):
+    with pytest.raises(UnknownNodeError, match="unknown leaf 'Z'"):
+        call(toy_tree)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_tree
+from conftest import lca_height, make_random_tree
 from hiercls import metrics as M
 from hiercls.cli import _report_rows
 from hiercls.model import average_reports
@@ -33,15 +33,15 @@ class TestPredictionBatch:
 
 
 class TestTopKError:
-    def test_always_rank_one(self):
+    def test_always_rank_one(self, toy_tree):
         b = batch([["A", "B"], ["B", "A"]], ["A", "B"])
-        assert M.top_k_error(b, 1) == 0.0
-        assert M.top_k_error(b, 2) == 0.0
+        assert M.top_k_error(toy_tree, b, 1) == 0.0
+        assert M.top_k_error(toy_tree, b, 2) == 0.0
 
-    def test_never_present(self):
+    def test_never_present(self, toy_tree):
         b = batch([["B", "C"], ["B", "C"]], ["A", "A"])
-        assert M.top_k_error(b, 1) == 1.0
-        assert M.top_k_error(b, 2) == 1.0
+        assert M.top_k_error(toy_tree, b, 1) == 1.0
+        assert M.top_k_error(toy_tree, b, 2) == 1.0
 
     def test_mixed_ranks(self, balanced27):
         leaves = balanced27.leaves
@@ -52,18 +52,23 @@ class TestTopKError:
             order.insert(rank, leaves[10])
             rankings.append(order[:5])
         b = batch(rankings, [leaves[10]] * 3)
-        np.testing.assert_allclose(M.top_k_error(b, 1), 2 / 3)
-        assert M.top_k_error(b, 5) == 0.0
+        np.testing.assert_allclose(M.top_k_error(balanced27, b, 1), 2 / 3)
+        assert M.top_k_error(balanced27, b, 5) == 0.0
 
-    def test_k_beyond_width_rejected(self):
+    def test_k_beyond_width_rejected(self, toy_tree):
         with pytest.raises(ValueError):
-            M.top_k_error(batch([["A"]], ["A"]), 2)
+            M.top_k_error(toy_tree, batch([["A"]], ["A"]), 2)
+
+    def test_k_below_one_rejected(self, toy_tree):
+        for metric in (M.top_k_error, M.avg_hier_dist_topk):
+            with pytest.raises(ValueError, match="from 1 to the ranking width"):
+                metric(toy_tree, batch([["A"]], ["A"]), 0)
 
     def test_non_increasing_in_k(self, balanced27):
         rng = np.random.default_rng(0)
         for _ in range(20):
             b = random_batch(rng, balanced27, 30, 10)
-            errs = [M.top_k_error(b, k) for k in range(1, 11)]
+            errs = [M.top_k_error(balanced27, b, k) for k in range(1, 11)]
             assert all(e2 <= e1 + 1e-15 for e1, e2 in zip(errs, errs[1:]))
 
 
@@ -95,7 +100,8 @@ class TestAvgHierDistTopk:
         for _ in range(30):
             b = random_batch(rng, balanced27, 25, 3)
             lhs = M.avg_hier_dist_topk(balanced27, b, 1)
-            rhs = M.top_k_error(b, 1) * M.hier_dist_mistake(balanced27, b)
+            rhs = (M.top_k_error(balanced27, b, 1)
+                   * M.hier_dist_mistake(balanced27, b))
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -127,27 +133,20 @@ class TestSeverityHistogram:
 
 
 def brute_force_report(tax: Taxonomy, b: M.PredictionBatch, ks):
-    """Re-derivation with fresh ancestor-chain LCA heights per pair."""
-
-    def lca_height(a, c):
-        chain = tax.ancestry(a)
-        other = set(tax.ancestry(c))
-        node = next(n for n in chain if n in other)
-        return tax.height[node]
-
+    """Re-derivation with fresh LCA walks per pair, top-k by membership."""
     n = len(b.truths)
     top_k = {k: sum(t not in r[:k] for r, t in zip(b.rankings, b.truths)) / n
              for k in ks}
-    avg = {k: float(np.mean([lca_height(t, pred)
+    avg = {k: float(np.mean([lca_height(tax, t, pred)
                              for r, t in zip(b.rankings, b.truths)
                              for pred in r[:k]]))
            for k in ks}
     mistakes = [(t, r[0]) for r, t in zip(b.rankings, b.truths) if r[0] != t]
-    hdm = (float(np.mean([lca_height(t, p) for t, p in mistakes]))
+    hdm = (float(np.mean([lca_height(tax, t, p) for t, p in mistakes]))
            if mistakes else 0.0)
     hist: dict[int, int] = {}
     for t, p in mistakes:
-        h = lca_height(t, p)
+        h = lca_height(tax, t, p)
         hist[h] = hist.get(h, 0) + 1
     return top_k, hdm, avg, hist
 
@@ -184,7 +183,7 @@ class TestAgainstBruteForce:
 
 def predictions_to_csv(b: M.PredictionBatch) -> str:
     """``example_id,truth,pred_1,...,pred_K`` rows with a header line."""
-    k = b.width
+    k = len(b.rankings[0])
     header = "example_id,truth," + ",".join(f"pred_{i + 1}" for i in range(k))
     lines = [header]
     for ex, (truth, ranking) in enumerate(zip(b.truths, b.rankings)):

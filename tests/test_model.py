@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from conftest import finite_difference, max_rel_error
 from hiercls import model as Md
 from hiercls.data import Dataset, synth_hierarchical
-from hiercls.losses import softmax
+from hiercls.losses import ConditionalHxeObjective, hxe_weights, softmax_batch
 from hiercls.metrics import MetricReport
 from hiercls.taxonomy import load_edges, prune_to_tree
+
+
+def scorer(tax, head):
+    """An objective of ``head``, which ``evaluate_model`` ranks with."""
+    return Md.build_objective(tax, Md.LossSpec("ce"), head)
 
 
 def toy_points(tax, per_class=40, dim=6, noise=0.8, seed=0):
@@ -25,7 +30,7 @@ class TestForward:
             W[...] = 0.0
             b[...] = 0.0
         z = Md.forward(m, np.ones(4))[0]
-        np.testing.assert_allclose(softmax(z), np.full(3, 1 / 3))
+        np.testing.assert_allclose(softmax_batch(z[None, :])[0], np.full(3, 1 / 3))
 
     def test_identity_affine(self, toy_tree):
         m = Md.init_model(prune_to_tree(load_edges("R\tA\nR\tB"), ["A", "B"]),
@@ -210,7 +215,7 @@ class TestTraining:
                  Md.AdamOptimizer(lr=0.05),
                  self.schedule(steps=2000, checkpoint_every=200,
                                discard_before=0), ks=(1,))
-        report = Md.evaluate_model(tax, model, ds, ks=(1,))
+        report = Md.evaluate_model(tax, model, ds, scorer(tax, "class"), ks=(1,))
         assert report.top_k_error[1] == 0.0
 
     def test_limit_traces_match_cross_entropy(self, toy_tree):
@@ -397,10 +402,11 @@ class TestEvaluate:
                  Md.TrainSchedule(steps=800, batch_size=16,
                                   checkpoint_every=100, seed=0,
                                   discard_before=0), ks=(1,))
-        report = Md.evaluate_model(toy_tree, model, ds, ks=(1,))
+        report = Md.evaluate_model(toy_tree, model, ds, scorer(toy_tree, "class"),
+                                   ks=(1,))
         assert report.top_k_error[1] == 0.0
         assert report.hier_dist_mistake == 0.0
-        assert report.no_mistakes
+        assert report.mistake_count == 0
 
     def test_uniform_logits_rank_in_leaf_order(self, toy_tree):
         ds = toy_points(toy_tree, per_class=3)
@@ -408,7 +414,8 @@ class TestEvaluate:
         for W, b in model.layers:
             W[...] = 0.0
             b[...] = 0.0
-        report = Md.evaluate_model(toy_tree, model, ds, ks=(1, 3))
+        report = Md.evaluate_model(toy_tree, model, ds, scorer(toy_tree, "class"),
+                                   ks=(1, 3))
         # Everything ranks (A, B, C); only class A examples are correct.
         assert report.top_k_error[1] == pytest.approx(2 / 3)
         assert report.top_k_error[3] == 0.0
@@ -425,7 +432,8 @@ class TestEvaluate:
                      Md.TrainSchedule(steps=1500, batch_size=32,
                                       checkpoint_every=300, seed=1,
                                       discard_before=0), ks=(1,))
-            report = Md.evaluate_model(toy_tree, model, ds, ks=(1,))
+            report = Md.evaluate_model(toy_tree, model, ds,
+                                       scorer(toy_tree, head), ks=(1,))
             preds[head] = report.top_k_error[1]
         assert preds["class"] == 0.0
         assert preds["conditional"] == 0.0
@@ -445,6 +453,34 @@ class TestEvaluate:
         assert avg.means["top1_error"] == pytest.approx(np.mean(vals))
         hw = Md.confidence_half_width(vals)
         assert avg.half_widths["top1_error"] == pytest.approx(hw)
+
+    def test_conditional_scores_ignore_the_weights(self, toy_tree):
+        ds = toy_points(toy_tree, per_class=10)
+        model = Md.init_model(toy_tree, "conditional", ds.feature_dim, seed=2)
+        model.params[:] = np.random.default_rng(0).normal(size=model.params.size)
+        reports = [Md.evaluate_model(toy_tree, model, ds, ConditionalHxeObjective(
+                       toy_tree, hxe_weights(toy_tree, alpha)), ks=(1, 3))
+                   for alpha in (0.0, 0.7)]
+        assert reports[0] == reports[1]
+
+    def test_evaluate_checkpoints_builds_one_scoring_objective(self, toy_tree,
+                                                              monkeypatch):
+        ds = toy_points(toy_tree)
+        model = Md.init_model(toy_tree, "conditional", ds.feature_dim, seed=0)
+        trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("hxe", alpha=0.5),
+                         Md.AdamOptimizer(lr=0.01),
+                         Md.TrainSchedule(steps=600, batch_size=16,
+                                          checkpoint_every=60, seed=0,
+                                          discard_before=0), ks=(1, 2))
+        chosen = Md.select_checkpoints(trace, 0)
+        built = []
+        init = ConditionalHxeObjective.__init__
+        monkeypatch.setattr(ConditionalHxeObjective, "__init__",
+                            lambda self, *args: init(self, *args) or built.append(1))
+        avg = Md.evaluate_checkpoints(toy_tree, model, trace, chosen, ds, ks=(1, 2))
+        assert len(built) == 1
+        # Training ranked the same rows with its alpha = 0.5 objective.
+        assert avg.reports == [trace.records[i].val_report for i in chosen]
 
     def test_confidence_half_width_hand_value(self):
         vals = [1.0, 2.0, 3.0, 4.0, 5.0]

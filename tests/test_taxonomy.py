@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, brute_lca,
-                      make_random_dag, make_random_tree, shaped_trees)
+from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, ancestry, brute_lca,
+                      lca, lca_height, make_random_dag, make_random_tree,
+                      normalized_distance, shaped_trees)
 from hiercls.taxonomy import (CycleError, EdgeListParseError, HierarchyError,
                               Taxonomy, TaxonomyGraph, UnknownNodeError,
                               apply_edits,
@@ -312,22 +313,27 @@ class TestApplyEdits:
 
 
 class TestLcaQueries:
+    """The LCA walks in ``conftest`` are the oracles; the span-built
+    ``lca_height_matrix`` and ``distance_matrix`` are checked against them."""
+
     def test_toy_tree_values(self, toy_tree):
-        assert toy_tree.lca("A", "B") == "D"
-        assert toy_tree.lca("A", "A") == "A"
-        assert toy_tree.lca("A", "C") == "R"
-        assert toy_tree.lca_height("A", "B") == 1
-        assert toy_tree.lca_height("A", "A") == 0
-        assert toy_tree.lca_height("A", "C") == 2
+        assert lca(toy_tree, "A", "B") == "D"
+        assert lca(toy_tree, "A", "A") == "A"
+        assert lca(toy_tree, "A", "C") == "R"
+        assert lca_height(toy_tree, "A", "B") == 1
+        assert lca_height(toy_tree, "A", "A") == 0
+        assert lca_height(toy_tree, "A", "C") == 2
+        np.testing.assert_array_equal(toy_tree.lca_height_matrix()[0], [0, 1, 2])
 
     def test_normalized_distance(self, toy_tree):
-        assert toy_tree.normalized_distance("A", "B") == 0.5
-        assert toy_tree.normalized_distance("A", "A") == 0.0
-        assert toy_tree.normalized_distance("A", "C") == 1.0
+        assert normalized_distance(toy_tree, "A", "B") == 0.5
+        assert normalized_distance(toy_tree, "A", "A") == 0.0
+        assert normalized_distance(toy_tree, "A", "C") == 1.0
+        np.testing.assert_array_equal(toy_tree.distance_matrix()[0], [0.0, 0.5, 1.0])
 
     def test_unknown_node(self, toy_tree):
         with pytest.raises(UnknownNodeError):
-            toy_tree.lca("A", "Z")
+            lca(toy_tree, "A", "Z")
 
     def test_matches_bruteforce_on_random_trees(self):
         rng = np.random.default_rng(2)
@@ -337,7 +343,7 @@ class TestLcaQueries:
             for _ in range(15):
                 a = nodes[rng.integers(len(nodes))]
                 b = nodes[rng.integers(len(nodes))]
-                assert t.lca(a, b) == brute_lca(t, a, b)
+                assert lca(t, a, b) == brute_lca(t, a, b)
 
     def test_lca_height_symmetric_bounded(self):
         rng = np.random.default_rng(3)
@@ -347,8 +353,8 @@ class TestLcaQueries:
             for _ in range(10):
                 a = leaves[rng.integers(len(leaves))]
                 b = leaves[rng.integers(len(leaves))]
-                h = t.lca_height(a, b)
-                assert h == t.lca_height(b, a)
+                h = lca_height(t, a, b)
+                assert h == lca_height(t, b, a)
                 assert (h == 0) == (a == b)
                 assert h <= t.tree_height
 
@@ -359,9 +365,9 @@ class TestLcaQueries:
             ls = t.leaves
             for _ in range(40):
                 a, b, c = (ls[rng.integers(len(ls))] for _ in range(3))
-                dab = t.normalized_distance(a, b)
-                dbc = t.normalized_distance(b, c)
-                dac = t.normalized_distance(a, c)
+                dab = normalized_distance(t, a, b)
+                dbc = normalized_distance(t, b, c)
+                dac = normalized_distance(t, a, c)
                 assert dac <= max(dab, dbc) + 1e-12
                 assert 0.0 <= dac <= 1.0
 
@@ -369,7 +375,7 @@ class TestLcaQueries:
         H = toy_tree.lca_height_matrix()
         for i, a in enumerate(toy_tree.leaves):
             for j, b in enumerate(toy_tree.leaves):
-                assert H[i, j] == toy_tree.lca_height(a, b)
+                assert H[i, j] == lca_height(toy_tree, a, b)
 
 
 class TestRandomize:
@@ -395,8 +401,9 @@ class TestRandomize:
                     if leaf_permutation(toy_tree, s) ==
                     [("A", "C"), ("B", "B"), ("C", "A")])
         r = randomize_leaves(toy_tree, seed)
-        assert r.lca_height("A", "B") == 2
-        assert r.lca_height("C", "B") == 1
+        H, i = r.lca_height_matrix(), r.leaf_index
+        assert H[i["A"], i["B"]] == 2
+        assert H[i["C"], i["B"]] == 1
 
     def test_structure_unchanged(self, toy_tree):
         r = randomize_leaves(toy_tree, 7)
@@ -428,14 +435,14 @@ class TestExportImport:
 
 
 def assert_span_matrices_match_oracles(tax):
-    expected = np.array([[tax.lca_height(a, b) for b in tax.leaves]
+    expected = np.array([[lca_height(tax, a, b) for b in tax.leaves]
                          for a in tax.leaves], dtype=np.int64)
     H = tax.lca_height_matrix()
     assert H.dtype == np.int64
     np.testing.assert_array_equal(H, expected)
     membership = np.zeros((tax.num_nodes, tax.num_leaves))
     for j, leaf in enumerate(tax.leaves):
-        for node in tax.ancestry(leaf):
+        for node in ancestry(tax, leaf):
             membership[tax.node_index[node], j] = 1.0
     np.testing.assert_array_equal(tax.leaf_membership(), membership)
 
@@ -468,6 +475,6 @@ class TestDepthFirstSpans:
     def test_edited_trees_match_oracles(self, tax, data):
         for _ in range(data.draw(st.integers(1, 3))):
             node = data.draw(st.sampled_from(tax.nonroot_bfs))
-            targets = [n for n in tax.nodes_bfs if node not in tax.ancestry(n)]
+            targets = [n for n in tax.nodes_bfs if node not in ancestry(tax, n)]
             tax = apply_edits(tax, [(node, data.draw(st.sampled_from(targets)))])
         assert_span_matrices_match_oracles(tax)

@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, dataset_to_csv, synth_hierarchical
-from .fileio import fmt, meta_header, sha16, write_text
-from .model import (AveragedReport, LossSpec, TrainSchedule, average_reports,
-                    build_objective, checkpoint_from_text, checkpoint_to_text,
-                    confidence_half_width, evaluate_model, output_dim_for,
-                    trace_to_csv)
-from .sweep import (SPLIT_NAMES, check_ks, convert, load_inputs, load_tax,
-                    parse_ks, parse_split, parse_sweep_config, read_classes,
-                    read_input, read_meta, run_point, run_sweep, write_csv,
+from .fileio import fmt, meta_header, write_text
+from .model import (LOSS_PARAMETERS, AveragedReport, LossSpec, SettingError,
+                    average_reports, build_objective, checkpoint_from_text,
+                    checkpoint_to_text, confidence_half_width, evaluate_model,
+                    output_dim_for, trace_to_csv)
+from .sweep import (RUN_SETTINGS, SPLIT_NAMES, SweepConfig,
+                    check_ks, load_inputs, load_tax, parse_sweep_config,
+                    read_classes, read_input, read_meta, read_setting,
+                    run_meta, run_point, run_sweep, write_csv,
                     write_histogram_csv, write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
                        load_taxonomy, parse_pairs, randomize_leaves)
@@ -123,19 +124,13 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_gen_data(args) -> int:
     tax = load_tax(args.taxonomy, args.classes)
-    ds = synth_hierarchical(tax, per_class=args.per_class, dim=args.dim,
-                            step_scale=args.step_scale,
-                            noise_scale=args.noise_scale, seed=args.seed,
-                            level_decay=args.level_decay)
-    params = {
-        "per_class": args.per_class,
-        "dim": args.dim,
-        "step_scale": fmt(args.step_scale),
-        "noise_scale": fmt(args.noise_scale),
-        "level_decay": fmt(args.level_decay),
-        "seed": args.seed,
-        "taxonomy_hash": tax.hash_hex(),
-    }
+    values = {key: getattr(args, key) for key in (
+        "per_class", "dim", "step_scale", "noise_scale", "level_decay", "seed")}
+    ds = synth_hierarchical(tax, **values)
+    # Floats in round-trip form; integers stay numbers in the JSON manifest.
+    params = {key: fmt(value) if isinstance(value, float) else value
+              for key, value in values.items()}
+    params["taxonomy_hash"] = tax.hash_hex()
     write_text(args.out, meta_header(params) + dataset_to_csv(ds))
     manifest = dict(params, format="hiercls-dataset-manifest-v1",
                     num_examples=ds.n)
@@ -173,33 +168,40 @@ def _write_report_csv(path, averaged: AveragedReport, meta) -> None:
                  for metric, k, mean, half in _report_rows(averaged)])
 
 
-def _train_meta(args, tax, data_text) -> dict:
-    """The run's flags (floats in round-trip form; unset ones omitted) and
-    its input hashes."""
-    meta = {key: getattr(args, key) for key in (
-        "loss", "head", "steps", "batch_size", "checkpoint_every",
-        "discard_before", "seed", "split", "split_seed", "ks", "eval_split",
-        "hidden_dim") if getattr(args, key) is not None}
-    meta.update((key, fmt(getattr(args, key))) for key in ("lr", "alpha", "beta")
-                if getattr(args, key) is not None)
-    return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=sha16(data_text))
+# The run settings ``evaluate`` takes; ``train`` takes all of RUN_SETTINGS.
+_EVALUATE_SETTINGS = ("split", "split_seed", "ks")
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config(args, loss: str, keys, **values) -> SweepConfig:
+    """The run config of the input flags, the ``keys`` setting flags that
+    were given and ``values``; a bad value's error names its flag."""
+    values.update((key, read_setting(key, getattr(args, key), _flag(key)))
+                  for key in keys if getattr(args, key) is not None)
+    try:
+        return SweepConfig(loss, args.data, args.taxonomy, args.classes, **values)
+    except SettingError as exc:
+        raise ValueError(f"{_flag(exc.key)}: {exc}") from None
 
 
 def cmd_train(args) -> int:
-    ks = convert("--ks", parse_ks, args.ks)
-    tax, data_text, parts = load_inputs(
-        args.taxonomy, args.classes, args.data,
-        convert("--split", parse_split, args.split), args.split_seed)
-    check_ks(ks, tax, "--ks")
-    spec = LossSpec(args.loss, alpha=args.alpha, beta=args.beta)
-    schedule = TrainSchedule(steps=args.steps, batch_size=args.batch_size,
-                             checkpoint_every=args.checkpoint_every,
-                             seed=args.seed, discard_before=args.discard_before)
-    model, trace, selected, averaged = run_point(
-        tax, parts, args.eval_split, spec, args.head, schedule, args.lr, ks,
-        args.hidden_dim)
+    name = LOSS_PARAMETERS[args.loss]
+    for other in ("alpha", "beta"):
+        if other != name and getattr(args, other) is not None:
+            raise ValueError(f"--{other}: loss {args.loss} takes "
+                             + (f"--{name}" if name else "no parameter"))
+    param = getattr(args, name) if name else None
+    cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[args.seed])
+    tax, data_text, parts = load_inputs(cfg)
+    check_ks(cfg.ks, tax, "--ks")
+    model, trace, selected, averaged = run_point(tax, parts, cfg, param, args.seed)
 
-    meta = _train_meta(args, tax, data_text)
+    meta = dict(run_meta(cfg, tax, data_text), seed=args.seed)
+    if name:
+        meta[name] = fmt(param)
     out = Path(args.out)
     write_run_files(out, meta, trace_to_csv(trace),
                     [(i, trace.records[i].step) for i in selected],
@@ -213,32 +215,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ks = convert("--ks", parse_ks, args.ks)
-    probabilities = convert("--split", parse_split, args.split)
-    tax, data_text, parts = load_inputs(args.taxonomy, args.classes, args.data,
-                                        probabilities, args.split_seed)
-    meta = {
-        "split": args.split,
-        "split_seed": args.split_seed,
-        "split_name": args.split_name,
-        "ks": args.ks,
-        "taxonomy_hash": tax.hash_hex(),
-        "data_sha": sha16(data_text),
-    }
+    # Checkpoints are ranked by the scores of the ce objective of their head.
+    cfg = _config(args, "ce", _EVALUATE_SETTINGS)
+    tax, data_text, parts = load_inputs(cfg)
+    meta = dict(run_meta(cfg, tax, data_text, _EVALUATE_SETTINGS),
+                split_name=args.split_name)
     paths = [args.checkpoint]
     if args.run:
         run_dir = Path(args.run)
         sel_path = run_dir / "selected.csv"
         sel_text = read_input(sel_path, "--run")
         # Scoring on another split could score rows the run trained on.
-        run_meta = read_meta(sel_text)
-        for flag, key, parse, ours in (
-                ("--split", "split", parse_split, probabilities),
-                ("--split-seed", "split_seed", int, args.split_seed)):
-            if key in run_meta and parse(run_meta[key]) != ours:
-                raise DataError(f"{flag} does not match the run's "
-                                f"{key}={run_meta[key]}")
         source = f"--run {sel_path}"
+        recorded = read_meta(sel_text)
+        for key in ("split", "split_seed"):
+            if (key in recorded and read_setting(key, recorded[key], source)
+                    != getattr(cfg, key)):
+                raise DataError(f"{_flag(key)} does not match the run's "
+                                f"{key}={recorded[key]}")
         body = _csv_body(sel_text, source, ints=(1,))
         if not body or body[0][1] != ["trace_index", "step"]:
             raise DataError(f"{source}: expected a 'trace_index,step' header")
@@ -270,10 +264,10 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"{source}: head={model.head}, but the run's first "
                             f"checkpoint has head={models[0].head}")
         models.append(model)
-    check_ks(ks, tax, "--ks")
-    obj = build_objective(tax, LossSpec("ce"), models[0].head)
-    averaged = average_reports([evaluate_model(tax, model, eval_ds, obj, ks=ks)
-                                for model in models])
+    check_ks(cfg.ks, tax, "--ks")
+    obj = build_objective(tax, LossSpec(cfg.loss), models[0].head)
+    averaged = average_reports([evaluate_model(tax, model, eval_ds, obj,
+                                               ks=cfg.ks) for model in models])
     _write_report_csv(args.out_report, averaged, meta)
     if args.out_histogram:
         write_histogram_csv(args.out_histogram, averaged.severity_histogram, meta)
@@ -392,33 +386,23 @@ def build_parser() -> _Parser:
     p_t.add_argument("--data", required=True)
     p_t.add_argument("--taxonomy", required=True)
     p_t.add_argument("--classes", required=True)
-    p_t.add_argument("--loss", choices=("ce", "hxe", "soft"), required=True)
+    p_t.add_argument("--loss", choices=tuple(LOSS_PARAMETERS), required=True)
     p_t.add_argument("--alpha", type=float, default=None)
     p_t.add_argument("--beta", type=float, default=None)
-    p_t.add_argument("--head", choices=("class", "conditional"), default="class")
-    p_t.add_argument("--hidden-dim", type=int, default=None)
-    p_t.add_argument("--steps", type=int, default=20_000)
-    p_t.add_argument("--batch-size", type=int, default=64)
-    p_t.add_argument("--checkpoint-every", type=int, default=500)
-    p_t.add_argument("--discard-before", type=int, default=5_000)
-    p_t.add_argument("--lr", type=float, default=1e-5)
     p_t.add_argument("--seed", type=int, default=0)
-    p_t.add_argument("--split", default="0.7,0.15,0.15")
-    p_t.add_argument("--split-seed", type=int, default=0)
-    p_t.add_argument("--ks", default="1,5,20")
-    p_t.add_argument("--eval-split", choices=SPLIT_NAMES,
-                     default="val")
     p_t.add_argument("--out", required=True)
+    # The run settings: defaults, values and checks come from SweepConfig.
+    for key in RUN_SETTINGS:
+        p_t.add_argument(_flag(key))
 
     p_e = sub.add_parser("evaluate", help="evaluate checkpoints")
     p_e.add_argument("--data", required=True)
     p_e.add_argument("--taxonomy", required=True)
     p_e.add_argument("--classes", required=True)
-    p_e.add_argument("--split", default="0.7,0.15,0.15")
-    p_e.add_argument("--split-seed", type=int, default=0)
+    for key in _EVALUATE_SETTINGS:
+        p_e.add_argument(_flag(key))
     p_e.add_argument("--split-name", choices=SPLIT_NAMES,
                      default="test")
-    p_e.add_argument("--ks", default="1,5,20")
     group = p_e.add_mutually_exclusive_group(required=True)
     group.add_argument("--run", default=None,
                        help="training output directory (averages the selection)")

@@ -33,6 +33,7 @@ __all__ = [
     "CheckpointRecord",
     "TrainingTrace",
     "TrainingDivergedError",
+    "SettingError",
     "train",
     "fit_polynomial",
     "polynomial_minimum",
@@ -48,10 +49,20 @@ __all__ = [
 ]
 
 HEADS = ("class", "conditional")
+# Loss kind -> the name of its one parameter (ce takes none).
+LOSS_PARAMETERS = {"ce": None, "hxe": "alpha", "soft": "beta"}
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training step produces a non-finite loss."""
+
+
+class SettingError(ValueError):
+    """A bad value of the run setting ``key``."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -64,12 +75,11 @@ class LossSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ce", "hxe", "soft"):
+        if self.kind not in LOSS_PARAMETERS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "hxe" and self.alpha is None:
-            raise ValueError("hxe loss needs alpha")
-        if self.kind == "soft" and self.beta is None:
-            raise ValueError("soft loss needs beta")
+        name = LOSS_PARAMETERS[self.kind]
+        if name and getattr(self, name) is None:
+            raise ValueError(f"{self.kind} loss needs {name}")
 
 
 def build_objective(tax: Taxonomy, spec: LossSpec, head: str):
@@ -130,7 +140,7 @@ def init_model(tax: Taxonomy, head: str, input_dim: int, seed: int,
                hidden_dim: int | None = None) -> ClassifierModel:
     """Seeded uniform init in [-0.01, 0.01]; affine unless hidden_dim set."""
     if hidden_dim is not None and hidden_dim < 1:
-        raise ValueError(f"hidden_dim must be >= 1, got {hidden_dim}")
+        raise SettingError("hidden_dim", f"hidden_dim must be >= 1, got {hidden_dim}")
     out = output_dim_for(tax, head)
     rng = np.random.default_rng([seed, 0])
     dims = [input_dim, out] if hidden_dim is None else [input_dim, hidden_dim, out]
@@ -188,7 +198,7 @@ class AdamOptimizer:
     p <- p - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
     """
 
-    lr: float = 1e-5
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -198,7 +208,7 @@ class AdamOptimizer:
 
     def __post_init__(self):
         if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+            raise SettingError("lr", f"lr must be > 0, got {self.lr}")
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One step on the flat ``params`` in place."""
@@ -224,21 +234,17 @@ class AdamOptimizer:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Desk-scale defaults; scale up or down freely, each run stays seconds
-    to minutes on a laptop."""
+    """One run's schedule; ``SweepConfig`` holds the defaults."""
 
-    steps: int = 20_000
-    batch_size: int = 64
-    checkpoint_every: int = 500
-    seed: int = 0
-    discard_before: int = 5_000
+    steps: int
+    batch_size: int
+    checkpoint_every: int
+    seed: int
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.checkpoint_every < 1:
-            raise ValueError("steps, batch_size, checkpoint_every must be positive")
-        if self.discard_before < 0:
-            raise ValueError(
-                f"discard_before must be >= 0, got {self.discard_before}")
+        for key in ("steps", "batch_size", "checkpoint_every"):
+            if getattr(self, key) < 1:
+                raise SettingError(key, f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass

@@ -8,8 +8,8 @@ merge is single-threaded, so results do not depend on pool size. A point
 whose inputs or numerics fail is recorded and skipped rather than aborting
 the grid.
 
-The ``train`` and ``evaluate`` commands share this module's input loader,
-its ``run_point`` pipeline and its run-file writers.
+The ``train`` and ``evaluate`` commands share this module's run settings,
+input loader, ``run_point`` pipeline and run-file headers and writers.
 """
 
 from __future__ import annotations
@@ -26,21 +26,32 @@ import numpy as np
 
 from .data import DataError, Dataset, SplitSpec, dataset_from_csv, split
 from .fileio import fmt, meta_header, sha16, write_text
-from .model import (HEADS, AdamOptimizer, LossSpec, TrainingDivergedError,
-                    TrainSchedule, confidence_half_width, evaluate_checkpoints,
-                    init_model, select_checkpoints, trace_to_csv, train)
+from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, LossSpec,
+                    SettingError, TrainingDivergedError, TrainSchedule,
+                    confidence_half_width, evaluate_checkpoints, init_model,
+                    select_checkpoints, trace_to_csv, train)
 from .taxonomy import Taxonomy, load_taxonomy, randomize_leaves
 
-__all__ = ["SweepConfig", "parse_sweep_config", "run_sweep", "run_point",
-           "load_inputs", "DEFAULT_ALPHA_GRID", "DEFAULT_BETA_GRID"]
+__all__ = ["SweepConfig", "RUN_SETTINGS", "parse_sweep_config", "run_sweep",
+           "run_point", "run_meta", "load_inputs", "DEFAULT_ALPHA_GRID",
+           "DEFAULT_BETA_GRID"]
 
 DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 DEFAULT_BETA_GRID = [4.0, 5.0, 10.0, 15.0, 20.0, 30.0]
 SPLIT_NAMES = ("train", "val", "test")
 
 
+# The settings of every run; ``train`` takes them as flags (``--batch-size``).
+RUN_SETTINGS = ("head", "hidden_dim", "steps", "batch_size", "checkpoint_every",
+                "discard_before", "lr", "split", "split_seed", "ks", "eval_split")
+
+
 @dataclass
 class SweepConfig:
+    """A run's settings, each defined once: its default here, its text
+    converter in ``_CONVERTERS`` and its check in ``__post_init__``. A sweep
+    trains a model per (taxonomy variant, ``grid`` value, seed)."""
+
     loss: str
     data: str
     taxonomy: str
@@ -62,45 +73,41 @@ class SweepConfig:
     workers: int = 0
 
     def __post_init__(self):
-        if self.loss not in ("ce", "hxe", "soft"):
-            raise ValueError(f"unknown loss {self.loss!r}")
         if not self.grid:
             self.grid = {"hxe": DEFAULT_ALPHA_GRID,
                          "soft": DEFAULT_BETA_GRID}.get(self.loss, [None])[:]
-        if self.eval_split not in SPLIT_NAMES:
-            raise ValueError(f"unknown eval_split {self.eval_split!r}")
-        src = self.taxonomy_source
-        if not (src == "true" or src.startswith("randomized:")
-                or src.startswith("both:")):
-            raise ValueError(
-                "taxonomy_source must be 'true', 'randomized:<seed>' or 'both:<seed>'"
-            )
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.loss == "soft" and self.head == "conditional":
-            raise ValueError("loss = soft requires head = class")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        kind, _, seed = self.taxonomy_source.partition(":")
+        # Grid values are checked per point: a bad one fails only its point.
+        for key, ok, message in (
+                ("loss", self.loss in LOSS_PARAMETERS,
+                 f"loss must be one of {tuple(LOSS_PARAMETERS)}"),
+                ("grid", self.loss != "ce" or self.grid == [None],
+                 "loss ce takes no grid"),
+                ("head", self.head in HEADS, f"head must be one of {HEADS}"),
+                ("head", self.loss != "soft" or self.head == "class",
+                 "loss = soft requires head = class"),
+                ("taxonomy_source", self.taxonomy_source == "true"
+                 or kind in ("randomized", "both") and seed.isdecimal(),
+                 "taxonomy_source must be 'true', 'randomized:<seed>' or "
+                 "'both:<seed>'"),
+                ("seeds", bool(self.seeds), "seeds must list at least one seed"),
+                ("hidden_dim", self.hidden_dim is None or self.hidden_dim >= 1,
+                 "hidden_dim must be >= 1"),
+                ("discard_before", self.discard_before >= 0,
+                 "discard_before must be >= 0"),
+                ("eval_split", self.eval_split in SPLIT_NAMES,
+                 f"eval_split must be one of {SPLIT_NAMES}")):
+            if not ok:
+                raise SettingError(key, f"{message}, got {getattr(self, key)!r}")
         # Every point builds these; building them once here rejects a bad
         # schedule or learning rate before any point runs.
-        TrainSchedule(steps=self.steps, batch_size=self.batch_size,
-                      checkpoint_every=self.checkpoint_every,
-                      discard_before=self.discard_before)
-        AdamOptimizer(lr=self.lr)
+        TrainSchedule(self.steps, self.batch_size, self.checkpoint_every, seed=0)
+        AdamOptimizer(self.lr)
 
 
 # ---------------------------------------------------------------------------
 # Input values and files (shared with the CLI)
 # ---------------------------------------------------------------------------
-
-
-def convert(name: str, parse: Callable[[str], object], text: str):
-    """``parse(text)``; a ``ValueError`` is re-raised naming the option or
-    config key ``name``."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
 
 
 def parse_split(text: str) -> tuple[float, float, float]:
@@ -129,11 +136,30 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 }
 
 
+def read_setting(key: str, text: str, name: str):
+    """The value of config key ``key`` written as ``text``; a
+    ``ValueError`` is re-raised naming ``name`` (the option, or the config
+    line and key)."""
+    try:
+        return _CONVERTERS.get(key, str)(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def setting_text(value) -> str:
+    """A config value as ``read_setting`` reads it back: a list or tuple
+    comma-separated, floats in round-trip form."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(setting_text(v) for v in value)
+    return fmt(value) if isinstance(value, float) else str(value)
+
+
 def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
     """Parse a ``key = value`` config document; paths resolve against
     ``base_dir``. A bad value's error names its line and key."""
     known = {f.name for f in fields(SweepConfig)}
     kwargs: dict = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -143,13 +169,16 @@ def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kwargs[key] = convert(f"config line {lineno}: {key}",
-                              _CONVERTERS.get(key, str), val)
-    for required in ("loss", "data", "taxonomy", "classes"):
-        if required not in kwargs:
-            raise ValueError(f"sweep config is missing the {required!r} key")
-    for key in ("data", "taxonomy", "classes"):
-        kwargs[key] = str(Path(base_dir) / kwargs[key])
+        if key in lines:
+            raise ValueError(f"config line {lineno}: key {key!r} is already "
+                             f"set on line {lines[key]}")
+        lines[key] = lineno
+        kwargs[key] = read_setting(key, val, f"config line {lineno}: {key}")
+    for key in ("loss", "data", "taxonomy", "classes"):
+        if key not in kwargs:
+            raise ValueError(f"sweep config is missing the {key!r} key")
+        if key != "loss":
+            kwargs[key] = str(Path(base_dir) / kwargs[key])
     return SweepConfig(**kwargs)
 
 
@@ -207,9 +236,7 @@ def check_ks(ks: tuple[int, ...], tax: Taxonomy, name: str) -> None:
                          f"{tax.num_leaves} classes, got {list(ks)}")
 
 
-def load_inputs(taxonomy: str, classes: str, data: str,
-                probabilities: tuple[float, float, float], split_seed: int,
-                prefix: str = "--"
+def load_inputs(cfg: SweepConfig, prefix: str = "--"
                 ) -> tuple[Taxonomy, str, tuple[Dataset, Dataset, Dataset]]:
     """Load a run's taxonomy and dataset and split the dataset.
 
@@ -217,14 +244,14 @@ def load_inputs(taxonomy: str, classes: str, data: str,
     taxonomy. Returns the taxonomy, the dataset text and its (train, val,
     test) split.
     """
-    tax = load_tax(taxonomy, classes, prefix)
-    text = read_input(data, prefix + "data")
+    tax = load_tax(cfg.taxonomy, cfg.classes, prefix)
+    text = read_input(cfg.data, prefix + "data")
     embedded = read_meta(text).get("taxonomy_hash", tax.hash_hex()).strip()
     if embedded != tax.hash_hex():
         raise DataError(f"dataset taxonomy hash {embedded} does not match "
                         f"{prefix}taxonomy hash {tax.hash_hex()}")
-    parts = split(dataset_from_csv(text, tax, f"{prefix}data {data}"),
-                  SplitSpec(probabilities, split_seed))
+    parts = split(dataset_from_csv(text, tax, f"{prefix}data {cfg.data}"),
+                  SplitSpec(cfg.split, cfg.split_seed))
     return tax, text, parts
 
 
@@ -267,42 +294,43 @@ def _taxonomy_variants(tax: Taxonomy, source: str) -> list[tuple[str, Taxonomy]]
 
 
 def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
-              eval_split: str, spec: LossSpec, head: str,
-              schedule: TrainSchedule, lr: float, ks: tuple[int, ...],
-              hidden_dim: int | None):
+              cfg: SweepConfig, param, seed: int):
     """The paper's protocol for one model, used by ``train`` and by every
-    sweep point: train on ``splits[0]``, select 5 checkpoints on the quartic
-    fit of the ``splits[1]`` loss, and average their reports on the
-    ``eval_split`` part. Returns the trained model, its trace, the selected
-    trace indices and the averaged report."""
-    model = init_model(tax, head, splits[0].feature_dim, seed=schedule.seed,
-                       hidden_dim=hidden_dim)
-    trace = train(tax, model, splits[0], splits[1], spec, AdamOptimizer(lr=lr),
-                  schedule, ks=ks)
-    selected = select_checkpoints(trace, schedule.discard_before)
-    averaged = evaluate_checkpoints(tax, model, trace, selected,
-                                    splits[SPLIT_NAMES.index(eval_split)], ks=ks)
+    sweep point: train with loss parameter ``param`` (``None`` for ce) and
+    seed ``seed`` on ``splits[0]``, select 5 checkpoints on the quartic fit
+    of the ``splits[1]`` loss, and average their reports on the
+    ``cfg.eval_split`` part. Returns the trained model, its trace, the
+    selected trace indices and the averaged report."""
+    spec = LossSpec(cfg.loss, alpha=param if cfg.loss == "hxe" else None,
+                    beta=param if cfg.loss == "soft" else None)
+    schedule = TrainSchedule(steps=cfg.steps, batch_size=cfg.batch_size,
+                             checkpoint_every=cfg.checkpoint_every, seed=seed)
+    model = init_model(tax, cfg.head, splits[0].feature_dim, seed=seed,
+                       hidden_dim=cfg.hidden_dim)
+    trace = train(tax, model, splits[0], splits[1], spec,
+                  AdamOptimizer(lr=cfg.lr), schedule, ks=cfg.ks)
+    selected = select_checkpoints(trace, cfg.discard_before)
+    averaged = evaluate_checkpoints(
+        tax, model, trace, selected,
+        splits[SPLIT_NAMES.index(cfg.eval_split)], ks=cfg.ks)
     return model, trace, selected, averaged
 
 
-def _point_tag(loss: str, param, tax_label: str, seed: int) -> str:
-    p = "none" if param is None else str(param)
-    return f"{loss}_{p}_{tax_label}_seed{seed}"
+def run_meta(cfg: SweepConfig, tax: Taxonomy, data_text: str,
+             keys: tuple[str, ...] = ("loss", *RUN_SETTINGS)) -> dict:
+    """The header of a run's files: the config ``keys`` (an unset
+    ``hidden_dim`` left out), each as the text ``read_setting`` reads back,
+    and the input hashes."""
+    meta = {key: setting_text(getattr(cfg, key)) for key in keys
+            if getattr(cfg, key) is not None}
+    return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=sha16(data_text))
 
 
 def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
          splits: tuple[Dataset, Dataset, Dataset], param, seed: int) -> dict:
-    tag = _point_tag(cfg.loss, param, tax_label, seed)
+    tag = f"{cfg.loss}_{'none' if param is None else param}_{tax_label}_seed{seed}"
     try:
-        spec = LossSpec(cfg.loss,
-                        alpha=param if cfg.loss == "hxe" else None,
-                        beta=param if cfg.loss == "soft" else None)
-        schedule = TrainSchedule(steps=cfg.steps, batch_size=cfg.batch_size,
-                                 checkpoint_every=cfg.checkpoint_every,
-                                 seed=seed, discard_before=cfg.discard_before)
-        _, trace, selected, averaged = run_point(
-            tax, splits, cfg.eval_split, spec, cfg.head, schedule,
-            cfg.lr, cfg.ks, cfg.hidden_dim)
+        _, trace, selected, averaged = run_point(tax, splits, cfg, param, seed)
     except (ValueError, TrainingDivergedError) as exc:
         # A point's bad parameter or diverged numerics fail only that point
         # (``ValueError`` includes ``LinAlgError``); any other error is a
@@ -311,8 +339,6 @@ def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
     return {
         "ok": True,
         "tag": tag,
-        "method": cfg.loss,
-        "head": cfg.head,
         "parameter": "" if param is None else str(param),
         "taxonomy": tax_label,
         "taxonomy_hash": tax.hash_hex(),
@@ -330,26 +356,26 @@ def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
 # ---------------------------------------------------------------------------
 
 
-def _table_lines(rows: list[dict]) -> list[str]:
+def _table_lines(cfg: SweepConfig, rows: list[dict]) -> list[str]:
     """``tradeoff.csv``: one row a point."""
     cols = list(rows[0]["means"])
     lines = [",".join(["method", "head", "parameter", "taxonomy", "seed"]
                       + [f"{c},{c}_hw" for c in cols])]
     for r in rows:
-        cells = [r["method"], r["head"], r["parameter"], r["taxonomy"], str(r["seed"])]
+        cells = [cfg.loss, cfg.head, r["parameter"], r["taxonomy"], str(r["seed"])]
         for c in cols:
             cells += [fmt(r["means"][c]), fmt(r["half_widths"][c])]
         lines.append(",".join(cells))
     return lines
 
 
-def _mean_table_lines(rows: list[dict]) -> list[str]:
+def _mean_table_lines(cfg: SweepConfig, rows: list[dict]) -> list[str]:
     """``tradeoff_mean.csv``: one row a (method, head, parameter, taxonomy),
     the mean and half-width over its seeds."""
     cols = list(rows[0]["means"])
     groups: dict[tuple, list[dict]] = {}
     for r in rows:
-        key = (r["method"], r["head"], r["parameter"], r["taxonomy"])
+        key = (cfg.loss, cfg.head, r["parameter"], r["taxonomy"])
         groups.setdefault(key, []).append(r)
     lines = [",".join(["method", "head", "parameter", "taxonomy", "num_seeds"]
                       + [f"{c},{c}_hw" for c in cols])]
@@ -368,9 +394,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     Returns the number of failed points (0 means a fully successful sweep).
     """
     out = Path(out_dir)
-    tax, data_text, splits = load_inputs(
-        config.taxonomy, config.classes, config.data, config.split,
-        config.split_seed, prefix="")
+    tax, data_text, splits = load_inputs(config, prefix="")
     check_ks(config.ks, tax, "ks")
     variants = dict(_taxonomy_variants(tax, config.taxonomy_source))
 
@@ -386,24 +410,8 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     else:
         results = [_job(*job) for job in jobs]
 
-    header_meta = {
-        "loss": config.loss,
-        "head": config.head,
-        "grid": ",".join(str(g) for g in config.grid),
-        "seeds": ",".join(str(s) for s in config.seeds),
-        "taxonomy_source": config.taxonomy_source,
-        "split": ",".join(fmt(p) for p in config.split),
-        "split_seed": config.split_seed,
-        "steps": config.steps,
-        "batch_size": config.batch_size,
-        "checkpoint_every": config.checkpoint_every,
-        "discard_before": config.discard_before,
-        "lr": fmt(config.lr),
-        "ks": ",".join(str(k) for k in config.ks),
-        "eval_split": config.eval_split,
-        "taxonomy_hash": tax.hash_hex(),
-        "data_sha": sha16(data_text),
-    }
+    header_meta = run_meta(config, tax, data_text, (
+        "loss", *RUN_SETTINGS, "grid", "seeds", "taxonomy_source"))
 
     ok_rows = [r for r in results if r["ok"]]
     failures = [r for r in results if not r["ok"]]
@@ -414,8 +422,9 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
         write_run_files(out / "points" / r["tag"], point_meta, r["trace_csv"],
                         r["selected"], r["histogram"])
     if ok_rows:
-        write_csv(out / "tradeoff.csv", header_meta, _table_lines(ok_rows))
-        write_csv(out / "tradeoff_mean.csv", header_meta, _mean_table_lines(ok_rows))
+        write_csv(out / "tradeoff.csv", header_meta, _table_lines(config, ok_rows))
+        write_csv(out / "tradeoff_mean.csv", header_meta,
+                  _mean_table_lines(config, ok_rows))
     if failures:
         # Error text may hold commas, quotes or newlines: quote it as CSV.
         buf = io.StringIO()

@@ -315,13 +315,35 @@ class TestTrainCommand:
         (["--lr", "-1"], "lr must be > 0"),
         (["--discard-before", "-3"], "discard_before must be >= 0"),
         (["--hidden-dim", "0"], "hidden_dim must be >= 1"),
-    ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0"])
+        (["--steps", "ten"], "--steps: invalid literal for int()"),
+        (["--head", "bogus"], "--head: head must be one of"),
+        (["--eval-split", "bogus"], "--eval-split: eval_split must be one of"),
+    ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
+            "steps_not_int", "bad_head", "bad_eval_split"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
         code = run("train", "--data", data, "--taxonomy", tree, "--classes",
                    workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
                    *flags, "--seed", "0", "--out", out)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--loss", "ce", "--alpha", "0.5"], "--alpha: loss ce takes no parameter"),
+        (["--loss", "ce", "--beta", "3"], "--beta: loss ce takes no parameter"),
+        (["--loss", "hxe", "--alpha", "0.5", "--beta", "3"],
+         "--beta: loss hxe takes --alpha"),
+        (["--loss", "soft", "--alpha", "0.5", "--beta", "3"],
+         "--alpha: loss soft takes --beta"),
+    ], ids=["ce_alpha", "ce_beta", "hxe_beta", "soft_alpha"])
+    def test_parameter_the_loss_does_not_take_exits_2(self, workdir, capsys,
+                                                       flags, message):
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "bad_run"
+        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", *flags, *TINY_TRAIN, "--out", out)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -371,7 +393,10 @@ class TestEvaluateCommand:
         (["--split", "0.6,0.2,0.2", "--split-seed", "1"],
          "--split-seed does not match the run's split_seed=0"),
         (["--split", "0.60,0.20,0.200"], None),
-    ], ids=["other_split", "other_split_seed", "same_numbers"])
+        (["--split", "0.6,0.2,0.2", "--split-seed", "one"],
+         "--split-seed: invalid literal for int()"),
+    ], ids=["other_split", "other_split_seed", "same_numbers",
+            "split_seed_not_int"])
     def test_run_split_must_match_training(self, workdir, capsys, flags,
                                            message):
         tree, data = gen_tree_and_data(workdir)
@@ -636,6 +661,9 @@ class TestSweepCommand:
                    workdir / "classes.txt", "--loss", "hxe", "--alpha", "0.3",
                    *TINY_TRAIN, "--seed", "2", "--eval-split", "val",
                    "--out", train_out) == 0
+        point = out / "points" / "hxe_0.3_true_seed2"
+        for name in ("trace.csv", "selected.csv", "histogram.csv"):
+            assert body(train_out / name) == body(point / name), name
         report = {(c[0], c[1]): (c[2], c[3]) for c in
                   (l.split(",") for l in body(train_out / "report.csv")[1:])}
         table = body(out / "tradeoff.csv")
@@ -645,6 +673,16 @@ class TestSweepCommand:
         assert row["parameter"] == "0.3"
         assert (report[("top_k_error", "1")][0] == row["top1_error"])
         assert (report[("hier_dist_mistake", "")][0] == row["hier_dist_mistake"])
+
+    def test_hidden_dim_is_in_the_headers(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, grid="0.3",
+                                 hidden_dim="8")
+        out = workdir / "sweep_mlp"
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        for rel in ("tradeoff.csv", "tradeoff_mean.csv",
+                    "points/hxe_0.3_true_seed0/trace.csv"):
+            assert "# hidden_dim=8" in (out / rel).read_text().splitlines()
 
     def test_paired_randomized_sweep(self, workdir):
         tree, data = gen_tree_and_data(workdir)
@@ -699,9 +737,13 @@ class TestSweepCommand:
         ({"split": "0.5,0.5"}, "config line 7: split: needs three "
                                "comma-separated values, got '0.5,0.5'"),
         ({"lr": "fast"}, "config line 14: lr: could not convert"),
+        ({"loss": "ce"}, "loss ce takes no grid, got [0.1, 0.9]"),
+        ({"seeds": ""}, "seeds must list at least one seed, got []"),
+        ({"taxonomy_source": "both:abc"}, "taxonomy_source must be 'true', "
+                                          "'randomized:<seed>' or 'both:<seed>'"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
-            "lr_not_float"])
+            "lr_not_float", "ce_with_grid", "no_seeds", "seed_not_integer"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)
@@ -709,6 +751,16 @@ class TestSweepCommand:
         out = workdir / "sweep_bad"
         assert run("sweep", "--config", cfg, "--out", out) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_key_rejected(self, workdir, capsys):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data)
+        cfg.write_text(cfg.read_text() + "steps = 70\n")
+        out = workdir / "sweep_twice"
+        assert run("sweep", "--config", cfg, "--out", out) == 2
+        assert ("config line 17: key 'steps' is already set on line 10"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_programming_error_in_a_point_propagates(self, workdir,

@@ -183,8 +183,7 @@ class TestFlatParametersMatchReference:
 
 class TestTraining:
     def schedule(self, **kw):
-        base = dict(steps=300, batch_size=16, checkpoint_every=30, seed=0,
-                    discard_before=60)
+        base = dict(steps=300, batch_size=16, checkpoint_every=30, seed=0)
         base.update(kw)
         return Md.TrainSchedule(**base)
 
@@ -213,8 +212,7 @@ class TestTraining:
         model = Md.init_model(tax, "class", 2, seed=0)
         Md.train(tax, model, ds, ds, Md.LossSpec("ce"),
                  Md.AdamOptimizer(lr=0.05),
-                 self.schedule(steps=2000, checkpoint_every=200,
-                               discard_before=0), ks=(1,))
+                 self.schedule(steps=2000, checkpoint_every=200), ks=(1,))
         report = Md.evaluate_model(tax, model, ds, scorer(tax, "class"), ks=(1,))
         assert report.top_k_error[1] == 0.0
 
@@ -400,8 +398,7 @@ class TestEvaluate:
         Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
                  Md.AdamOptimizer(lr=0.05),
                  Md.TrainSchedule(steps=800, batch_size=16,
-                                  checkpoint_every=100, seed=0,
-                                  discard_before=0), ks=(1,))
+                                  checkpoint_every=100, seed=0), ks=(1,))
         report = Md.evaluate_model(toy_tree, model, ds, scorer(toy_tree, "class"),
                                    ks=(1,))
         assert report.top_k_error[1] == 0.0
@@ -430,8 +427,7 @@ class TestEvaluate:
             Md.train(toy_tree, model, ds, ds, Md.LossSpec("hxe", alpha=0.0),
                      Md.AdamOptimizer(lr=0.05),
                      Md.TrainSchedule(steps=1500, batch_size=32,
-                                      checkpoint_every=300, seed=1,
-                                      discard_before=0), ks=(1,))
+                                      checkpoint_every=300, seed=1), ks=(1,))
             report = Md.evaluate_model(toy_tree, model, ds,
                                        scorer(toy_tree, head), ks=(1,))
             preds[head] = report.top_k_error[1]
@@ -444,8 +440,7 @@ class TestEvaluate:
         trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
                          Md.AdamOptimizer(lr=0.01),
                          Md.TrainSchedule(steps=600, batch_size=16,
-                                          checkpoint_every=60, seed=0,
-                                          discard_before=0), ks=(1,))
+                                          checkpoint_every=60, seed=0), ks=(1,))
         chosen = Md.select_checkpoints(trace, 0)
         avg = Md.evaluate_checkpoints(toy_tree, model, trace, chosen, ds, ks=(1,))
         assert len(avg.reports) == 5
@@ -470,8 +465,7 @@ class TestEvaluate:
         trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("hxe", alpha=0.5),
                          Md.AdamOptimizer(lr=0.01),
                          Md.TrainSchedule(steps=600, batch_size=16,
-                                          checkpoint_every=60, seed=0,
-                                          discard_before=0), ks=(1, 2))
+                                          checkpoint_every=60, seed=0), ks=(1, 2))
         chosen = Md.select_checkpoints(trace, 0)
         built = []
         init = ConditionalHxeObjective.__init__
@@ -586,8 +580,7 @@ class TestCheckpointText:
         trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
                          Md.AdamOptimizer(lr=0.01),
                          Md.TrainSchedule(steps=60, batch_size=8,
-                                          checkpoint_every=20, seed=0,
-                                          discard_before=0), ks=(1, 2))
+                                          checkpoint_every=20, seed=0), ks=(1, 2))
         text = Md.trace_to_csv(trace)
         header = text.splitlines()[0].split(",")
         assert header[:3] == ["step", "train_loss", "val_loss"]

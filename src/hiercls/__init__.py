@@ -17,10 +17,9 @@ from .metrics import (PredictionBatch, MetricReport, top_k_error,
                       severity_histogram, compute_report)
 from .data import (DataError, Dataset, SplitSpec, dataset_from_csv,
                    dataset_to_csv, split, synth_hierarchical)
-from .model import (LossSpec, ClassifierModel, init_model, forward,
-                    AdamOptimizer, TrainSchedule, TrainingTrace,
-                    TrainingDivergedError, train, fit_polynomial,
-                    select_checkpoints, evaluate_model, evaluate_checkpoints)
+from .model import (ClassifierModel, init_model, forward, AdamOptimizer,
+                    TrainSchedule, TrainingTrace, TrainingDivergedError, train,
+                    fit_polynomial, select_checkpoints, evaluate_model)
 from .sweep import SweepConfig, parse_sweep_config, run_sweep
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import DataError, dataset_to_csv, synth_hierarchical
 from .fileio import fmt, meta_header, write_text
-from .model import (LOSS_PARAMETERS, AveragedReport, LossSpec, SettingError,
+from .model import (LOSS_PARAMETERS, AveragedReport, SettingError,
                     average_reports, build_objective, checkpoint_from_text,
                     checkpoint_to_text, confidence_half_width, evaluate_model,
                     output_dim_for, trace_to_csv)
@@ -187,19 +187,32 @@ def _config(args, loss: str, keys, **values) -> SweepConfig:
         raise ValueError(f"{_flag(exc.key)}: {exc}") from None
 
 
+def _one_value(key: str, flag: str, text: str):
+    """The one value of the list setting ``key`` (``grid`` or ``seeds``)
+    that ``flag`` gives as ``text``."""
+    values = read_setting(key, text, flag)
+    if len(values) != 1:
+        raise ValueError(f"{flag}: needs one value, got {text!r}")
+    return values[0]
+
+
 def cmd_train(args) -> int:
     name = LOSS_PARAMETERS[args.loss]
     for other in ("alpha", "beta"):
         if other != name and getattr(args, other) is not None:
             raise ValueError(f"--{other}: loss {args.loss} takes "
                              + (f"--{name}" if name else "no parameter"))
+    # A one-point sweep: its grid value and seed read as the sweep's would.
     param = getattr(args, name) if name else None
-    cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[args.seed])
+    if param is not None:
+        param = _one_value("grid", f"--{name}", param)
+    seed = _one_value("seeds", "--seed", args.seed)
+    cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[seed])
     tax, data_text, parts = load_inputs(cfg)
     check_ks(cfg.ks, tax, "--ks")
-    model, trace, selected, averaged = run_point(tax, parts, cfg, param, args.seed)
+    model, trace, selected, averaged = run_point(tax, parts, cfg, param, seed)
 
-    meta = dict(run_meta(cfg, tax, data_text), seed=args.seed)
+    meta = dict(run_meta(cfg, tax, data_text), seed=seed)
     if name:
         meta[name] = fmt(param)
     out = Path(args.out)
@@ -265,7 +278,7 @@ def cmd_evaluate(args) -> int:
                             f"checkpoint has head={models[0].head}")
         models.append(model)
     check_ks(cfg.ks, tax, "--ks")
-    obj = build_objective(tax, LossSpec(cfg.loss), models[0].head)
+    obj = build_objective(tax, cfg.loss, None, models[0].head)
     averaged = average_reports([evaluate_model(tax, model, eval_ds, obj,
                                                ks=cfg.ks) for model in models])
     _write_report_csv(args.out_report, averaged, meta)
@@ -283,7 +296,7 @@ def cmd_sweep(args) -> int:
     config = parse_sweep_config(read_input(args.config, "--config"),
                                 Path(args.config).parent)
     if args.workers is not None:
-        config.workers = args.workers
+        config.workers = read_setting("workers", args.workers, "--workers")
     failed = run_sweep(config, args.out)
     if failed:
         print(f"sweep finished with {failed} failed point(s); see failures.csv",
@@ -387,9 +400,9 @@ def build_parser() -> _Parser:
     p_t.add_argument("--taxonomy", required=True)
     p_t.add_argument("--classes", required=True)
     p_t.add_argument("--loss", choices=tuple(LOSS_PARAMETERS), required=True)
-    p_t.add_argument("--alpha", type=float, default=None)
-    p_t.add_argument("--beta", type=float, default=None)
-    p_t.add_argument("--seed", type=int, default=0)
+    p_t.add_argument("--alpha")
+    p_t.add_argument("--beta")
+    p_t.add_argument("--seed", default="0")
     p_t.add_argument("--out", required=True)
     # The run settings: defaults, values and checks come from SweepConfig.
     for key in RUN_SETTINGS:
@@ -413,7 +426,7 @@ def build_parser() -> _Parser:
 
     p_s = sub.add_parser("sweep", help="run a hyperparameter grid")
     p_s.add_argument("--config", required=True)
-    p_s.add_argument("--workers", type=int, default=None)
+    p_s.add_argument("--workers")
     p_s.add_argument("--out", required=True)
 
     p_r = sub.add_parser("report", help="merge tables or normalize histograms")

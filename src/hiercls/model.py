@@ -13,7 +13,7 @@ so identical inputs reproduce traces bitwise.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .metrics import MetricReport, report_from_indices
 from .taxonomy import Taxonomy
 
 __all__ = [
-    "LossSpec",
     "build_objective",
     "ClassifierModel",
     "init_model",
@@ -39,7 +38,6 @@ __all__ = [
     "polynomial_minimum",
     "select_checkpoints",
     "evaluate_model",
-    "evaluate_checkpoints",
     "average_reports",
     "AveragedReport",
     "confidence_half_width",
@@ -65,38 +63,27 @@ class SettingError(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Which loss to train with: ``ce``, ``hxe`` (needs alpha), or ``soft``
-    (needs beta)."""
-
-    kind: str
-    alpha: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in LOSS_PARAMETERS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        name = LOSS_PARAMETERS[self.kind]
-        if name and getattr(self, name) is None:
-            raise ValueError(f"{self.kind} loss needs {name}")
-
-
-def build_objective(tax: Taxonomy, spec: LossSpec, head: str):
-    """Bind a loss to a taxonomy and head; returns a batch objective with
-    ``loss_batch`` and ``grad_batch``."""
+def build_objective(tax: Taxonomy, loss: str, param: float | None, head: str):
+    """Bind loss ``loss`` (``ce``; ``hxe``, whose ``param`` is alpha; or
+    ``soft``, whose ``param`` is beta) to a taxonomy and head; returns a
+    batch objective with ``loss_batch``, ``grad_batch`` and ``scores``. An
+    unknown loss, or hxe or soft without ``param``, raises ``ValueError``."""
+    if loss not in LOSS_PARAMETERS:
+        raise ValueError(f"unknown loss kind {loss!r}")
+    if LOSS_PARAMETERS[loss] and param is None:
+        raise ValueError(f"{loss} loss needs {LOSS_PARAMETERS[loss]}")
     if head not in HEADS:
         raise ValueError(f"head must be one of {HEADS}, got {head!r}")
     if head == "conditional":
-        if spec.kind == "soft":
+        if loss == "soft":
             raise ValueError("soft labels require the class head")
-        alpha = 0.0 if spec.kind == "ce" else spec.alpha
-        return L.ConditionalHxeObjective(tax, L.hxe_weights(tax, alpha))
-    if spec.kind == "ce":
+        return L.ConditionalHxeObjective(
+            tax, L.hxe_weights(tax, 0.0 if loss == "ce" else param))
+    if loss == "ce":
         return L.ClassCrossEntropy(tax)
-    if spec.kind == "hxe":
-        return L.ClassHxeObjective(tax, L.hxe_weights(tax, spec.alpha))
-    return L.ClassSoftLabelObjective(L.soft_label_matrix(tax, spec.beta))
+    if loss == "hxe":
+        return L.ClassHxeObjective(tax, L.hxe_weights(tax, param))
+    return L.ClassSoftLabelObjective(L.soft_label_matrix(tax, param))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +239,7 @@ class CheckpointRecord:
     step: int
     train_loss: float
     val_loss: float
-    val_report: MetricReport
+    report: MetricReport
     params: np.ndarray
 
 
@@ -261,23 +248,26 @@ class TrainingTrace:
     records: list[CheckpointRecord]
 
 
-def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
-          spec: LossSpec, optimizer: AdamOptimizer, schedule: TrainSchedule,
-          ks: tuple[int, ...] = (1, 5, 20)) -> TrainingTrace:
-    """Seeded mini-batch training with periodic validation checkpoints.
+def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
+          obj, optimizer: AdamOptimizer, schedule: TrainSchedule,
+          ks: tuple[int, ...]) -> TrainingTrace:
+    """Seeded mini-batch training of ``model`` under the objective ``obj``,
+    with periodic checkpoints.
 
     Batches are drawn from a fresh seeded shuffle each epoch (trailing
     partial batches are skipped). Every ``checkpoint_every`` steps the trace
-    records the running training loss, validation loss, a validation metric
-    report, and a parameter snapshot. Non-finite losses abort immediately.
+    records the running training loss, the ``val_ds`` loss, a metric report
+    on ``eval_ds`` ranked by ``obj.scores`` (from the validation logits when
+    ``eval_ds`` is ``val_ds``), and a parameter snapshot. Non-finite losses
+    abort immediately.
     """
-    obj = build_objective(tax, spec, model.head)
     if obj.num_outputs != model.output_dim:
         raise ValueError("model output dim does not match head for this taxonomy")
     X = train_ds.features
     t = train_ds.label_indices(tax)
     Xv = val_ds.features
     tv = val_ds.label_indices(tax)
+    te = tv if eval_ds is val_ds else eval_ds.label_indices(tax)
     rng = np.random.default_rng([schedule.seed, 1])
     n = len(X)
     bsz = min(schedule.batch_size, n)
@@ -305,14 +295,17 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds,
         run_sum += loss
         run_count += 1
         if step % schedule.checkpoint_every == 0:
-            Zv = forward(model, Xv)
-            val_loss = float(obj.loss_batch(Zv, tv).mean())
-            report = _report_from_logits(tax, obj, Zv, tv, ks)
+            # One name for the checkpoint's logits, so that none outlive the
+            # next checkpoint's forward pass.
+            Zc = forward(model, Xv)
+            val_loss = float(obj.loss_batch(Zc, tv).mean())
+            if eval_ds is not val_ds:
+                Zc = forward(model, eval_ds.features)
             records.append(CheckpointRecord(
                 step=step,
                 train_loss=run_sum / run_count,
                 val_loss=val_loss,
-                val_report=report,
+                report=_report_from_logits(tax, obj, Zc, te, ks),
                 params=model.params.copy(),
             ))
             run_sum, run_count = 0.0, 0
@@ -349,7 +342,7 @@ def _report_from_logits(tax, obj, Z, truth_idx, ks) -> MetricReport:
 
 
 def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
-                   ks: tuple[int, ...] = (1, 5, 20)) -> MetricReport:
+                   ks: tuple[int, ...]) -> MetricReport:
     """Metric report for one parameter set, ranked by ``obj.scores``: any
     objective of the model's head, built once by the caller (class-head
     scores are the logits, conditional-head scores the factorized log leaf
@@ -458,18 +451,6 @@ def average_reports(reports: list[MetricReport]) -> AveragedReport:
         severity_histogram=dict(sorted(hist.items())), reports=reports)
 
 
-def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
-                         trace: TrainingTrace, indices: list[int], ds,
-                         ks: tuple[int, ...] = (1, 5, 20)) -> AveragedReport:
-    """Average the reports of the trace's checkpoints at ``indices``, all
-    ranked by one objective of the model's head."""
-    obj = build_objective(tax, LossSpec("ce"), model.head)
-    return average_reports([
-        evaluate_model(tax, replace(model, params=trace.records[i].params), ds,
-                       obj, ks)
-        for i in indices])
-
-
 # ---------------------------------------------------------------------------
 # Text serialization
 # ---------------------------------------------------------------------------
@@ -477,11 +458,11 @@ def evaluate_checkpoints(tax: Taxonomy, model: ClassifierModel,
 
 def trace_to_csv(trace: TrainingTrace) -> str:
     """``step,train_loss,val_loss,<metric columns>`` rows."""
-    scalar_names = list(trace.records[0].val_report.scalars().keys())
+    scalar_names = list(trace.records[0].report.scalars().keys())
     header = ",".join(["step", "train_loss", "val_loss"] + scalar_names)
     lines = [header]
     for r in trace.records:
-        scalars = r.val_report.scalars()
+        scalars = r.report.scalars()
         cells = [str(r.step), fmt(r.train_loss), fmt(r.val_loss)]
         cells += [fmt(scalars[name]) for name in scalar_names]
         lines.append(",".join(cells))

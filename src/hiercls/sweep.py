@@ -3,7 +3,7 @@ label-randomized taxonomy, emitting tradeoff tables and per-point severity
 histograms as CSV.
 
 Each sweep point is an isolated deterministic job (train, select
-checkpoints, evaluate the selection); points run in a worker pool and the
+checkpoints, average their reports); points run in a worker pool and the
 merge is single-threaded, so results do not depend on pool size. A point
 whose inputs or numerics fail is recorded and skipped rather than aborting
 the grid.
@@ -26,9 +26,9 @@ import numpy as np
 
 from .data import DataError, Dataset, SplitSpec, dataset_from_csv, split
 from .fileio import fmt, meta_header, sha16, write_text
-from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, LossSpec,
-                    SettingError, TrainingDivergedError, TrainSchedule,
-                    confidence_half_width, evaluate_checkpoints, init_model,
+from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, SettingError,
+                    TrainingDivergedError, TrainSchedule, average_reports,
+                    build_objective, confidence_half_width, init_model,
                     select_checkpoints, trace_to_csv, train)
 from .taxonomy import Taxonomy, load_taxonomy, randomize_leaves
 
@@ -100,9 +100,13 @@ class SweepConfig:
             if not ok:
                 raise SettingError(key, f"{message}, got {getattr(self, key)!r}")
         # Every point builds these; building them once here rejects a bad
-        # schedule or learning rate before any point runs.
+        # schedule, learning rate or split before any point runs.
         TrainSchedule(self.steps, self.batch_size, self.checkpoint_every, seed=0)
         AdamOptimizer(self.lr)
+        try:
+            SplitSpec(self.split, self.split_seed)
+        except DataError as exc:
+            raise SettingError("split", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +300,23 @@ def _taxonomy_variants(tax: Taxonomy, source: str) -> list[tuple[str, Taxonomy]]
 def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
               cfg: SweepConfig, param, seed: int):
     """The paper's protocol for one model, used by ``train`` and by every
-    sweep point: train with loss parameter ``param`` (``None`` for ce) and
-    seed ``seed`` on ``splits[0]``, select 5 checkpoints on the quartic fit
-    of the ``splits[1]`` loss, and average their reports on the
-    ``cfg.eval_split`` part. Returns the trained model, its trace, the
-    selected trace indices and the averaged report."""
-    spec = LossSpec(cfg.loss, alpha=param if cfg.loss == "hxe" else None,
-                    beta=param if cfg.loss == "soft" else None)
+    sweep point. Train under the run's one objective (loss ``cfg.loss``
+    with parameter ``param``, ``None`` for ce) with seed ``seed`` on
+    ``splits[0]``; each checkpoint records the ``splits[1]`` loss and its
+    report on the ``cfg.eval_split`` part. Select 5 checkpoints on the
+    quartic fit of that loss alone and average their reports. Returns the
+    trained model, its trace, the selected trace indices and the averaged
+    report."""
     schedule = TrainSchedule(steps=cfg.steps, batch_size=cfg.batch_size,
                              checkpoint_every=cfg.checkpoint_every, seed=seed)
     model = init_model(tax, cfg.head, splits[0].feature_dim, seed=seed,
                        hidden_dim=cfg.hidden_dim)
-    trace = train(tax, model, splits[0], splits[1], spec,
-                  AdamOptimizer(lr=cfg.lr), schedule, ks=cfg.ks)
+    obj = build_objective(tax, cfg.loss, param, cfg.head)
+    trace = train(tax, model, splits[0], splits[1],
+                  splits[SPLIT_NAMES.index(cfg.eval_split)], obj,
+                  AdamOptimizer(lr=cfg.lr), schedule, cfg.ks)
     selected = select_checkpoints(trace, cfg.discard_before)
-    averaged = evaluate_checkpoints(
-        tax, model, trace, selected,
-        splits[SPLIT_NAMES.index(cfg.eval_split)], ks=cfg.ks)
+    averaged = average_reports([trace.records[i].report for i in selected])
     return model, trace, selected, averaged
 
 

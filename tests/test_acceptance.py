@@ -200,7 +200,7 @@ def test_criterion_08_epoch_selection():
 
     def trace_of(losses):
         records = [Md.CheckpointRecord(step=(i + 1) * 100, train_loss=0.0,
-                                       val_loss=v, val_report=None, params=[])
+                                       val_loss=v, report=None, params=[])
                    for i, v in enumerate(losses)]
         return Md.TrainingTrace(records=records)
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import TOY_TREE_EDGES, TOY_TREE_LEAVES
 from hiercls import sweep
 from hiercls.cli import main
+from hiercls.model import SettingError
 from hiercls.sweep import parse_sweep_config
 
 TINY_TRAIN = ["--steps", "60", "--batch-size", "16", "--checkpoint-every", "6",
@@ -318,14 +319,27 @@ class TestTrainCommand:
         (["--steps", "ten"], "--steps: invalid literal for int()"),
         (["--head", "bogus"], "--head: head must be one of"),
         (["--eval-split", "bogus"], "--eval-split: eval_split must be one of"),
+        (["--split", "0.5,0.3,0.3"],
+         "--split: split probabilities must sum to 1: (0.5, 0.3, 0.3)"),
+        (["--split", "1.2,-0.1,-0.1"],
+         "--split: split probabilities must each lie in (0, 1)"),
+        (["--loss", "hxe", "--alpha", "abc"],
+         "--alpha: could not convert string to float: 'abc'"),
+        (["--loss", "hxe", "--alpha", "0.1,0.2"],
+         "--alpha: needs one value, got '0.1,0.2'"),
+        (["--loss", "soft", "--beta", ""], "--beta: needs one value, got ''"),
+        (["--seed", "x"], "--seed: invalid literal for int()"),
+        (["--seed", "1,2"], "--seed: needs one value, got '1,2'"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
-            "steps_not_int", "bad_head", "bad_eval_split"])
+            "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
+            "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
+            "seed_not_int", "seed_list"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
         code = run("train", "--data", data, "--taxonomy", tree, "--classes",
                    workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
-                   *flags, "--seed", "0", "--out", out)
+                   "--seed", "0", *flags, "--out", out)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -386,6 +400,35 @@ class TestEvaluateCommand:
                    "--split-name", "val", "--ks", "1", "--checkpoint", ckpt,
                    "--out-report", rep2) == 0
         assert body(rep2)[0] == "metric,k,mean,half_width"
+
+    def test_eval_split_run_matches_evaluate_run(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "run"
+        assert run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "hxe", "--alpha", "0.5",
+                   *TINY_TRAIN, "--eval-split", "test", "--seed", "1",
+                   "--out", out) == 0
+        rep = workdir / "test_report.csv"
+        assert run("evaluate", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--split", "0.6,0.2,0.2",
+                   "--split-name", "test", "--ks", "1,2", "--run", out,
+                   "--out-report", rep) == 0
+        assert body(rep) == body(out / "report.csv")
+        # Each report.csv mean is the mean of the selected trace.csv rows.
+        trace = list(csv.DictReader(body(out / "trace.csv")))
+        picked = [trace[int(line.split(",")[0])]
+                  for line in body(out / "selected.csv")[1:]]
+        checked = set()
+        for metric, k, mean, _ in (line.split(",") for line in
+                                   body(out / "report.csv")[1:]):
+            column = {"top_k_error": f"top{k}_error",
+                      "avg_hier_dist_topk": f"avg_hier_dist_at_{k}"}.get(
+                          metric, metric)
+            if column in trace[0]:
+                checked.add(column)
+                assert float(mean) == np.mean([float(row[column])
+                                               for row in picked])
+        assert checked == set(trace[0]) - {"step", "train_loss", "val_loss"}
 
     @pytest.mark.parametrize("flags, message", [
         (["--split", "0.7,0.15,0.15"],
@@ -736,6 +779,10 @@ class TestSweepCommand:
         ({"steps": "ten"}, "config line 10: steps: invalid literal for int()"),
         ({"split": "0.5,0.5"}, "config line 7: split: needs three "
                                "comma-separated values, got '0.5,0.5'"),
+        ({"split": "0.5,0.3,0.3"},
+         "split probabilities must sum to 1: (0.5, 0.3, 0.3)"),
+        ({"split": "1.2,-0.1,-0.1"},
+         "split probabilities must each lie in (0, 1)"),
         ({"lr": "fast"}, "config line 14: lr: could not convert"),
         ({"loss": "ce"}, "loss ce takes no grid, got [0.1, 0.9]"),
         ({"seeds": ""}, "seeds must list at least one seed, got []"),
@@ -743,6 +790,7 @@ class TestSweepCommand:
                                           "'randomized:<seed>' or 'both:<seed>'"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
+            "split_sum", "split_outside_0_1",
             "lr_not_float", "ce_with_grid", "no_seeds", "seed_not_integer"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
@@ -752,6 +800,23 @@ class TestSweepCommand:
         assert run("sweep", "--config", cfg, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_workers_flag_exits_2(self, workdir, capsys):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data)
+        out = workdir / "sweep_bad"
+        assert run("sweep", "--config", cfg, "--workers", "two",
+                   "--out", out) == 2
+        assert ("--workers: invalid literal for int()"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_bad_split_rejected_when_the_config_is_read(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, split="0.5,0.3,0.3")
+        with pytest.raises(SettingError, match="must sum to 1") as caught:
+            parse_sweep_config(cfg.read_text(), workdir)
+        assert caught.value.key == "split"
 
     def test_repeated_key_rejected(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)

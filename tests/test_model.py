@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hiercls import model as Md
 from hiercls.data import Dataset, synth_hierarchical
 from hiercls.losses import ConditionalHxeObjective, hxe_weights, softmax_batch
 from hiercls.metrics import MetricReport
+from hiercls.sweep import SweepConfig, run_point
 from hiercls.taxonomy import load_edges, prune_to_tree
 
 
 def scorer(tax, head):
     """An objective of ``head``, which ``evaluate_model`` ranks with."""
-    return Md.build_objective(tax, Md.LossSpec("ce"), head)
+    return Md.build_objective(tax, "ce", None, head)
 
 
 def toy_points(tax, per_class=40, dim=6, noise=0.8, seed=0):
@@ -160,7 +162,7 @@ class TestFlatParametersMatchReference:
     def test_fifty_adam_steps_bitwise(self, toy_tree, head, hidden_dim):
         ds = toy_points(toy_tree, per_class=20)
         X, t = ds.features, ds.label_indices(toy_tree)
-        obj = Md.build_objective(toy_tree, Md.LossSpec("hxe", alpha=0.4), head)
+        obj = Md.build_objective(toy_tree, "hxe", 0.4, head)
         model = Md.init_model(toy_tree, head, ds.feature_dim, seed=4,
                               hidden_dim=hidden_dim)
         dims = [d for d, _ in model.shapes] + [model.output_dim]
@@ -192,9 +194,9 @@ class TestTraining:
         traces = []
         for _ in range(2):
             model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=3)
-            trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
-                             Md.AdamOptimizer(lr=0.01), self.schedule(seed=3),
-                             ks=(1,))
+            trace = Md.train(toy_tree, model, ds, ds, ds,
+                             scorer(toy_tree, "class"), Md.AdamOptimizer(lr=0.01),
+                             self.schedule(seed=3), ks=(1,))
             traces.append(trace)
         a, b = traces
         assert [r.step for r in a.records] == [r.step for r in b.records]
@@ -210,7 +212,7 @@ class TestTraining:
                        rng.normal(loc=3, size=(60, 2))])
         ds = Dataset(X, ["A"] * 60 + ["B"] * 60)
         model = Md.init_model(tax, "class", 2, seed=0)
-        Md.train(tax, model, ds, ds, Md.LossSpec("ce"),
+        Md.train(tax, model, ds, ds, ds, scorer(tax, "class"),
                  Md.AdamOptimizer(lr=0.05),
                  self.schedule(steps=2000, checkpoint_every=200), ks=(1,))
         report = Md.evaluate_model(tax, model, ds, scorer(tax, "class"), ks=(1,))
@@ -219,29 +221,30 @@ class TestTraining:
     def test_limit_traces_match_cross_entropy(self, toy_tree):
         ds = toy_points(toy_tree)
 
-        def run(spec):
+        def run(loss, param):
             model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=5)
-            return Md.train(toy_tree, model, ds, ds, spec,
+            obj = Md.build_objective(toy_tree, loss, param, "class")
+            return Md.train(toy_tree, model, ds, ds, ds, obj,
                             Md.AdamOptimizer(lr=0.01), self.schedule(seed=5),
                             ks=(1,))
 
-        ce = run(Md.LossSpec("ce"))
-        hxe = run(Md.LossSpec("hxe", alpha=1e-9))
-        soft = run(Md.LossSpec("soft", beta=1e9))
+        ce = run("ce", None)
+        hxe = run("hxe", 1e-9)
+        soft = run("soft", 1e9)
         for other in (hxe, soft):
             for r_ce, r_other in zip(ce.records, other.records):
                 assert abs(r_ce.train_loss - r_other.train_loss) < 1e-6
                 assert abs(r_ce.val_loss - r_other.val_loss) < 1e-6
 
     @pytest.mark.parametrize("spec,head", [
-        (Md.LossSpec("ce"), "class"),
-        (Md.LossSpec("hxe", alpha=0.5), "class"),
-        (Md.LossSpec("soft", beta=5.0), "class"),
-        (Md.LossSpec("hxe", alpha=0.3), "conditional"),
+        (("ce", None), "class"),
+        (("hxe", 0.5), "class"),
+        (("soft", 5.0), "class"),
+        (("hxe", 0.3), "conditional"),
     ])
     def test_full_batch_descent_monotone(self, toy_tree, spec, head):
         ds = toy_points(toy_tree)
-        obj = Md.build_objective(toy_tree, spec, head)
+        obj = Md.build_objective(toy_tree, *spec, head)
         model = Md.init_model(toy_tree, head, ds.feature_dim, seed=1)
         opt = Md.AdamOptimizer(lr=1e-3)
         X, t = ds.features, ds.label_indices(toy_tree)
@@ -252,7 +255,7 @@ class TestTraining:
             opt.update(model.params, Md.backprop(model, X, obj.grad_batch(Z, t)))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_divergence_aborts_with_step(self, toy_tree, monkeypatch):
+    def test_divergence_aborts_with_step(self, toy_tree):
         ds = toy_points(toy_tree)
 
         class Bad:
@@ -264,20 +267,28 @@ class TestTraining:
             def grad_batch(self, Z, t):
                 return np.zeros_like(Z)
 
-        monkeypatch.setattr(Md, "build_objective", lambda *a, **k: Bad())
         model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=0)
         with pytest.raises(Md.TrainingDivergedError, match="step 1"):
-            Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
+            Md.train(toy_tree, model, ds, ds, ds, Bad(),
                      Md.AdamOptimizer(lr=0.01), self.schedule(), ks=(1,))
 
     def test_soft_conditional_combination_rejected(self, toy_tree):
         with pytest.raises(ValueError):
-            Md.build_objective(toy_tree, Md.LossSpec("soft", beta=4.0),
-                               "conditional")
+            Md.build_objective(toy_tree, "soft", 4.0, "conditional")
+
+    @pytest.mark.parametrize("loss, message", [
+        ("focal", "unknown loss kind 'focal'"),
+        ("hxe", "hxe loss needs alpha"),
+        ("soft", "soft loss needs beta"),
+    ], ids=["unknown_loss", "hxe_without_alpha", "soft_without_beta"])
+    def test_build_objective_rejects_loss_without_its_parameter(
+            self, toy_tree, loss, message):
+        with pytest.raises(ValueError, match=message):
+            Md.build_objective(toy_tree, loss, None, "class")
 
     def test_mlp_parameter_gradients_match_fd(self, toy_tree):
         ds = toy_points(toy_tree, per_class=10)
-        obj = Md.build_objective(toy_tree, Md.LossSpec("hxe", alpha=0.4), "class")
+        obj = Md.build_objective(toy_tree, "hxe", 0.4, "class")
         model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=2,
                               hidden_dim=5)
         X, t = ds.features, ds.label_indices(toy_tree)
@@ -307,7 +318,7 @@ class TestTraining:
 class TestSelectCheckpoints:
     def fake_trace(self, steps, losses):
         records = [Md.CheckpointRecord(step=s, train_loss=0.0, val_loss=v,
-                                       val_report=None, params=[])
+                                       report=None, params=[])
                    for s, v in zip(steps, losses)]
         return Md.TrainingTrace(records=records)
 
@@ -395,7 +406,7 @@ class TestEvaluate:
     def test_perfect_classifier(self, toy_tree):
         ds = toy_points(toy_tree, per_class=20, noise=1e-3)
         model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=0)
-        Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
+        Md.train(toy_tree, model, ds, ds, ds, scorer(toy_tree, "class"),
                  Md.AdamOptimizer(lr=0.05),
                  Md.TrainSchedule(steps=800, batch_size=16,
                                   checkpoint_every=100, seed=0), ks=(1,))
@@ -424,7 +435,8 @@ class TestEvaluate:
         preds = {}
         for head in ("class", "conditional"):
             model = Md.init_model(toy_tree, head, ds.feature_dim, seed=1)
-            Md.train(toy_tree, model, ds, ds, Md.LossSpec("hxe", alpha=0.0),
+            Md.train(toy_tree, model, ds, ds, ds,
+                     Md.build_objective(toy_tree, "hxe", 0.0, head),
                      Md.AdamOptimizer(lr=0.05),
                      Md.TrainSchedule(steps=1500, batch_size=32,
                                       checkpoint_every=300, seed=1), ks=(1,))
@@ -433,21 +445,6 @@ class TestEvaluate:
             preds[head] = report.top_k_error[1]
         assert preds["class"] == 0.0
         assert preds["conditional"] == 0.0
-
-    def test_evaluate_checkpoints_averages(self, toy_tree):
-        ds = toy_points(toy_tree)
-        model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=0)
-        trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
-                         Md.AdamOptimizer(lr=0.01),
-                         Md.TrainSchedule(steps=600, batch_size=16,
-                                          checkpoint_every=60, seed=0), ks=(1,))
-        chosen = Md.select_checkpoints(trace, 0)
-        avg = Md.evaluate_checkpoints(toy_tree, model, trace, chosen, ds, ks=(1,))
-        assert len(avg.reports) == 5
-        vals = [r.top_k_error[1] for r in avg.reports]
-        assert avg.means["top1_error"] == pytest.approx(np.mean(vals))
-        hw = Md.confidence_half_width(vals)
-        assert avg.half_widths["top1_error"] == pytest.approx(hw)
 
     def test_conditional_scores_ignore_the_weights(self, toy_tree):
         ds = toy_points(toy_tree, per_class=10)
@@ -458,30 +455,68 @@ class TestEvaluate:
                    for alpha in (0.0, 0.7)]
         assert reports[0] == reports[1]
 
-    def test_evaluate_checkpoints_builds_one_scoring_objective(self, toy_tree,
-                                                              monkeypatch):
-        ds = toy_points(toy_tree)
-        model = Md.init_model(toy_tree, "conditional", ds.feature_dim, seed=0)
-        trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("hxe", alpha=0.5),
-                         Md.AdamOptimizer(lr=0.01),
-                         Md.TrainSchedule(steps=600, batch_size=16,
-                                          checkpoint_every=60, seed=0), ks=(1, 2))
-        chosen = Md.select_checkpoints(trace, 0)
-        built = []
-        init = ConditionalHxeObjective.__init__
-        monkeypatch.setattr(ConditionalHxeObjective, "__init__",
-                            lambda self, *args: init(self, *args) or built.append(1))
-        avg = Md.evaluate_checkpoints(toy_tree, model, trace, chosen, ds, ks=(1, 2))
-        assert len(built) == 1
-        # Training ranked the same rows with its alpha = 0.5 objective.
-        assert avg.reports == [trace.records[i].val_report for i in chosen]
-
     def test_confidence_half_width_hand_value(self):
         vals = [1.0, 2.0, 3.0, 4.0, 5.0]
         # sample std = sqrt(2.5); hand computation of 1.96 * std / sqrt(5)
         expected = 1.96 * math.sqrt(2.5) / math.sqrt(5)
         assert Md.confidence_half_width(vals) == pytest.approx(expected, abs=1e-12)
         assert Md.confidence_half_width([4.2]) == 0.0
+
+
+class TestRunPoint:
+    def config(self, loss, **kw):
+        """A run config; ``run_point`` reads none of its input paths."""
+        base = dict(steps=600, batch_size=16, checkpoint_every=60,
+                    discard_before=0, lr=0.01, ks=(1, 2))
+        return SweepConfig(loss, "", "", "", **dict(base, **kw))
+
+    def test_averages_the_selected_reports(self, toy_tree):
+        ds = toy_points(toy_tree)
+        _, trace, selected, avg = run_point(toy_tree, (ds, ds, ds),
+                                            self.config("ce"), None, 0)
+        assert selected == Md.select_checkpoints(trace, 0)
+        assert avg == Md.average_reports([trace.records[i].report
+                                          for i in selected])
+        vals = [trace.records[i].report.top_k_error[1] for i in selected]
+        assert avg.means["top1_error"] == pytest.approx(np.mean(vals))
+        hw = Md.confidence_half_width(vals)
+        assert avg.half_widths["top1_error"] == pytest.approx(hw)
+
+    def test_builds_one_objective(self, toy_tree, monkeypatch):
+        ds = toy_points(toy_tree)
+        built = []
+        init = ConditionalHxeObjective.__init__
+        monkeypatch.setattr(ConditionalHxeObjective, "__init__",
+                            lambda self, *args: init(self, *args) or built.append(1))
+        run_point(toy_tree, (ds, ds, ds),
+                  self.config("hxe", head="conditional"), 0.5, 0)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("head", Md.HEADS)
+    def test_reports_score_each_checkpoint_on_the_eval_split(self, toy_tree,
+                                                             head):
+        ds = toy_points(toy_tree)
+        held_out = toy_points(toy_tree, per_class=15, seed=9)
+        splits = (ds, ds, held_out)
+        model, on_val, selected, _ = run_point(
+            toy_tree, splits, self.config("hxe", head=head), 0.5, 0)
+        _, on_test, selected_test, avg = run_point(
+            toy_tree, splits, self.config("hxe", head=head, eval_split="test"),
+            0.5, 0)
+        # Training and selection read only the validation split.
+        assert selected_test == selected
+        ce = scorer(toy_tree, head)
+        for a, b in zip(on_val.records, on_test.records, strict=True):
+            assert (a.step, a.train_loss, a.val_loss) == (b.step, b.train_loss,
+                                                          b.val_loss)
+            assert a.params.tobytes() == b.params.tobytes()
+            # Ranked by the alpha = 0.5 objective, scored as under ce.
+            checkpoint = replace(model, params=a.params)
+            assert a.report == Md.evaluate_model(toy_tree, checkpoint, ds, ce,
+                                                 ks=(1, 2))
+            assert b.report == Md.evaluate_model(toy_tree, checkpoint, held_out,
+                                                 ce, ks=(1, 2))
+        assert avg.reports == [on_test.records[i].report for i in selected]
 
 
 def stable_top(scores, width):
@@ -577,7 +612,7 @@ class TestCheckpointText:
     def test_trace_csv_columns(self, toy_tree):
         ds = toy_points(toy_tree, per_class=10)
         model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=0)
-        trace = Md.train(toy_tree, model, ds, ds, Md.LossSpec("ce"),
+        trace = Md.train(toy_tree, model, ds, ds, ds, scorer(toy_tree, "class"),
                          Md.AdamOptimizer(lr=0.01),
                          Md.TrainSchedule(steps=60, batch_size=8,
                                           checkpoint_every=20, seed=0), ks=(1, 2))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,16 +101,19 @@ def cmd_hierarchy(args) -> int:
                                                "--edits"))
         write_text(args.out, _export_with_header(tax))
     elif args.action == "randomize":
+        seed = read_setting("seed", args.seed, "--seed")
+        if seed < 0:
+            raise ValueError(f"--seed: seed must be >= 0, got {seed}")
         tax = load_tax(args.taxonomy, args.classes)
-        randomized = randomize_leaves(tax, args.seed)
+        randomized = randomize_leaves(tax, seed)
         write_text(args.out, _export_with_header(
-            randomized, {"randomize_seed": args.seed,
+            randomized, {"randomize_seed": seed,
                          "source_taxonomy_hash": tax.hash_hex()}))
-        perm = leaf_permutation(tax, args.seed)
+        perm = leaf_permutation(tax, seed)
         lines = ["slot,label_before,label_after"]
         lines += [f"{i},{a},{b}" for i, (a, b) in enumerate(perm)]
         sidecar = args.permutation_out or (args.out + ".permutation.csv")
-        write_csv(sidecar, {"randomize_seed": args.seed,
+        write_csv(sidecar, {"randomize_seed": seed,
                             "source_taxonomy_hash": tax.hash_hex()}, lines)
     else:  # export
         tax = load_tax(args.taxonomy, args.classes)
@@ -123,10 +127,11 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    tax = load_tax(args.taxonomy, args.classes)
-    values = {key: getattr(args, key) for key in (
+    values = {key: read_setting(key, getattr(args, key), _flag(key)) for key in (
         "per_class", "dim", "step_scale", "noise_scale", "level_decay", "seed")}
-    ds = synth_hierarchical(tax, **values)
+    tax = load_tax(args.taxonomy, args.classes)
+    with _flag_named():
+        ds = synth_hierarchical(tax, **values)
     # Floats in round-trip form; integers stay numbers in the JSON manifest.
     params = {key: fmt(value) if isinstance(value, float) else value
               for key, value in values.items()}
@@ -173,7 +178,17 @@ _EVALUATE_SETTINGS = ("split", "split_seed", "ks")
 
 
 def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
+    """The flag of setting ``key``; ``train --seed`` gives the ``seeds``."""
+    return "--seed" if key == "seeds" else "--" + key.replace("_", "-")
+
+
+@contextmanager
+def _flag_named():
+    """Re-raise a ``SettingError`` naming the flag of its key."""
+    try:
+        yield
+    except SettingError as exc:
+        raise ValueError(f"{_flag(exc.key)}: {exc}") from None
 
 
 def _config(args, loss: str, keys, **values) -> SweepConfig:
@@ -181,10 +196,8 @@ def _config(args, loss: str, keys, **values) -> SweepConfig:
     were given and ``values``; a bad value's error names its flag."""
     values.update((key, read_setting(key, getattr(args, key), _flag(key)))
                   for key in keys if getattr(args, key) is not None)
-    try:
+    with _flag_named():
         return SweepConfig(loss, args.data, args.taxonomy, args.classes, **values)
-    except SettingError as exc:
-        raise ValueError(f"{_flag(exc.key)}: {exc}") from None
 
 
 def _one_value(key: str, flag: str, text: str):
@@ -376,7 +389,7 @@ def build_parser() -> _Parser:
     p_rand = hsub.add_parser("randomize")
     p_rand.add_argument("--taxonomy", required=True)
     p_rand.add_argument("--classes", required=True)
-    p_rand.add_argument("--seed", type=int, required=True)
+    p_rand.add_argument("--seed", required=True)
     p_rand.add_argument("--out", required=True)
     p_rand.add_argument("--permutation-out", default=None)
     p_exp = hsub.add_parser("export")
@@ -387,12 +400,12 @@ def build_parser() -> _Parser:
     p_g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p_g.add_argument("--taxonomy", required=True)
     p_g.add_argument("--classes", required=True)
-    p_g.add_argument("--per-class", type=int, default=500)
-    p_g.add_argument("--dim", type=int, default=16)
-    p_g.add_argument("--step-scale", type=float, default=1.0)
-    p_g.add_argument("--noise-scale", type=float, default=0.75)
-    p_g.add_argument("--level-decay", type=float, default=1.0)
-    p_g.add_argument("--seed", type=int, default=0)
+    p_g.add_argument("--per-class", default="500")
+    p_g.add_argument("--dim", default="16")
+    p_g.add_argument("--step-scale", default="1.0")
+    p_g.add_argument("--noise-scale", default="0.75")
+    p_g.add_argument("--level-decay", default="1.0")
+    p_g.add_argument("--seed", default="0")
     p_g.add_argument("--out", required=True)
 
     p_t = sub.add_parser("train", help="train one classifier")

@@ -9,11 +9,13 @@ its leaf mean. This makes hierarchical effects measurable at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fileio import fmt
+from .model import SettingError
 from .taxonomy import Taxonomy
 
 __all__ = [
@@ -157,12 +159,18 @@ def synth_hierarchical(tax: Taxonomy, per_class: int, dim: int,
     Node means follow a random walk down the tree: a child's mean is its
     parent's plus a Gaussian step of scale ``step_scale * level_decay**(depth-1)``.
     Examples add Gaussian noise of scale ``noise_scale`` around leaf means.
-    Rows are emitted leaf-block by leaf-block in canonical class order.
+    Rows are emitted leaf-block by leaf-block in canonical class order. A
+    bad value raises ``SettingError`` naming its parameter.
     """
-    if step_scale < 0 or noise_scale <= 0:
-        raise DataError("step_scale must be >= 0 and noise_scale > 0")
-    if per_class < 1 or dim < 1:
-        raise DataError("per_class and dim must be positive")
+    for key, value, ok, rule in (
+            ("per_class", per_class, per_class >= 1, ">= 1"),
+            ("dim", dim, dim >= 1, ">= 1"),
+            ("step_scale", step_scale, 0 <= step_scale < math.inf, "finite and >= 0"),
+            ("noise_scale", noise_scale, 0 < noise_scale < math.inf, "finite and > 0"),
+            ("level_decay", level_decay, math.isfinite(level_decay), "finite"),
+            ("seed", seed, seed >= 0, ">= 0")):
+        if not ok:
+            raise SettingError(key, f"{key} must be {rule}, got {value}")
     rng = np.random.default_rng(seed)
     means = {tax.root: np.zeros(dim)}
     for node in tax.nodes_bfs[1:]:

@@ -91,6 +91,8 @@ class SweepConfig:
                  "taxonomy_source must be 'true', 'randomized:<seed>' or "
                  "'both:<seed>'"),
                 ("seeds", bool(self.seeds), "seeds must list at least one seed"),
+                ("seeds", min(self.seeds, default=0) >= 0, "seeds must be >= 0"),
+                ("split_seed", self.split_seed >= 0, "split_seed must be >= 0"),
                 ("hidden_dim", self.hidden_dim is None or self.hidden_dim >= 1,
                  "hidden_dim must be >= 1"),
                 ("discard_before", self.discard_before >= 0,
@@ -130,13 +132,16 @@ def parse_ks(text: str) -> tuple[int, ...]:
         raise ValueError(f"needs comma-separated integers, got {text!r}") from None
 
 
-# Config key -> value parser; keys not listed keep their text.
+# Config key -> value parser, then the numeric flags of ``gen-data`` and
+# ``hierarchy randomize``; keys not listed keep their text.
 _CONVERTERS: dict[str, Callable[[str], object]] = {
     "grid": lambda text: [float(v) for v in text.split(",") if v],
     "seeds": lambda text: [int(v) for v in text.split(",") if v],
     "split": parse_split, "ks": parse_ks, "lr": float,
     **dict.fromkeys(("split_seed", "steps", "batch_size", "checkpoint_every",
                      "discard_before", "hidden_dim", "workers"), int),
+    **dict.fromkeys(("per_class", "dim", "seed"), int),
+    **dict.fromkeys(("step_scale", "noise_scale", "level_decay"), float),
 }
 
 

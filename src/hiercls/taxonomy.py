@@ -2,9 +2,10 @@
 manual reparenting edits, LCA queries, severity distances, and leaf-label
 randomization.
 
-A ``Taxonomy`` is an immutable rooted tree whose zero-child nodes are the
-classification classes. The order of the leaf list is the canonical class
-index order used by every probability vector and matrix downstream.
+A ``Taxonomy`` is an immutable rooted tree built from one ordered children
+map; its zero-child nodes are the classification classes. The order of the
+leaf list is the canonical class index order used by every probability
+vector and matrix downstream.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ def _named(exc: HierarchyError, source: str) -> HierarchyError:
 class TaxonomyGraph:
     """A parsed parent->child edge set, prior to tree pruning.
 
-    May be a general DAG: nodes can have several parents. ``parents_of``,
-    ``children_of`` and ``depth`` are derived once by ``from_edges``.
+    May be a general DAG: nodes can have several parents. ``parents_of``
+    and ``depth`` are derived once by ``from_edges``.
     """
 
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
-    parents_of: dict[str, list[str]] = field(repr=False, default_factory=dict)
-    children_of: dict[str, list[str]] = field(repr=False, default_factory=dict)
-    depth: dict[str, int] = field(repr=False, default_factory=dict)
+    parents_of: dict[str, list[str]] = field(repr=False)
+    depth: dict[str, int] = field(repr=False)
 
     @staticmethod
     def from_edges(edges, source: str = "") -> "TaxonomyGraph":
@@ -95,7 +95,7 @@ class TaxonomyGraph:
             stuck = min(n for n in nodes if waiting[n])
             raise _named(CycleError(f"node {stuck!r} lies on a cycle or below one"),
                          source)
-        return TaxonomyGraph(nodes, edge_set, parents, children, depth)
+        return TaxonomyGraph(nodes, edge_set, parents, depth)
 
     def roots(self) -> list[str]:
         return sorted(n for n in self.nodes if not self.parents_of[n])
@@ -152,43 +152,35 @@ class Taxonomy:
     the maximum edge distance from it to any leaf of its subtree; the tree
     height is the height of the root, equal to the maximum leaf depth.
 
+    The ordered children map ``children`` from ``root`` is the one input
+    (a node that is no key has no children); ``parent`` is derived from it.
     ``leaves`` fixes the canonical class index order. ``nodes_bfs`` lists all
     nodes in breadth-first order starting at the root with children in stored
     order, which keeps every sibling group contiguous in ``nonroot_bfs``.
     """
 
-    def __init__(self, root: str, parent: dict[str, str],
-                 children: dict[str, list[str]], leaves: list[str]):
+    def __init__(self, root: str, children: dict[str, list[str]], leaves: list[str]):
         self.root = root
-        self.parent = dict(parent)
         self.children = {n: list(c) for n, c in children.items()}
         self.leaves = list(leaves)
         self._validate_and_index()
 
     def _validate_and_index(self) -> None:
-        nodes = set(self.parent) | {self.root}
-        if self.root in self.parent:
-            raise HierarchyError("root must not have a parent")
-        if len(self.parent) != len(nodes) - 1:
-            raise HierarchyError("parent map must cover every non-root node once")
-        for node, par in self.parent.items():
-            if par not in nodes:
-                raise UnknownNodeError(f"parent {par!r} of {node!r} is not a node")
-            if node not in self.children.get(par, []):
-                raise HierarchyError(f"children map misses edge {par!r}->{node!r}")
-        # One depth-first walk checks connectivity. Parents precede their
-        # children in it, and sorted stably by depth it is breadth-first.
+        # One depth-first walk rejects a child reached twice; the keys it
+        # misses are detached (and so are their children). Parents precede
+        # their children in it, and sorted stably by depth it is breadth-first.
         self._preorder = _preorder(self.root, self.children)
-        if set(self._preorder) != nodes:
-            missing = sorted(nodes - set(self._preorder))
-            raise HierarchyError(f"nodes unreachable from root: {missing}")
-        depth = {self.root: 0}
+        detached = sorted(set(self.children) - set(self._preorder))
+        if detached:
+            raise HierarchyError(f"nodes unreachable from root: {detached}")
+        parent, depth = {}, {self.root: 0}
         for node in self._preorder:
             kids = self.children.setdefault(node, [])
-            depth.update((kid, depth[node] + 1) for kid in kids)
+            parent.update(dict.fromkeys(kids, node))
+            depth.update(dict.fromkeys(kids, depth[node] + 1))
             if node != self.root and len(kids) == 1:
                 raise HierarchyError(f"internal node {node!r} has a single child")
-        self.depth = depth
+        self.parent, self.depth = parent, depth
         self.nodes_bfs = sorted(self._preorder, key=depth.__getitem__)
         self.nonroot_bfs = self.nodes_bfs[1:]
         # Depth-first leaf numbering: every subtree is the contiguous span
@@ -286,8 +278,8 @@ class Taxonomy:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Taxonomy):
             return NotImplemented
-        return (self.root == other.root and self.parent == other.parent
-                and self.children == other.children and self.leaves == other.leaves)
+        return (self.root == other.root and self.children == other.children
+                and self.leaves == other.leaves)
 
     def __repr__(self) -> str:
         return (f"Taxonomy(root={self.root!r}, nodes={self.num_nodes}, "
@@ -304,7 +296,8 @@ def prune_to_tree(graph: TaxonomyGraph, leaves: list[str]) -> Taxonomy:
     sequence (read from the class toward the root). The first parent assigned
     to a node is final, which keeps the growing structure a tree. Afterwards
     every single-child node other than the root is spliced out and the class
-    list becomes the canonical leaf order.
+    list becomes the canonical leaf order. The tree grows as one ordered
+    children map whose keys are its nodes, and that map builds the result.
 
     A longest path steps from each node to a parent exactly one level
     shallower in ``graph.depth``. For each class, the nodes on such paths up
@@ -330,59 +323,53 @@ def prune_to_tree(graph: TaxonomyGraph, leaves: list[str]) -> Taxonomy:
     def steps_up(node: str) -> list[str]:
         return [p for p in graph.parents_of[node] if depth[p] == depth[node] - 1]
 
-    tree_nodes: set[str] = {root}
-    tree_parent: dict[str, str] = {}
-    tree_children: dict[str, list[str]] = {root: []}
+    tree: dict[str, list[str]] = {root: []}  # one key per tree node
     for cls in leaves:
         # The nodes on the class's longest root paths, up to the growing
         # tree, one depth level a set.
         levels = [{cls}]
         while levels[-1]:
-            levels.append({p for node in levels[-1] if node not in tree_nodes
+            levels.append({p for node in levels[-1] if node not in tree
                            for p in steps_up(node)})
         # (new nodes on the node's best path, its step up), shallowest first.
         best: dict[str, tuple[int, str]] = {}
         for level in reversed(levels):
             for node in level:
-                if node in tree_nodes:
+                if node in tree:
                     best[node] = (0, node)  # the path ends here
                 else:
                     count, par = min((best[p][0], p) for p in steps_up(node))
                     best[node] = (count + 1, par)
         node = cls
-        while node not in tree_nodes:
+        tree.setdefault(cls, [])
+        while best[node][0]:  # a new node: hang it under its step up
             par = best[node][1]
-            tree_parent[node] = par
-            tree_nodes.add(node)
-            tree_children.setdefault(node, [])
-            tree_children.setdefault(par, []).append(node)
+            tree.setdefault(par, []).append(node)
             node = par
 
     for cls in leaves:
-        if tree_children.get(cls):
+        if tree[cls]:
             raise HierarchyError(
                 f"class {cls!r} lies on the kept path of another class"
             )
 
-    _splice_single_child(root, tree_parent, tree_children)
-    return Taxonomy(root, tree_parent, tree_children, leaves)
+    _splice_single_child(tree)
+    return Taxonomy(root, tree, leaves)
 
 
-def _splice_single_child(root: str, parent: dict[str, str],
-                         children: dict[str, list[str]]) -> None:
-    # Splicing never creates new single-child nodes, so one pass suffices;
-    # the root is exempt because its child has no grandparent to attach to.
-    for node in list(children):
-        if node == root:
-            continue
-        kids = children.get(node, [])
-        if len(kids) != 1:
-            continue
-        child, par = kids[0], parent[node]
-        siblings = children[par]
-        siblings[siblings.index(node)] = child
-        parent[child] = par
-        del parent[node]
+def _splice_single_child(children: dict[str, list[str]]) -> None:
+    """Give each child slot the lowest node of the single-child chain that
+    starts there, and drop the chain's other nodes. The root is no node's
+    child, so it may keep one child. Every node is a key; the key order
+    cannot change the result, as replacing a slot keeps each list's length."""
+    spliced = set()
+    for kids in children.values():
+        for i, kid in enumerate(kids):
+            while len(children[kid]) == 1:
+                spliced.add(kid)
+                kid = children[kid][0]
+            kids[i] = kid
+    for node in spliced:
         del children[node]
 
 
@@ -401,47 +388,41 @@ def load_taxonomy(edge_text: str, leaves: list[str], source: str = "",
 
 
 def apply_edits(tax: Taxonomy, edits: list[tuple[str, str]]) -> Taxonomy:
-    """Reparent nodes, then restore all tree invariants.
+    """Reparent nodes in a copy of the children map, then restore all tree
+    invariants; the edited map alone builds the result.
 
     Each edit is ``(node, new_parent)``. Edits apply sequentially; a node may
     not be the root and its new parent may not lie inside its own subtree
-    (that would create a cycle). Depths and heights are recomputed and the
-    single-child splice is re-run. Leaves that survive keep their canonical
-    order; nodes that become leaves are appended in depth-first order.
+    (that would create a cycle). The single-child splice is re-run. Leaves
+    that survive keep their canonical order; nodes that become leaves are
+    appended in depth-first order.
     """
-    parent = dict(tax.parent)
     children = {n: list(c) for n, c in tax.children.items()}
-
-    known = set(parent) | {tax.root}
+    parent = dict(tax.parent)  # kept in step for the cycle walk alone
     for node, new_parent in edits:
         if node == tax.root:
             raise HierarchyError("cannot reparent the root")
-        if node not in known:
-            raise UnknownNodeError(f"unknown node {node!r}")
-        if new_parent not in known:
-            raise UnknownNodeError(f"unknown node {new_parent!r}")
+        for known in (node, new_parent):
+            if known not in children:
+                raise UnknownNodeError(f"unknown node {known!r}")
         # Walk up from new_parent; hitting node means new_parent is in its subtree.
         probe = new_parent
-        while True:
-            if probe == node:
-                raise CycleError(
-                    f"reparenting {node!r} under {new_parent!r} creates a cycle"
-                )
-            if probe == tax.root:
-                break
+        while probe not in (node, tax.root):
             probe = parent[probe]
-        old = parent[node]
-        children[old].remove(node)
+        if probe == node:
+            raise CycleError(f"reparenting {node!r} under {new_parent!r} "
+                             "creates a cycle")
+        children[parent[node]].remove(node)
+        children[new_parent].append(node)
         parent[node] = new_parent
-        children.setdefault(new_parent, []).append(node)
 
-    _splice_single_child(tax.root, parent, children)
+    _splice_single_child(children)
 
     zero_child = dict.fromkeys(n for n in _preorder(tax.root, children)
-                               if not children.get(n))
+                               if not children[n])
     still = [leaf for leaf in tax.leaves if leaf in zero_child]
     new = [n for n in zero_child if n not in tax.leaf_index]
-    return Taxonomy(tax.root, parent, children, still + new)
+    return Taxonomy(tax.root, children, still + new)
 
 
 def _preorder(root: str, children: dict[str, list[str]]) -> list[str]:
@@ -473,9 +454,8 @@ def randomize_leaves(tax: Taxonomy, seed: int) -> Taxonomy:
     def ren(n: str) -> str:
         return relabel.get(n, n)
 
-    parent = {ren(n): ren(p) for n, p in tax.parent.items()}
     children = {ren(n): [ren(c) for c in kids] for n, kids in tax.children.items()}
-    return Taxonomy(tax.root, parent, children, list(tax.leaves))
+    return Taxonomy(tax.root, children, list(tax.leaves))
 
 
 def leaf_permutation(tax: Taxonomy, seed: int) -> list[tuple[str, str]]:

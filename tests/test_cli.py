@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -76,6 +77,19 @@ class TestHierarchyCommand:
         sidecar = workdir / "r1.tsv.permutation.csv"
         assert body(sidecar)[0] == "slot,label_before,label_after"
         assert len(body(sidecar)) == 4
+
+    @pytest.mark.parametrize("seed, message", [
+        ("x", "--seed: invalid literal for int() with base 10: 'x'"),
+        ("-1", "--seed: seed must be >= 0, got -1"),
+    ], ids=["not_int", "negative"])
+    def test_randomize_bad_seed_exits_2(self, workdir, capsys, seed, message):
+        out = workdir / "rand.tsv"
+        code = run("hierarchy", "randomize", "--taxonomy", workdir / "edges.tsv",
+                   "--classes", workdir / "classes.txt", "--seed", seed,
+                   "--out", out)
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_export_reimports_identically(self, workdir):
         tree, _ = gen_tree_and_data(workdir, per_class=5)
@@ -219,6 +233,43 @@ class TestHierarchyCommand:
         assert code == 2
         assert "--edges" in capsys.readouterr().err
 
+    def test_tree_writer_bytes_are_pinned(self, tmp_path):
+        # A DAG with shortcuts (R->K, R->M, R->h, Q->e) and single-child
+        # chains (P->W->U->V), classes out of depth-first order, and edits
+        # that leave Q and N with one child each. Plain text, so the digests
+        # hold on any numpy or BLAS.
+        edges = ("R\tP\nP\tQ\nQ\tK\nK\ta\nK\tb\nR\tK\nR\tM\nM\tc\nM\td\n"
+                 "R\tN\nN\tM\nN\te\nQ\te\nM\tg\nR\th\nN\th\nP\tW\nW\tU\n"
+                 "U\tV\nV\tf\nV\ti\n")
+        (tmp_path / "edges.tsv").write_text(edges)
+        (tmp_path / "classes.txt").write_text("h\na\nd\ne\nc\nb\ng\nf\ni\n")
+        (tmp_path / "edits.tsv").write_text("e\tM\nh\tK\n")
+        inputs = ["--classes", tmp_path / "classes.txt"]
+        assert run("hierarchy", "build", "--edges", tmp_path / "edges.tsv",
+                   *inputs, "--out", tmp_path / "tree.tsv") == 0
+        assert run("hierarchy", "build", "--edges", tmp_path / "edges.tsv",
+                   *inputs, "--edits", tmp_path / "edits.tsv",
+                   "--out", tmp_path / "edited.tsv") == 0
+        assert run("hierarchy", "randomize", "--taxonomy", tmp_path / "tree.tsv",
+                   *inputs, "--seed", "3", "--out", tmp_path / "rand.tsv") == 0
+        assert run("hierarchy", "export", "--taxonomy", tmp_path / "edited.tsv",
+                   *inputs, "--out", tmp_path / "exported.tsv") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("tree.tsv", "edited.tsv", "rand.tsv",
+                                "rand.tsv.permutation.csv", "exported.tsv")}
+        assert digests == {
+            "tree.tsv": "8db581387f158ac0cee734c10b256e67"
+                        "b4d06360c7fc3ee5b5f8539c8115b43f",
+            "edited.tsv": "f2e526d91db754da1bf38b8bbc1bf299"
+                          "a301c868c267adf0a6141c8b865442c4",
+            "rand.tsv": "a56e519bbb773c9e186772185a838810"
+                        "cedcdd024c2d15cbf4f651073dbf1187",
+            "rand.tsv.permutation.csv": "c318436d3458b486942c4e7b223aa06d"
+                                        "70554b033514502f07157b34b592fc3d",
+            "exported.tsv": "5ea6df7856d33c3a0bb07b5360590a04"
+                            "108cf3d58b26ec1896a3c8b786dc2955",
+        }
+
 
 class TestGenData:
     def test_writes_csv_and_manifest(self, workdir):
@@ -239,6 +290,32 @@ class TestGenData:
                    "--step-scale", "1.0", "--noise-scale", "0.6", "--seed", "5",
                    "--out", data) == 0
         assert data.read_bytes() == first
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--per-class", "x", "invalid literal for int() with base 10: 'x'"),
+        ("--per-class", "0", "per_class must be >= 1, got 0"),
+        ("--dim", "x", "invalid literal for int() with base 10: 'x'"),
+        ("--dim", "0", "dim must be >= 1, got 0"),
+        ("--step-scale", "x", "could not convert string to float: 'x'"),
+        ("--step-scale", "-1", "step_scale must be finite and >= 0, got -1.0"),
+        ("--noise-scale", "x", "could not convert string to float: 'x'"),
+        ("--noise-scale", "0", "noise_scale must be finite and > 0, got 0.0"),
+        ("--level-decay", "x", "could not convert string to float: 'x'"),
+        ("--level-decay", "nan", "level_decay must be finite, got nan"),
+        ("--seed", "x", "invalid literal for int() with base 10: 'x'"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ], ids=["per_class_not_int", "per_class_0", "dim_not_int", "dim_0",
+            "step_scale_not_float", "step_scale_negative",
+            "noise_scale_not_float", "noise_scale_0", "level_decay_not_float",
+            "level_decay_nan", "seed_not_int", "seed_negative"])
+    def test_bad_flag_exits_2_naming_it(self, workdir, capsys, flag, value,
+                                        message):
+        out = workdir / "data.csv"
+        code = run("gen-data", "--taxonomy", workdir / "edges.tsv", "--classes",
+                   workdir / "classes.txt", flag, value, "--out", out)
+        assert code == 2
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -330,10 +407,12 @@ class TestTrainCommand:
         (["--loss", "soft", "--beta", ""], "--beta: needs one value, got ''"),
         (["--seed", "x"], "--seed: invalid literal for int()"),
         (["--seed", "1,2"], "--seed: needs one value, got '1,2'"),
+        (["--seed", "-1"], "--seed: seeds must be >= 0, got [-1]"),
+        (["--split-seed", "-1"], "--split-seed: split_seed must be >= 0, got -1"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
             "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
             "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
-            "seed_not_int", "seed_list"])
+            "seed_not_int", "seed_list", "seed_negative", "split_seed_negative"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
@@ -438,8 +517,10 @@ class TestEvaluateCommand:
         (["--split", "0.60,0.20,0.200"], None),
         (["--split", "0.6,0.2,0.2", "--split-seed", "one"],
          "--split-seed: invalid literal for int()"),
+        (["--split", "0.6,0.2,0.2", "--split-seed", "-1"],
+         "--split-seed: split_seed must be >= 0, got -1"),
     ], ids=["other_split", "other_split_seed", "same_numbers",
-            "split_seed_not_int"])
+            "split_seed_not_int", "split_seed_negative"])
     def test_run_split_must_match_training(self, workdir, capsys, flags,
                                            message):
         tree, data = gen_tree_and_data(workdir)
@@ -786,12 +867,15 @@ class TestSweepCommand:
         ({"lr": "fast"}, "config line 14: lr: could not convert"),
         ({"loss": "ce"}, "loss ce takes no grid, got [0.1, 0.9]"),
         ({"seeds": ""}, "seeds must list at least one seed, got []"),
+        ({"seeds": "0,-1"}, "seeds must be >= 0, got [0, -1]"),
+        ({"split_seed": "-1"}, "split_seed must be >= 0, got -1"),
         ({"taxonomy_source": "both:abc"}, "taxonomy_source must be 'true', "
                                           "'randomized:<seed>' or 'both:<seed>'"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
             "split_sum", "split_outside_0_1",
-            "lr_not_float", "ce_with_grid", "no_seeds", "seed_not_integer"])
+            "lr_not_float", "ce_with_grid", "no_seeds", "negative_seed",
+            "negative_split_seed", "seed_not_integer"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_balanced_tree
 from hiercls.data import (DataError, Dataset, SplitSpec, dataset_from_csv,
                           dataset_to_csv, split, synth_hierarchical)
+from hiercls.model import SettingError
 
 
 def class_means(ds: Dataset) -> dict[str, np.ndarray]:
@@ -164,10 +165,12 @@ class TestSynthHierarchical:
         assert all(lo <= hi for lo, hi in zip(by_height, by_height[1:]))
 
     def test_invalid_params(self, toy_tree):
-        with pytest.raises(DataError):
+        with pytest.raises(SettingError, match="noise_scale must be") as err:
             synth_hierarchical(toy_tree, 5, 3, 1.0, 0.0, seed=0)
-        with pytest.raises(DataError):
+        assert err.value.key == "noise_scale"
+        with pytest.raises(SettingError, match="per_class must be") as err:
             synth_hierarchical(toy_tree, 0, 3, 1.0, 1.0, seed=0)
+        assert err.value.key == "per_class"
 
     def test_level_decay_shrinks_deep_steps(self):
         tax = make_balanced_tree(2, 3)

@@ -374,7 +374,7 @@ class TestObjectiveTreeData:
                                       lam_path)
 
     def test_root_that_is_its_only_leaf(self):
-        tax = Taxonomy("R", {}, {"R": []}, ["R"])
+        tax = Taxonomy("R", {"R": []}, ["R"])
         w = L.hxe_weights(tax, 0.5)
         obj = L.ClassHxeObjective(tax, w)
         np.testing.assert_array_equal(obj.coeff, class_coeff_oracle(tax, w))

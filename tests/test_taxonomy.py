@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 
@@ -11,7 +12,7 @@ from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, ancestry, brute_lca,
                       normalized_distance, shaped_trees)
 from hiercls.taxonomy import (CycleError, EdgeListParseError, HierarchyError,
                               Taxonomy, TaxonomyGraph, UnknownNodeError,
-                              apply_edits,
+                              _splice_single_child, apply_edits,
                               leaf_permutation, load_edges, load_taxonomy,
                               prune_to_tree, randomize_leaves)
 
@@ -79,16 +80,16 @@ class TestLoadEdges:
 
 
 class TestTaxonomyValidation:
-    @pytest.mark.parametrize("parent, children, error, match", [
-        ({"A": "R"}, {"R": ["A", "A"]}, CycleError, "'A' reached twice"),
-        ({"A": "R", "B": "A", "C": "A"}, {"R": ["A"], "A": ["B", "C"], "B": ["R"]},
+    @pytest.mark.parametrize("children, error, match", [
+        ({"R": ["A", "A"]}, CycleError, "'A' reached twice"),
+        ({"R": ["A"], "A": ["B", "C"], "B": ["R"]},
          CycleError, "'R' reached twice"),
-        ({"A": "B", "B": "A", "C": "R"}, {"R": ["C"], "A": ["B"], "B": ["A"]},
+        ({"R": ["C"], "A": ["B"], "B": ["A"]},
          HierarchyError, r"unreachable from root: \['A', 'B'\]"),
     ], ids=["repeated_child", "edge_back_to_root", "detached_cycle"])
-    def test_malformed_maps_rejected(self, parent, children, error, match):
+    def test_malformed_maps_rejected(self, children, error, match):
         with pytest.raises(error, match=match):
-            Taxonomy("R", parent, children, ["C"])
+            Taxonomy("R", children, ["C"])
 
 
 def small_layered_dag(rng: np.random.Generator):
@@ -113,6 +114,20 @@ def small_layered_dag(rng: np.random.Generator):
     return edges, classes
 
 
+def splice_oracle(root: str, children: dict[str, list[str]]):
+    """Remove the first non-root single-child node in key order, its child
+    taking its slot under its parent, until none is left; returns
+    ``children``."""
+    while True:
+        single = [n for n, kids in children.items() if n != root and len(kids) == 1]
+        if not single:
+            return children
+        node = single[0]
+        (child,) = children.pop(node)
+        siblings = next(kids for kids in children.values() if node in kids)
+        siblings[siblings.index(node)] = child
+
+
 def prune_oracle(edges, classes) -> Taxonomy:
     """Brute force over whole paths: for each class in order, every longest
     class-to-root path, the minimum (nodes not yet in the tree, path) spliced
@@ -127,7 +142,6 @@ def prune_oracle(edges, classes) -> Taxonomy:
             return [(root,)]
         return [(node,) + rest for p in parents[node] for rest in paths_up(p)]
 
-    parent: dict[str, str] = {}
     children: dict[str, list[str]] = {root: []}  # one key per tree node
     for cls in classes:
         paths = paths_up(cls)
@@ -138,18 +152,9 @@ def prune_oracle(edges, classes) -> Taxonomy:
         for node, par in zip(path, path[1:]):
             if node in tree:
                 break
-            parent[node] = par
             children.setdefault(node, [])
             children.setdefault(par, []).append(node)
-    while True:
-        single = [n for n, kids in children.items() if n != root and len(kids) == 1]
-        if not single:
-            return Taxonomy(root, parent, children, classes)
-        node = single[0]
-        (child,), par = children.pop(node), parent.pop(node)
-        siblings = children[par]
-        siblings[siblings.index(node)] = child
-        parent[child] = par
+    return Taxonomy(root, splice_oracle(root, children), classes)
 
 
 class TestPruneToTree:
@@ -231,6 +236,29 @@ class TestPruneToTree:
         t = prune_to_tree(load_edges(TOY_TREE_EDGES), ["C", "A", "B"])
         assert t.leaves == ["C", "A", "B"]
         assert t.leaf_index == {"C": 0, "A": 1, "B": 2}
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_trees(), st.data())
+    def test_splice_ignores_key_order(self, tax, data):
+        # Stretch edges into single-child chains of up to three new nodes,
+        # maybe under a new root whose one child starts a chain, then splice
+        # with the keys shuffled and compare with the one-at-a-time oracle.
+        children = {n: list(kids) for n, kids in tax.children.items()}
+        fresh = (f"x{i}" for i in itertools.count())
+        root, expected = tax.root, dict(tax.children)
+        if len(tax.children[root]) > 1 and data.draw(st.booleans()):
+            root, expected = "top", dict(expected, top=[tax.root])
+            children["top"] = [tax.root]
+        for kids in list(children.values()):
+            for i, kid in enumerate(kids):
+                for _ in range(data.draw(st.integers(0, 3))):
+                    link = next(fresh)
+                    children[link], kid = [kid], link
+                kids[i] = kid
+        order = data.draw(st.permutations(list(children)))
+        shuffled = {n: list(children[n]) for n in order}
+        _splice_single_child(shuffled)
+        assert shuffled == splice_oracle(root, children) == expected
 
     def test_random_dags_satisfy_contract(self):
         rng = np.random.default_rng(11)
@@ -447,6 +475,18 @@ def assert_span_matrices_match_oracles(tax):
     np.testing.assert_array_equal(tax.leaf_membership(), membership)
 
 
+def assert_rebuilt_from_children_map(tax):
+    """The ordered children map alone rebuilds ``tax``, and the derived
+    parent map inverts it."""
+    rebuilt = Taxonomy(tax.root, tax.children, tax.leaves)
+    assert rebuilt == tax
+    assert (rebuilt.parent, rebuilt.depth, rebuilt.nodes_bfs) == (
+        tax.parent, tax.depth, tax.nodes_bfs)
+    assert rebuilt.export_edges() == tax.export_edges()
+    assert tax.parent == {kid: node for node, kids in tax.children.items()
+                          for kid in kids}
+
+
 def export_oracle(tax) -> str:
     """Edge list by an explicit stack walk: pop a node, write its child
     edges, push its children in reverse."""
@@ -463,12 +503,15 @@ class TestDepthFirstSpans:
     @given(shaped_trees())
     def test_matrices_match_oracles(self, tax):
         assert_span_matrices_match_oracles(tax)
+        assert_rebuilt_from_children_map(tax)
         assert tax.export_edges() == export_oracle(tax)
 
     @settings(max_examples=100, deadline=None)
     @given(shaped_trees(), st.integers(0, 2**32 - 1))
     def test_randomized_leaves_match_oracles(self, tax, seed):
-        assert_span_matrices_match_oracles(randomize_leaves(tax, seed))
+        randomized = randomize_leaves(tax, seed)
+        assert_span_matrices_match_oracles(randomized)
+        assert_rebuilt_from_children_map(randomized)
 
     @settings(max_examples=100, deadline=None)
     @given(shaped_trees(), st.data())
@@ -478,3 +521,4 @@ class TestDepthFirstSpans:
             targets = [n for n in tax.nodes_bfs if node not in ancestry(tax, n)]
             tax = apply_edits(tax, [(node, data.draw(st.sampled_from(targets)))])
         assert_span_matrices_match_oracles(tax)
+        assert_rebuilt_from_children_map(tax)

@@ -25,9 +25,8 @@ for node in tax.nonroot_bfs:
     print(f"  p({node} | parent) = {cond:.4f}")
 
 for alpha in (0.0, 0.5, 1.5):
-    w = L.hxe_weights(tax, alpha)
-    ls = L.hxe_loss(tax, w, p_sibling, "A")
-    lo = L.hxe_loss(tax, w, p_outlier, "A")
+    ls = L.hxe_loss(tax, alpha, p_sibling, "A")
+    lo = L.hxe_loss(tax, alpha, p_outlier, "A")
     print(f"alpha={alpha:>4}: loss(mass on sibling)={ls:.4f}  "
           f"loss(mass on outlier)={lo:.4f}")
 # With alpha=0 both allocations cost the same (plain cross-entropy).
@@ -36,22 +35,20 @@ for alpha in (0.0, 0.5, 1.5):
 
 # --- soft labels ------------------------------------------------------------
 for beta in (0.0, 4.0, 30.0):
-    m = L.soft_label_matrix(tax, beta)
+    rows = L.soft_label_matrix(tax, beta)
     print(f"beta={beta:>4}: target row for truth A =",
-          np.round(m.rows[tax.leaf_index["A"]], 4))
+          np.round(rows[tax.leaf_index["A"]], 4))
 # Small beta spreads the target toward relatives; large beta recovers the
 # one-hot target, and the loss collapses to ordinary cross-entropy:
-m_hot = L.soft_label_matrix(tax, 1e9)
 print("soft loss at beta=1e9:",
-      L.soft_label_loss(m_hot, p_sibling, "A"),
+      L.soft_label_loss(tax, 1e9, p_sibling, "A"),
       "vs -log p(A):", -np.log(p_sibling[0]))
 
 # --- analytic gradients vs finite differences -------------------------------
 rng = np.random.default_rng(0)
 z = rng.normal(size=3)
-w = L.hxe_weights(tax, 0.7)
-analytic = L.hxe_grad(tax, w, z, "A")
-obj = L.ClassHxeObjective(tax, w)
+analytic = L.hxe_grad(tax, 0.7, z, "A")
+obj = L.ClassHxeObjective(tax, 0.7)
 numeric = np.zeros(3)
 for i in range(3):
     zp, zm = z.copy(), z.copy()

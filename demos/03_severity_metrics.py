@@ -8,7 +8,7 @@ measures can.
 
 import numpy as np
 
-from hiercls.metrics import PredictionBatch, compute_report
+from hiercls.metrics import report_from_indices
 from hiercls.taxonomy import load_edges, prune_to_tree
 
 edges, classes = [], []
@@ -24,15 +24,17 @@ tax = prune_to_tree(load_edges("".join(f"{a}\t{b}\n" for a, b in edges)), classe
 
 rng = np.random.default_rng(1)
 truths = [classes[rng.integers(27)] for _ in range(300)]
+truth_idx = [tax.leaf_index[c] for c in truths]
 
 
 def rank_with_mistakes(confuser):
+    """Each example's top-5 class indices; 30% of top-1s are confused."""
     rankings = []
     for truth in truths:
         top = confuser(truth) if rng.random() < 0.3 else truth
         rest = [c for c in classes if c != top]
-        rankings.append([top] + rest[:4])
-    return PredictionBatch(rankings=rankings, truths=truths)
+        rankings.append([tax.leaf_index[c] for c in [top] + rest[:4]])
+    return rankings
 
 
 def sibling_confuser(truth):
@@ -47,7 +49,8 @@ def random_confuser(truth):
 
 for name, confuser in (("sibling-confuser", sibling_confuser),
                        ("random-confuser", random_confuser)):
-    report = compute_report(tax, rank_with_mistakes(confuser), ks=(1, 5))
+    report = report_from_indices(tax, rank_with_mistakes(confuser), truth_idx,
+                                 (1, 5))
     print(f"{name}:")
     print(f"  top-1 error          {report.top_k_error[1]:.3f}")
     print(f"  top-5 error          {report.top_k_error[5]:.3f}")

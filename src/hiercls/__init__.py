@@ -10,11 +10,9 @@ from .taxonomy import (HierarchyError, EdgeListParseError, CycleError,
                        UnknownNodeError, TaxonomyGraph, Taxonomy, load_edges,
                        prune_to_tree, load_taxonomy, apply_edits,
                        randomize_leaves)
-from .losses import (EPS, HxeWeights, hxe_weights, hxe_loss, hxe_grad,
-                     SoftLabelMatrix, soft_label_matrix, soft_label_loss)
-from .metrics import (PredictionBatch, MetricReport, top_k_error,
-                      hier_dist_mistake, avg_hier_dist_topk,
-                      severity_histogram, compute_report)
+from .losses import (EPS, hxe_loss, hxe_grad, soft_label_matrix,
+                     soft_label_loss)
+from .metrics import MetricReport, report_from_indices
 from .data import (DataError, Dataset, SplitSpec, dataset_from_csv,
                    dataset_to_csv, split, synth_hierarchical)
 from .model import (ClassifierModel, init_model, forward, AdamOptimizer,

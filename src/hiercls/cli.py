@@ -309,7 +309,9 @@ def cmd_sweep(args) -> int:
     config = parse_sweep_config(read_input(args.config, "--config"),
                                 Path(args.config).parent)
     if args.workers is not None:
-        config.workers = read_setting("workers", args.workers, "--workers")
+        with _flag_named():
+            config = replace(config, workers=read_setting("workers", args.workers,
+                                                          "--workers"))
     failed = run_sweep(config, args.out)
     if failed:
         print(f"sweep finished with {failed} failed point(s); see failures.csv",

@@ -151,6 +151,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return parts[0], parts[1], parts[2]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
 def synth_hierarchical(tax: Taxonomy, per_class: int, dim: int,
                        step_scale: float, noise_scale: float, seed: int,
                        level_decay: float = 1.0) -> Dataset:
@@ -160,7 +161,8 @@ def synth_hierarchical(tax: Taxonomy, per_class: int, dim: int,
     parent's plus a Gaussian step of scale ``step_scale * level_decay**(depth-1)``.
     Examples add Gaussian noise of scale ``noise_scale`` around leaf means.
     Rows are emitted leaf-block by leaf-block in canonical class order. A
-    bad value raises ``SettingError`` naming its parameter.
+    bad value, or a decay or node mean that overflows, raises
+    ``SettingError`` naming its parameter.
     """
     for key, value, ok, rule in (
             ("per_class", per_class, per_class >= 1, ">= 1"),
@@ -174,11 +176,25 @@ def synth_hierarchical(tax: Taxonomy, per_class: int, dim: int,
     rng = np.random.default_rng(seed)
     means = {tax.root: np.zeros(dim)}
     for node in tax.nodes_bfs[1:]:
-        scale = step_scale * level_decay ** (tax.depth[node] - 1)
+        try:
+            decay = level_decay ** (tax.depth[node] - 1)
+        except OverflowError:
+            decay = math.inf
+        scale = step_scale * decay
         means[node] = means[tax.parent[node]] + scale * rng.standard_normal(dim)
+        if not np.isfinite(means[node]).all():
+            # A decay above 1 grew the step; else step_scale alone is too large.
+            key, value = (("level_decay", level_decay) if abs(decay) > 1
+                          else ("step_scale", step_scale))
+            raise SettingError(key, f"{key} {value} overflows the node means "
+                               f"at depth {tax.depth[node]}")
     blocks, labels = [], []
     for leaf in tax.leaves:
         blocks.append(means[leaf] + noise_scale * rng.standard_normal((per_class, dim)))
         labels.extend([leaf] * per_class)
-    return Dataset(np.vstack(blocks), labels)
+    features = np.vstack(blocks)
+    if not np.isfinite(features).all():
+        raise SettingError("noise_scale", f"noise_scale {noise_scale} overflows "
+                           "the features")
+    return Dataset(features, labels)
 

@@ -26,8 +26,6 @@ floored losses (clamped coordinates contribute zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .taxonomy import Taxonomy, UnknownNodeError
@@ -35,11 +33,8 @@ from .taxonomy import Taxonomy, UnknownNodeError
 __all__ = [
     "EPS",
     "softmax_batch",
-    "HxeWeights",
-    "hxe_weights",
     "hxe_loss",
     "hxe_grad",
-    "SoftLabelMatrix",
     "soft_label_matrix",
     "soft_label_loss",
     "ClassCrossEntropy",
@@ -59,32 +54,18 @@ def softmax_batch(Z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lineage weights
+# Lineage weights and soft targets
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HxeWeights:
-    """Per-edge weights ``exp(-alpha * depth(child))``, keyed by child node.
-
-    ``alpha = 0`` gives uniform weights (the plain cross-entropy limit);
-    larger alpha discounts edges deeper in the tree, trading fine-grained
-    for coarse correctness.
-    """
-
-    alpha: float
-    lam: dict[str, float]
-
-
-def hxe_weights(tax: Taxonomy, alpha: float) -> HxeWeights:
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    lam = {n: float(np.exp(-alpha * tax.depth[n])) for n in tax.nonroot_bfs}
-    return HxeWeights(alpha=float(alpha), lam=lam)
-
-
-def _lam_vector(tax: Taxonomy, weights: HxeWeights) -> np.ndarray:
-    return np.array([weights.lam[n] for n in tax.nonroot_bfs])
+def _edge_weights(tax: Taxonomy, alpha: float) -> np.ndarray:
+    """Per-edge weights ``exp(-alpha * depth(child))`` in ``nonroot_bfs``
+    order. ``alpha = 0`` gives uniform weights (the plain cross-entropy
+    limit); larger alpha discounts edges deeper in the tree, trading
+    fine-grained for coarse correctness."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return np.array([np.exp(-alpha * tax.depth[n]) for n in tax.nonroot_bfs])
 
 
 def _sibling_groups(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +77,7 @@ def _sibling_groups(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
                      dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class SoftLabelMatrix:
+def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
     """Row-stochastic soft targets: row = true class, column = target class.
 
     Entry (C, A) is ``exp(-beta * d(A, C))`` normalized over A, with ``d``
@@ -107,19 +87,10 @@ class SoftLabelMatrix:
     normalizer, so exact symmetry holds only when the rows' distance
     multisets agree).
     """
-
-    beta: float
-    rows: np.ndarray
-    leaves: tuple[str, ...]
-
-
-def soft_label_matrix(tax: Taxonomy, beta: float) -> SoftLabelMatrix:
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    logits = -beta * tax.distance_matrix()
-    weights = np.exp(logits)
-    rows = weights / weights.sum(axis=1, keepdims=True)
-    return SoftLabelMatrix(beta=float(beta), rows=rows, leaves=tuple(tax.leaves))
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    weights = np.exp(-beta * tax.distance_matrix())
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +138,10 @@ class ClassHxeObjective(_LeafLogits):
     (one product per sibling group, one exact subtraction an entry).
     """
 
-    def __init__(self, tax: Taxonomy, weights: HxeWeights):
+    def __init__(self, tax: Taxonomy, alpha: float):
         self.num_outputs = tax.num_leaves
         self.membership = M = tax.leaf_membership()
-        lam = _lam_vector(tax, weights)
+        lam = _edge_weights(tax, alpha)
         parents, starts = _sibling_groups(tax)
         self.coeff = K = np.multiply(M.T, np.concatenate(([0.0], lam)), order="C")
         for parent, lo, hi in zip(parents, starts, np.append(starts[1:], len(lam))):
@@ -194,22 +165,22 @@ class ClassHxeObjective(_LeafLogits):
 
 
 class ClassSoftLabelObjective(_LeafLogits):
-    """Cross-entropy against soft target rows, over leaf logits."""
+    """Cross-entropy against ``soft_label_matrix`` rows, over leaf logits."""
 
-    def __init__(self, matrix: SoftLabelMatrix):
-        self.matrix = matrix
-        self.num_outputs = matrix.rows.shape[0]
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.num_outputs = rows.shape[0]
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         return self.loss_from_probs(softmax_batch(Z), truth_idx)
 
     def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        Y = self.matrix.rows[truth_idx]
+        Y = self.rows[truth_idx]
         return -(Y * np.log(np.maximum(P, EPS))).sum(axis=1)
 
     def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         P = softmax_batch(Z)
-        Y = self.matrix.rows[truth_idx]
+        Y = self.rows[truth_idx]
         g = np.where(P > EPS, -Y / P, 0.0)
         return P * (g - (g * P).sum(axis=1, keepdims=True))
 
@@ -226,13 +197,13 @@ class ConditionalHxeObjective:
     losses weight the truth's row by ``lam``.
     """
 
-    def __init__(self, tax: Taxonomy, weights: HxeWeights):
+    def __init__(self, tax: Taxonomy, alpha: float):
         self.num_outputs = len(tax.nonroot_bfs)
         if self.num_outputs == 0:
             raise ValueError("conditional head needs a taxonomy with edges")
         self.group_starts = _sibling_groups(tax)[1]
         self.group_sizes = np.diff(self.group_starts, append=self.num_outputs)
-        self.lam = _lam_vector(tax, weights)
+        self.lam = _edge_weights(tax, alpha)
         # Leaf-major: BLAS rounds a one-row product differently otherwise.
         self.path_indicator = np.ascontiguousarray(tax.leaf_membership()[1:].T)
 
@@ -270,12 +241,12 @@ class ConditionalHxeObjective:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_position(leaves, truth: str) -> int:
-    """Canonical index of ``truth`` in ``leaves``; ``UnknownNodeError`` if
-    it is not a class."""
+def _leaf_position(tax: Taxonomy, truth: str) -> int:
+    """Canonical index of class ``truth``; ``UnknownNodeError`` if it is not
+    a class."""
     try:
-        return leaves.index(truth)
-    except ValueError:
+        return tax.leaf_index[truth]
+    except KeyError:
         raise UnknownNodeError(f"unknown leaf {truth!r}") from None
 
 
@@ -283,22 +254,23 @@ def _one(fn, v, idx):
     return fn(np.asarray(v, dtype=float)[None, :], np.array([idx]))[0]
 
 
-def hxe_loss(tax: Taxonomy, weights: HxeWeights, p: np.ndarray, truth: str) -> float:
+def hxe_loss(tax: Taxonomy, alpha: float, p: np.ndarray, truth: str) -> float:
     """Hierarchical cross-entropy of class probabilities ``p``: the weighted
     information of each lineage edge on the truth's path. Equals
-    ``-log p(truth)`` when all weights are 1."""
-    idx = _leaf_position(tax.leaves, truth)
-    return float(_one(ClassHxeObjective(tax, weights).loss_from_probs, p, idx))
+    ``-log p(truth)`` when ``alpha = 0``."""
+    idx = _leaf_position(tax, truth)
+    return float(_one(ClassHxeObjective(tax, alpha).loss_from_probs, p, idx))
 
 
-def hxe_grad(tax: Taxonomy, weights: HxeWeights, z: np.ndarray, truth: str) -> np.ndarray:
+def hxe_grad(tax: Taxonomy, alpha: float, z: np.ndarray, truth: str) -> np.ndarray:
     """Gradient of the class-head hierarchical cross-entropy w.r.t. leaf logits."""
-    idx = _leaf_position(tax.leaves, truth)
-    return _one(ClassHxeObjective(tax, weights).grad_batch, z, idx)
+    idx = _leaf_position(tax, truth)
+    return _one(ClassHxeObjective(tax, alpha).grad_batch, z, idx)
 
 
-def soft_label_loss(matrix: SoftLabelMatrix, p: np.ndarray, truth: str) -> float:
+def soft_label_loss(tax: Taxonomy, beta: float, p: np.ndarray, truth: str) -> float:
     """Cross-entropy of class probabilities ``p`` against the soft target
     row of ``truth``."""
-    idx = _leaf_position(matrix.leaves, truth)
-    return float(_one(ClassSoftLabelObjective(matrix).loss_from_probs, p, idx))
+    idx = _leaf_position(tax, truth)
+    rows = soft_label_matrix(tax, beta)
+    return float(_one(ClassSoftLabelObjective(rows).loss_from_probs, p, idx))

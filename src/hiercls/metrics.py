@@ -14,38 +14,18 @@ import numpy as np
 from .taxonomy import Taxonomy
 
 __all__ = [
-    "PredictionBatch",
     "MetricReport",
-    "top_k_error",
-    "hier_dist_mistake",
-    "avg_hier_dist_topk",
-    "severity_histogram",
-    "compute_report",
     "report_from_indices",
 ]
 
 
 @dataclass
-class PredictionBatch:
-    """Per-example ranked class ids (descending score) plus ground truths."""
-
-    rankings: list[list[str]]
-    truths: list[str]
-
-    def __post_init__(self):
-        if len(self.rankings) != len(self.truths) or not self.truths:
-            raise ValueError("rankings and truths must have equal length >= 1")
-        width = len(self.rankings[0])
-        for r in self.rankings:
-            if len(r) != width:
-                raise ValueError("all rankings must have equal length")
-            if len(set(r)) != len(r):
-                raise ValueError(f"ranking contains duplicates: {r}")
-
-
-@dataclass
 class MetricReport:
-    """Bundle of flat and hierarchical measures for one evaluation pass."""
+    """Flat and hierarchical measures for one evaluation pass. Per cutoff k:
+    the fraction of examples whose truth misses the first k ranks, and the
+    mean LCA height of the truth vs each of the first k ranked classes (hits
+    count 0). Over top-1 mistakes: their mean LCA height (0 without any),
+    histogram and count."""
 
     top_k_error: dict[int, float]
     hier_dist_mistake: float
@@ -65,32 +45,10 @@ class MetricReport:
         return out
 
 
-def top_k_error(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
-    """Fraction of examples whose truth is absent from the first k ranks."""
-    return compute_report(tax, batch, (k,)).top_k_error[k]
-
-
-def hier_dist_mistake(tax: Taxonomy, batch: PredictionBatch) -> float:
-    """Mean LCA height of truth vs top-1 prediction over misclassified
-    examples; 0 when there are no mistakes."""
-    return compute_report(tax, batch).hier_dist_mistake
-
-
-def avg_hier_dist_topk(tax: Taxonomy, batch: PredictionBatch, k: int) -> float:
-    """Grand mean LCA height between truth and each of the first k ranked
-    classes, over all examples (correct hits contribute height 0)."""
-    return compute_report(tax, batch, (k,)).avg_hier_dist_topk[k]
-
-
-def severity_histogram(tax: Taxonomy, batch: PredictionBatch) -> dict[int, int]:
-    """Counts of mistake severities (LCA heights of truth vs top-1) over the
-    misclassified examples; empty when everything is correct."""
-    return compute_report(tax, batch).severity_histogram
-
-
 def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
                         ks: tuple[int, ...]) -> MetricReport:
-    """Index-based core shared by the public ops and the model evaluator."""
+    """The report of rank matrix ``R`` (row i: example i's class indices in
+    descending score) against truth indices ``t``, at each cutoff in ``ks``."""
     R = np.asarray(R, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
     if R.ndim != 2 or len(R) != len(t) or len(t) == 0:
@@ -113,13 +71,3 @@ def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
         mistake_count=int(wrong.sum()),
         num_examples=len(t),
     )
-
-
-def compute_report(tax: Taxonomy, batch: PredictionBatch,
-                   ks: tuple[int, ...] = (1,)) -> MetricReport:
-    """The report of a batch of class ids; the public metrics read it."""
-    idx = tax.leaf_index
-    R = np.array([[idx[c] for c in r] for r in batch.rankings], dtype=np.int64)
-    t = np.array([idx[c] for c in batch.truths], dtype=np.int64)
-    return report_from_indices(tax, R, t, ks)
-

@@ -67,7 +67,8 @@ def build_objective(tax: Taxonomy, loss: str, param: float | None, head: str):
     """Bind loss ``loss`` (``ce``; ``hxe``, whose ``param`` is alpha; or
     ``soft``, whose ``param`` is beta) to a taxonomy and head; returns a
     batch objective with ``loss_batch``, ``grad_batch`` and ``scores``. An
-    unknown loss, or hxe or soft without ``param``, raises ``ValueError``."""
+    unknown loss, or hxe or soft without ``param`` or with one that is not
+    finite and >= 0, raises ``ValueError``."""
     if loss not in LOSS_PARAMETERS:
         raise ValueError(f"unknown loss kind {loss!r}")
     if LOSS_PARAMETERS[loss] and param is None:
@@ -77,12 +78,11 @@ def build_objective(tax: Taxonomy, loss: str, param: float | None, head: str):
     if head == "conditional":
         if loss == "soft":
             raise ValueError("soft labels require the class head")
-        return L.ConditionalHxeObjective(
-            tax, L.hxe_weights(tax, 0.0 if loss == "ce" else param))
+        return L.ConditionalHxeObjective(tax, 0.0 if loss == "ce" else param)
     if loss == "ce":
         return L.ClassCrossEntropy(tax)
     if loss == "hxe":
-        return L.ClassHxeObjective(tax, L.hxe_weights(tax, param))
+        return L.ClassHxeObjective(tax, param)
     return L.ClassSoftLabelObjective(L.soft_label_matrix(tax, param))
 
 

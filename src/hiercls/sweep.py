@@ -98,7 +98,8 @@ class SweepConfig:
                 ("discard_before", self.discard_before >= 0,
                  "discard_before must be >= 0"),
                 ("eval_split", self.eval_split in SPLIT_NAMES,
-                 f"eval_split must be one of {SPLIT_NAMES}")):
+                 f"eval_split must be one of {SPLIT_NAMES}"),
+                ("workers", self.workers >= 0, "workers must be >= 0")):
             if not ok:
                 raise SettingError(key, f"{message}, got {getattr(self, key)!r}")
         # Every point builds these; building them once here rejects a bad
@@ -411,7 +412,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
             for label, variant in variants.items()
             for param in config.grid
             for seed in config.seeds]
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
+    workers = config.workers or os.cpu_count() or 1
     workers = min(workers, len(jobs))
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:

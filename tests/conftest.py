@@ -134,11 +134,16 @@ def factorized_prob(tax: Taxonomy, conditionals: dict[str, float], leaf: str) ->
     return prob
 
 
-def hxe_walk(tax: Taxonomy, weights, p: np.ndarray, truth: str) -> float:
+def edge_weight(tax: Taxonomy, alpha: float, node: str) -> float:
+    """The HXE weight ``exp(-alpha * depth)`` of the edge into ``node``."""
+    return float(np.exp(-alpha * tax.depth[node]))
+
+
+def hxe_walk(tax: Taxonomy, alpha: float, p: np.ndarray, truth: str) -> float:
     """Hierarchical cross-entropy as the paper writes it: the weighted
     information of each edge conditional along the truth's lineage."""
     conds = conditionals_from_class_probs(tax, p)
-    return float(-sum(weights.lam[n] * np.log(max(conds[n], EPS))
+    return float(-sum(edge_weight(tax, alpha, n) * np.log(max(conds[n], EPS))
                       for n in ancestry(tax, truth)[:-1]))
 
 

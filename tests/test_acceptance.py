@@ -48,8 +48,8 @@ def test_criterion_01_limit_equivalences():
         p = random_prob_vector(rng, tax.num_leaves)
         truth = tax.leaves[rng.integers(tax.num_leaves)]
         ce = -math.log(p[tax.leaf_index[truth]])
-        hxe = L.hxe_loss(tax, L.hxe_weights(tax, 1e-9), p, truth)
-        soft = L.soft_label_loss(L.soft_label_matrix(tax, 1e9), p, truth)
+        hxe = L.hxe_loss(tax, 1e-9, p, truth)
+        soft = L.soft_label_loss(tax, 1e9, p, truth)
         assert abs(hxe - ce) < 1e-6
         assert abs(soft - ce) < 1e-6
     stamp(1, "limit equivalences", time.time() - t0, 1.0)
@@ -66,7 +66,7 @@ def test_criterion_02_factorization_round_trip():
         p = random_prob_vector(rng, tax.num_leaves)
         conds = conditionals_from_class_probs(tax, p)
         logq = np.log([conds[n] for n in tax.nonroot_bfs])
-        obj = L.ConditionalHxeObjective(tax, L.hxe_weights(tax, 0.0))
+        obj = L.ConditionalHxeObjective(tax, 0.0)
         back = np.exp(obj.log_class_probs(logq[None, :])[0])
         assert np.abs(back - p).max() < 1e-9
     stamp(2, "factorization round-trip", time.time() - t0, 1.0)
@@ -87,9 +87,9 @@ def test_criterion_03_gradient_correctness():
             if kind == "ce":
                 obj = L.ClassCrossEntropy(tax)
             elif kind == "hxe_class":
-                obj = L.ClassHxeObjective(tax, L.hxe_weights(tax, alpha))
+                obj = L.ClassHxeObjective(tax, alpha)
             elif kind == "hxe_cond":
-                obj = L.ConditionalHxeObjective(tax, L.hxe_weights(tax, alpha))
+                obj = L.ConditionalHxeObjective(tax, alpha)
             else:
                 obj = L.ClassSoftLabelObjective(L.soft_label_matrix(tax, beta))
             z = rng.normal(scale=2.0, size=obj.num_outputs)
@@ -108,14 +108,14 @@ def test_criterion_04_soft_label_structure():
     for tax in (make_balanced_tree(3, 3), make_balanced_tree(2, 4)):
         for beta in (0.0, 0.7, 3.0, 12.0):
             m = L.soft_label_matrix(tax, beta)
-            assert np.abs(m.rows.sum(axis=1) - 1.0).max() < 1e-12
-            assert np.abs(m.rows - m.rows.T).max() < 1e-12
-            diag = np.diag(m.rows)
-            assert (diag >= m.rows.max(axis=1) - 1e-15).all()
+            assert np.abs(m.sum(axis=1) - 1.0).max() < 1e-12
+            assert np.abs(m - m.T).max() < 1e-12
+            diag = np.diag(m)
+            assert (diag >= m.max(axis=1) - 1e-15).all()
         uniform = L.soft_label_matrix(tax, 0.0)
-        assert np.abs(uniform.rows - 1.0 / tax.num_leaves).max() < 1e-12
+        assert np.abs(uniform - 1.0 / tax.num_leaves).max() < 1e-12
         onehot = L.soft_label_matrix(tax, 1e6)
-        off = onehot.rows - np.diag(np.diag(onehot.rows))
+        off = onehot - np.diag(np.diag(onehot))
         assert off.max() < 1e-12
     stamp(4, "soft-label structure", time.time() - t0, 1.0)
 

@@ -304,15 +304,26 @@ class TestGenData:
         ("--level-decay", "nan", "level_decay must be finite, got nan"),
         ("--seed", "x", "invalid literal for int() with base 10: 'x'"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--level-decay", "1e200",
+         "level_decay 1e+200 overflows the node means at depth 3"),
+        ("--step-scale", "1e308", "step_scale 1e+308 overflows the node means"),
+        ("--noise-scale", "1e308", "noise_scale 1e+308 overflows the features"),
     ], ids=["per_class_not_int", "per_class_0", "dim_not_int", "dim_0",
             "step_scale_not_float", "step_scale_negative",
             "noise_scale_not_float", "noise_scale_0", "level_decay_not_float",
-            "level_decay_nan", "seed_not_int", "seed_negative"])
-    def test_bad_flag_exits_2_naming_it(self, workdir, capsys, flag, value,
-                                        message):
+            "level_decay_nan", "seed_not_int", "seed_negative",
+            "level_decay_overflow", "step_scale_overflow",
+            "noise_scale_overflow"])
+    def test_bad_flag_exits_2_naming_it(self, workdir, capsys, balanced27,
+                                        flag, value, message):
+        # Three levels deep: a large decay compounds over two steps.
+        tree, classes = workdir / "deep.tsv", workdir / "deep.txt"
+        tree.write_text("".join(f"{balanced27.parent[n]}\t{n}\n"
+                                for n in balanced27.nonroot_bfs))
+        classes.write_text("\n".join(balanced27.leaves) + "\n")
         out = workdir / "data.csv"
-        code = run("gen-data", "--taxonomy", workdir / "edges.tsv", "--classes",
-                   workdir / "classes.txt", flag, value, "--out", out)
+        code = run("gen-data", "--taxonomy", tree, "--classes", classes, flag,
+                   value, "--out", out)
         assert code == 2
         assert f"error: {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -409,10 +420,17 @@ class TestTrainCommand:
         (["--seed", "1,2"], "--seed: needs one value, got '1,2'"),
         (["--seed", "-1"], "--seed: seeds must be >= 0, got [-1]"),
         (["--split-seed", "-1"], "--split-seed: split_seed must be >= 0, got -1"),
+        (["--loss", "hxe", "--alpha", "nan"],
+         "error: alpha must be finite and >= 0, got nan"),
+        (["--loss", "soft", "--beta", "nan"],
+         "error: beta must be finite and >= 0, got nan"),
+        (["--loss", "soft", "--beta", "inf"],
+         "error: beta must be finite and >= 0, got inf"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
             "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
             "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
-            "seed_not_int", "seed_list", "seed_negative", "split_seed_negative"])
+            "seed_not_int", "seed_list", "seed_negative", "split_seed_negative",
+            "alpha_nan", "beta_nan", "beta_inf"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
@@ -821,12 +839,15 @@ class TestSweepCommand:
     def test_failed_point_recorded_exit_3(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         cfg = write_sweep_config(workdir, tree, data, loss="soft",
-                                 grid="4.0,-1.0")
+                                 grid="4.0,-1.0,inf")
         out = workdir / "sweep_fail"
         assert run("sweep", "--config", cfg, "--out", out) == 3
-        failures = body(out / "failures.csv")
-        assert len(failures) == 2
-        assert "soft_-1.0_true_seed0" in failures[1]
+        failures = list(csv.reader(body(out / "failures.csv")))
+        assert failures[1:] == [
+            ["soft_-1.0_true_seed0",
+             "ValueError: beta must be finite and >= 0, got -1.0"],
+            ["soft_inf_true_seed0",
+             "ValueError: beta must be finite and >= 0, got inf"]]
         ok_rows = body(out / "tradeoff.csv")[1:]
         assert len(ok_rows) == 1
 
@@ -871,11 +892,12 @@ class TestSweepCommand:
         ({"split_seed": "-1"}, "split_seed must be >= 0, got -1"),
         ({"taxonomy_source": "both:abc"}, "taxonomy_source must be 'true', "
                                           "'randomized:<seed>' or 'both:<seed>'"),
+        ({"workers": "-1"}, "workers must be >= 0, got -1"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
             "split_sum", "split_outside_0_1",
             "lr_not_float", "ce_with_grid", "no_seeds", "negative_seed",
-            "negative_split_seed", "seed_not_integer"])
+            "negative_split_seed", "seed_not_integer", "negative_workers"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)
@@ -892,6 +914,16 @@ class TestSweepCommand:
         assert run("sweep", "--config", cfg, "--workers", "two",
                    "--out", out) == 2
         assert ("--workers: invalid literal for int()"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_workers_flag_exits_2(self, workdir, capsys):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data)
+        out = workdir / "sweep_bad"
+        assert run("sweep", "--config", cfg, "--workers", "-1",
+                   "--out", out) == 2
+        assert ("error: --workers: workers must be >= 0, got -1"
                 in capsys.readouterr().err)
         assert not out.exists()
 

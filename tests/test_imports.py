@@ -2,6 +2,8 @@
 its ``__all__``, so a refactor that drops the last use of an import also
 drops the import. ``__init__.py`` only re-exports; lines marked
 ``# noqa: F401`` are kept on purpose (the benchmark tracer's patch sites).
+Every name in a module's ``__all__`` exists there, so a deleted function
+cannot linger in ``__all__`` and keep its imports counted as used.
 """
 
 import ast
@@ -45,3 +47,35 @@ def test_catches_a_stale_import():
               "import numpy as np  # noqa: F401\n"
               "__all__ = ['dataclass']\n")
     assert unused_imports(source) == ["line 1: replace"]
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level statement of ``source``
+    defines or imports."""
+    defined, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_all_entry_exists(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_catches_a_stale_export():
+    source = ("from dataclasses import dataclass\n"
+              "LIMIT: int = 3\n"
+              "def kept(): pass\n"
+              "__all__ = ['dataclass', 'LIMIT', 'kept', 'deleted']\n")
+    assert undefined_exports(source) == ["deleted"]

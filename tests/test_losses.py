@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ancestry, conditionals_from_class_probs,
+from conftest import (ancestry, conditionals_from_class_probs, edge_weight,
                       factorized_prob, finite_difference, hxe_walk,
                       make_balanced_tree, make_random_tree, max_rel_error,
                       random_prob_vector, shaped_trees)
@@ -31,27 +31,35 @@ class TestSoftmax:
         np.testing.assert_allclose(p, [1 / 6, 2 / 6, 3 / 6], atol=1e-15)
 
 
+def weights_by_node(tax: Taxonomy, alpha: float) -> dict[str, float]:
+    """The HXE edge weights an objective holds, keyed by child node."""
+    return dict(zip(tax.nonroot_bfs, L.ConditionalHxeObjective(tax, alpha).lam))
+
+
 class TestWeights:
     def test_exponential_decay_formula(self, toy_tree):
-        w = L.hxe_weights(toy_tree, 0.3)
+        lam = weights_by_node(toy_tree, 0.3)
         for node in toy_tree.nonroot_bfs:
             expected = math.exp(-0.3 * toy_tree.depth[node])
-            assert abs(w.lam[node] - expected) < 1e-12
+            assert abs(lam[node] - expected) < 1e-12
 
     def test_zero_alpha_gives_unit_weights(self, toy_tree):
-        w = L.hxe_weights(toy_tree, 0.0)
-        assert all(v == 1.0 for v in w.lam.values())
+        assert all(v == 1.0 for v in weights_by_node(toy_tree, 0.0).values())
 
     def test_strictly_decreasing_with_depth(self, balanced27):
-        w = L.hxe_weights(balanced27, 0.5)
+        lam = weights_by_node(balanced27, 0.5)
         leaf = balanced27.leaves[0]
         path = ancestry(balanced27, leaf)[:-1]
-        lams = [w.lam[n] for n in path]  # ordered deepest to shallowest
+        lams = [lam[n] for n in path]  # ordered deepest to shallowest
         assert all(deep < shallow for deep, shallow in zip(lams[:-1], lams[1:]))
 
     def test_negative_alpha_rejected(self, toy_tree):
-        with pytest.raises(ValueError):
-            L.hxe_weights(toy_tree, -0.1)
+        # Non-finite values too: nan gives nan losses.
+        for objective in (L.ClassHxeObjective, L.ConditionalHxeObjective):
+            for alpha in (-0.1, math.nan, math.inf):
+                with pytest.raises(ValueError, match="alpha must be finite and "
+                                                     f">= 0, got {alpha}"):
+                    objective(toy_tree, alpha)
 
 
 class TestConditionals:
@@ -110,22 +118,19 @@ class TestFactorization:
 class TestHxeLoss:
     def test_unit_weights_reduce_to_cross_entropy(self, toy_tree):
         p = np.full(3, 1 / 3)
-        w = L.hxe_weights(toy_tree, 0.0)
-        np.testing.assert_allclose(L.hxe_loss(toy_tree, w, p, "A"), math.log(3),
+        np.testing.assert_allclose(L.hxe_loss(toy_tree, 0.0, p, "A"), math.log(3),
                                    atol=1e-12)
 
     def test_worked_example_alpha_ln2(self, toy_tree):
         p = np.full(3, 1 / 3)
-        w = L.hxe_weights(toy_tree, math.log(2))
         expected = 0.25 * math.log(2) + 0.5 * math.log(1.5)
-        np.testing.assert_allclose(L.hxe_loss(toy_tree, w, p, "A"), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(L.hxe_loss(toy_tree, math.log(2), p, "A"),
+                                   expected, atol=1e-12)
 
     def test_one_hot_truth_zero_loss(self, toy_tree):
         p = np.array([1.0, 0.0, 0.0])
         for alpha in (0.0, 0.3, 2.0):
-            w = L.hxe_weights(toy_tree, alpha)
-            assert L.hxe_loss(toy_tree, w, p, "A") == 0.0
+            assert L.hxe_loss(toy_tree, alpha, p, "A") == 0.0
 
     def test_near_zero_alpha_limit(self):
         rng = np.random.default_rng(2)
@@ -133,9 +138,8 @@ class TestHxeLoss:
             t = make_random_tree(rng, max_nodes=50)
             p = random_prob_vector(rng, t.num_leaves)
             truth = t.leaves[rng.integers(t.num_leaves)]
-            w = L.hxe_weights(t, 1e-9)
             ce = -math.log(p[t.leaf_index[truth]])
-            assert abs(L.hxe_loss(t, w, p, truth) - ce) < 1e-6
+            assert abs(L.hxe_loss(t, 1e-9, p, truth) - ce) < 1e-6
 
     def test_matches_walk_oracle(self):
         rng = np.random.default_rng(8)
@@ -143,20 +147,20 @@ class TestHxeLoss:
             t = make_random_tree(rng, max_nodes=50)
             p = random_prob_vector(rng, t.num_leaves)
             truth = t.leaves[rng.integers(t.num_leaves)]
-            w = L.hxe_weights(t, float(rng.uniform(0, 2)))
-            assert abs(L.hxe_loss(t, w, p, truth) - hxe_walk(t, w, p, truth)) < 1e-12
+            alpha = float(rng.uniform(0, 2))
+            walk = hxe_walk(t, alpha, p, truth)
+            assert abs(L.hxe_loss(t, alpha, p, truth) - walk) < 1e-12
 
     def test_finite_on_degenerate_probs(self, toy_tree):
         p = np.array([0.0, 1.0, 0.0])
-        w = L.hxe_weights(toy_tree, 0.5)
-        value = L.hxe_loss(toy_tree, w, p, "A")
+        value = L.hxe_loss(toy_tree, 0.5, p, "A")
         assert np.isfinite(value) and value >= 0.0
 
 
-def soft_label_csv(m: L.SoftLabelMatrix) -> str:
+def soft_label_csv(tax: Taxonomy, rows: np.ndarray) -> str:
     """``truth,<class ids>`` header, then one row of target masses a class."""
-    lines = ["truth," + ",".join(m.leaves)]
-    for leaf, row in zip(m.leaves, m.rows):
+    lines = ["truth," + ",".join(tax.leaves)]
+    for leaf, row in zip(tax.leaves, rows):
         lines.append(leaf + "," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -164,82 +168,82 @@ def soft_label_csv(m: L.SoftLabelMatrix) -> str:
 class TestSoftLabelMatrix:
     def test_zero_beta_uniform(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 0.0)
-        np.testing.assert_allclose(m.rows, np.full((3, 3), 1 / 3))
+        np.testing.assert_allclose(m, np.full((3, 3), 1 / 3))
 
     def test_worked_row(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1.0)
         weights = np.array([1.0, math.exp(-0.5), math.exp(-1.0)])
-        row = m.rows[toy_tree.leaf_index["A"]]
+        row = m[toy_tree.leaf_index["A"]]
         np.testing.assert_allclose(row, weights / weights.sum(), atol=1e-12)
         np.testing.assert_allclose(row, [0.5065, 0.3072, 0.1863], atol=5e-5)
 
     def test_huge_beta_one_hot(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1e6)
-        off = m.rows - np.diag(np.diag(m.rows))
+        off = m - np.diag(np.diag(m))
         assert off.max() < 1e-12
-        np.testing.assert_allclose(np.diag(m.rows), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(m), 1.0, atol=1e-12)
 
     def test_rows_stochastic_and_diagonal_max(self, balanced27):
         for beta in (0.0, 0.5, 2.0, 8.0):
             m = L.soft_label_matrix(balanced27, beta)
-            np.testing.assert_allclose(m.rows.sum(axis=1), 1.0, atol=1e-12)
-            assert (m.rows > 0).all()
-            diag = np.diag(m.rows)
-            assert (diag >= m.rows.max(axis=1) - 1e-15).all()
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
+            assert (m > 0).all()
+            diag = np.diag(m)
+            assert (diag >= m.max(axis=1) - 1e-15).all()
 
     def test_symmetric_on_balanced_tree(self, balanced27):
         m = L.soft_label_matrix(balanced27, 3.0)
-        np.testing.assert_allclose(m.rows, m.rows.T, atol=1e-12)
+        np.testing.assert_allclose(m, m.T, atol=1e-12)
 
     def test_rows_not_symmetric_on_unbalanced_tree(self, toy_tree):
         # Each row carries its own normalizer; with leaves at different
         # depths, the distance multisets differ and symmetry breaks.
         m = L.soft_label_matrix(toy_tree, 1.0)
         i, j = 0, 2  # (A, C)
-        assert abs(m.rows[i, j] - m.rows[j, i]) > 1e-3
+        assert abs(m[i, j] - m[j, i]) > 1e-3
 
     def test_diagonal_monotone_in_beta(self, toy_tree, balanced27):
         for tax in (toy_tree, balanced27):
             grid = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-            diags = [np.diag(L.soft_label_matrix(tax, b).rows) for b in grid]
+            diags = [np.diag(L.soft_label_matrix(tax, b)) for b in grid]
             for lo, hi in zip(diags[:-1], diags[1:]):
                 assert (hi >= lo - 1e-15).all()
 
     def test_negative_beta_rejected(self, toy_tree):
-        with pytest.raises(ValueError):
-            L.soft_label_matrix(toy_tree, -1.0)
+        # Non-finite values too: inf gives -inf * 0 on the diagonal.
+        for beta in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta must be finite and >= 0, "
+                                                 f"got {beta}"):
+                L.soft_label_matrix(toy_tree, beta)
 
     def test_csv_export_round_trips_values(self, toy_tree):
         m = L.soft_label_matrix(toy_tree, 1.0)
-        lines = soft_label_csv(m).splitlines()
+        lines = soft_label_csv(toy_tree, m).splitlines()
         assert lines[0] == "truth,A,B,C"
         cells = lines[1].split(",")
         assert cells[0] == "A"
         np.testing.assert_array_equal(
-            np.array([float(c) for c in cells[1:]]), m.rows[0])
+            np.array([float(c) for c in cells[1:]]), m[0])
 
 
 class TestSoftLabelLoss:
     def test_one_hot_limit_equals_cross_entropy(self, toy_tree):
         rng = np.random.default_rng(3)
-        m = L.soft_label_matrix(toy_tree, 1e9)
         for _ in range(20):
             p = random_prob_vector(rng, 3)
             truth = toy_tree.leaves[rng.integers(3)]
             expect = -math.log(p[toy_tree.leaf_index[truth]])
-            assert abs(L.soft_label_loss(m, p, truth) - expect) < 1e-9
+            assert abs(L.soft_label_loss(toy_tree, 1e9, p, truth) - expect) < 1e-9
 
     def test_uniform_p_gives_log_cardinality(self, toy_tree):
         for beta in (0.0, 1.0, 7.0):
-            m = L.soft_label_matrix(toy_tree, beta)
             p = np.full(3, 1 / 3)
             for truth in toy_tree.leaves:
-                np.testing.assert_allclose(L.soft_label_loss(m, p, truth),
+                np.testing.assert_allclose(L.soft_label_loss(toy_tree, beta, p, truth),
                                            math.log(3), atol=1e-12)
 
     def test_worked_example(self, toy_tree):
-        m = L.soft_label_matrix(toy_tree, 1.0)
-        loss = L.soft_label_loss(m, np.array([0.5, 0.25, 0.25]), "A")
+        loss = L.soft_label_loss(toy_tree, 1.0, np.array([0.5, 0.25, 0.25]), "A")
         np.testing.assert_allclose(loss, 1.0352289060507653, atol=1e-12)
         np.testing.assert_allclose(loss, 1.0352, atol=5e-5)
 
@@ -257,11 +261,10 @@ class TestGradients:
         np.testing.assert_allclose(grad, p - onehot, atol=1e-12)
 
     def test_unit_weight_hxe_gradient_is_ce_gradient(self, toy_tree):
-        w = L.hxe_weights(toy_tree, 0.0)
         z = np.array([0.3, 0.1, -0.2])
         p = softmax(z)
         onehot = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(L.hxe_grad(toy_tree, w, z, "B"), p - onehot,
+        np.testing.assert_allclose(L.hxe_grad(toy_tree, 0.0, z, "B"), p - onehot,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["ce", "hxe_class", "hxe_cond", "soft"])
@@ -275,9 +278,9 @@ class TestGradients:
             if kind == "ce":
                 obj = L.ClassCrossEntropy(t)
             elif kind == "hxe_class":
-                obj = L.ClassHxeObjective(t, L.hxe_weights(t, alpha))
+                obj = L.ClassHxeObjective(t, alpha)
             elif kind == "hxe_cond":
-                obj = L.ConditionalHxeObjective(t, L.hxe_weights(t, alpha))
+                obj = L.ConditionalHxeObjective(t, alpha)
             else:
                 obj = L.ClassSoftLabelObjective(L.soft_label_matrix(t, beta))
             z = rng.normal(scale=2.0, size=obj.num_outputs)
@@ -291,18 +294,16 @@ class TestGradients:
 class TestConditionalHead:
     def test_all_zero_logits_balanced_tree(self):
         t = make_balanced_tree(2, 2)
-        w = L.hxe_weights(t, 0.0)
         z = np.zeros(len(t.nonroot_bfs))
         depth = t.depth[t.leaves[0]]
-        loss = L.ConditionalHxeObjective(t, w).loss_batch(z[None, :], np.array([0]))
+        loss = L.ConditionalHxeObjective(t, 0.0).loss_batch(z[None, :], np.array([0]))
         np.testing.assert_allclose(loss[0], depth * math.log(2), atol=1e-12)
 
     def test_unit_weights_equal_neg_log_factorized(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             t = make_random_tree(rng, max_nodes=30)
-            w = L.hxe_weights(t, 0.0)
-            obj = L.ConditionalHxeObjective(t, w)
+            obj = L.ConditionalHxeObjective(t, 0.0)
             z = rng.normal(size=obj.num_outputs)
             i = int(rng.integers(t.num_leaves))
             loss = obj.loss_batch(z[None, :], np.array([i]))[0]
@@ -313,18 +314,18 @@ class TestConditionalHead:
         rng = np.random.default_rng(5)
         for _ in range(20):
             t = make_random_tree(rng, max_nodes=30)
-            obj = L.ConditionalHxeObjective(t, L.hxe_weights(t, 0.0))
+            obj = L.ConditionalHxeObjective(t, 0.0)
             z = rng.normal(size=obj.num_outputs)
             p = np.exp(obj.log_class_probs(z[None, :])[0])
             np.testing.assert_allclose(p.sum(), 1.0, atol=1e-9)
 
     def test_output_length_on_toy_tree(self, toy_tree):
-        obj = L.ConditionalHxeObjective(toy_tree, L.hxe_weights(toy_tree, 0.0))
+        obj = L.ConditionalHxeObjective(toy_tree, 0.0)
         assert obj.num_outputs == 4
         assert toy_tree.nonroot_bfs == ["D", "C", "A", "B"]
 
 
-def class_coeff_oracle(tax, weights) -> np.ndarray:
+def class_coeff_oracle(tax, alpha) -> np.ndarray:
     """``ClassHxeObjective.coeff`` by a per-leaf ``ancestry`` walk."""
     K = np.zeros((tax.num_leaves, tax.num_nodes))
     for leaf in tax.leaves:
@@ -332,7 +333,7 @@ def class_coeff_oracle(tax, weights) -> np.ndarray:
         path = ancestry(tax, leaf)
         if len(path) == 1:  # leaf is the root; nothing to predict
             continue
-        lam = [weights.lam[n] for n in path[:-1]]
+        lam = [edge_weight(tax, alpha, n) for n in path[:-1]]
         K[i, tax.node_index[path[0]]] = lam[0]
         for l in range(1, len(path) - 1):
             K[i, tax.node_index[path[l]]] = lam[l] - lam[l - 1]
@@ -340,7 +341,7 @@ def class_coeff_oracle(tax, weights) -> np.ndarray:
     return K
 
 
-def conditional_oracle(tax, weights):
+def conditional_oracle(tax, alpha):
     """Sibling-group starts and sizes, weighted lineage rows and lineage
     indicator rows of ``ConditionalHxeObjective`` by per-leaf walks."""
     sizes = [len(tax.children[n]) for n in tax.nodes_bfs if tax.children[n]]
@@ -351,7 +352,7 @@ def conditional_oracle(tax, weights):
     for leaf in tax.leaves:
         i = tax.leaf_index[leaf]
         for node in ancestry(tax, leaf)[:-1]:
-            lam_path[i, col[node]] = weights.lam[node]
+            lam_path[i, col[node]] = edge_weight(tax, alpha, node)
             path_ind[i, col[node]] = 1.0
     return starts, np.array(sizes), lam_path, path_ind
 
@@ -360,11 +361,10 @@ class TestObjectiveTreeData:
     @settings(max_examples=200, deadline=None)
     @given(shaped_trees(), st.sampled_from([0.0, 0.5, 0.9, 1.7]))
     def test_match_ancestry_oracles(self, tax, alpha):
-        w = L.hxe_weights(tax, alpha)
-        np.testing.assert_array_equal(L.ClassHxeObjective(tax, w).coeff,
-                                      class_coeff_oracle(tax, w))
-        obj = L.ConditionalHxeObjective(tax, w)
-        starts, sizes, lam_path, path_ind = conditional_oracle(tax, w)
+        np.testing.assert_array_equal(L.ClassHxeObjective(tax, alpha).coeff,
+                                      class_coeff_oracle(tax, alpha))
+        obj = L.ConditionalHxeObjective(tax, alpha)
+        starts, sizes, lam_path, path_ind = conditional_oracle(tax, alpha)
         np.testing.assert_array_equal(obj.group_starts, starts)
         np.testing.assert_array_equal(obj.group_sizes, sizes)
         np.testing.assert_array_equal(obj.path_indicator, path_ind)
@@ -375,13 +375,12 @@ class TestObjectiveTreeData:
 
     def test_root_that_is_its_only_leaf(self):
         tax = Taxonomy("R", {"R": []}, ["R"])
-        w = L.hxe_weights(tax, 0.5)
-        obj = L.ClassHxeObjective(tax, w)
-        np.testing.assert_array_equal(obj.coeff, class_coeff_oracle(tax, w))
+        obj = L.ClassHxeObjective(tax, 0.5)
+        np.testing.assert_array_equal(obj.coeff, class_coeff_oracle(tax, 0.5))
         assert obj.coeff.shape == (1, 1)
         assert obj.loss_batch(np.zeros((1, 1)), np.array([0]))[0] == 0.0
         with pytest.raises(ValueError, match="edges"):
-            L.ConditionalHxeObjective(tax, w)
+            L.ConditionalHxeObjective(tax, 0.5)
 
 
 class TestBatchSingleConsistency:
@@ -389,13 +388,13 @@ class TestBatchSingleConsistency:
         rng = np.random.default_rng(6)
         for _ in range(50):
             t = make_random_tree(rng, max_nodes=25)
-            w = L.hxe_weights(t, float(rng.uniform(0, 1.2)))
-            obj = L.ClassHxeObjective(t, w)
+            alpha = float(rng.uniform(0, 1.2))
+            obj = L.ClassHxeObjective(t, alpha)
             z = rng.normal(size=t.num_leaves)
             p = softmax(z)
             i = int(rng.integers(t.num_leaves))
             batch = float(obj.loss_batch(z[None, :], np.array([i]))[0])
-            scalar = hxe_walk(t, w, p, t.leaves[i])
+            scalar = hxe_walk(t, alpha, p, t.leaves[i])
             assert abs(batch - scalar) < 1e-9
 
     def test_losses_nonnegative(self):
@@ -404,19 +403,19 @@ class TestBatchSingleConsistency:
             t = make_random_tree(rng, max_nodes=25)
             p = random_prob_vector(rng, t.num_leaves)
             truth = t.leaves[rng.integers(t.num_leaves)]
-            w = L.hxe_weights(t, float(rng.uniform(0, 2)))
-            m = L.soft_label_matrix(t, float(rng.uniform(0, 30)))
+            alpha = float(rng.uniform(0, 2))
+            beta = float(rng.uniform(0, 30))
             ce = L.ClassCrossEntropy(t).loss_batch(
                 np.log(p)[None, :], np.array([t.leaf_index[truth]]))[0]
-            for value in (L.hxe_loss(t, w, p, truth),
-                          L.soft_label_loss(m, p, truth), ce):
+            for value in (L.hxe_loss(t, alpha, p, truth),
+                          L.soft_label_loss(t, beta, p, truth), ce):
                 assert np.isfinite(value) and value >= 0.0
 
 
 @pytest.mark.parametrize("call", [
-    lambda t: L.hxe_loss(t, L.hxe_weights(t, 0.5), np.full(3, 1 / 3), "Z"),
-    lambda t: L.hxe_grad(t, L.hxe_weights(t, 0.5), np.zeros(3), "Z"),
-    lambda t: L.soft_label_loss(L.soft_label_matrix(t, 1.0), np.full(3, 1 / 3), "Z"),
+    lambda t: L.hxe_loss(t, 0.5, np.full(3, 1 / 3), "Z"),
+    lambda t: L.hxe_grad(t, 0.5, np.zeros(3), "Z"),
+    lambda t: L.soft_label_loss(t, 1.0, np.full(3, 1 / 3), "Z"),
 ], ids=["hxe_loss", "hxe_grad", "soft_label_loss"])
 def test_unknown_truth_raises_unknown_node_error(toy_tree, call):
     with pytest.raises(UnknownNodeError, match="unknown leaf 'Z'"):

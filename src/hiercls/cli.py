@@ -21,15 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, dataset_to_csv, synth_hierarchical
-from .fileio import fmt, meta_header, write_text
+from .fileio import fmt, meta_header, read_rows, write_text
+from .losses import check_knob
 from .model import (LOSS_PARAMETERS, AveragedReport, SettingError,
                     average_reports, build_objective, checkpoint_from_text,
                     checkpoint_to_text, confidence_half_width, evaluate_model,
                     output_dim_for, trace_to_csv)
-from .sweep import (RUN_SETTINGS, SPLIT_NAMES, SweepConfig,
-                    check_ks, load_inputs, load_tax, parse_sweep_config,
-                    read_classes, read_input, read_meta, read_setting,
-                    run_meta, run_point, run_sweep, write_csv,
+from .sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, RUN_SETTINGS,
+                    SPLIT_NAMES, SweepConfig, check_ks, load_inputs, load_tax,
+                    parse_sweep_config, read_classes, read_input,
+                    read_setting, run_meta, run_point, run_sweep, write_csv,
                     write_histogram_csv, write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
                        load_taxonomy, parse_pairs, randomize_leaves)
@@ -51,31 +52,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _csv_body(text: str, source: str, ints: tuple[int, ...] = ()
-              ) -> list[tuple[int, list]]:
-    """``(line number, cells)`` of the lines that are neither blank nor
-    ``#`` comments, the header first, with the rows' ``ints`` columns read
-    as integers. A row of another width than the header, or a bad integer,
-    raises ``DataError`` naming ``source`` (option and file) and the line."""
-    body = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if body:
-            if len(cells) != len(body[0][1]):
-                raise DataError(f"{source} line {lineno}: {len(cells)} cells, "
-                                f"but the header has {len(body[0][1])}")
-            for col in ints:
-                try:
-                    cells[col] = int(cells[col])
-                except ValueError:
-                    raise DataError(f"{source} line {lineno}: {cells[col]!r} "
-                                    "is not an integer") from None
-        body.append((lineno, cells))
-    return body
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +195,7 @@ def cmd_train(args) -> int:
     param = getattr(args, name) if name else None
     if param is not None:
         param = _one_value("grid", f"--{name}", param)
+        check_knob(name, param, f"--{name}: ")
     seed = _one_value("seeds", "--seed", args.seed)
     cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[seed])
     tax, data_text, parts = load_inputs(cfg)
@@ -248,24 +225,19 @@ def cmd_evaluate(args) -> int:
                 split_name=args.split_name)
     paths = [args.checkpoint]
     if args.run:
-        run_dir = Path(args.run)
-        sel_path = run_dir / "selected.csv"
-        sel_text = read_input(sel_path, "--run")
-        # Scoring on another split could score rows the run trained on.
+        sel_path = Path(args.run) / "selected.csv"
         source = f"--run {sel_path}"
-        recorded = read_meta(sel_text)
+        recorded, rows = read_rows(read_input(sel_path, "--run"), source,
+                                   ["trace_index", "step"], ints=(1,),
+                                   need_rows=True)
+        # Scoring on another split could score rows the run trained on.
         for key in ("split", "split_seed"):
             if (key in recorded and read_setting(key, recorded[key], source)
                     != getattr(cfg, key)):
                 raise DataError(f"{_flag(key)} does not match the run's "
                                 f"{key}={recorded[key]}")
-        body = _csv_body(sel_text, source, ints=(1,))
-        if not body or body[0][1] != ["trace_index", "step"]:
-            raise DataError(f"{source}: expected a 'trace_index,step' header")
-        if len(body) == 1:
-            raise DataError(f"{source} line {body[0][0]}: no rows after the header")
-        steps = [cells[1] for _, cells in body[1:]]
-        paths = [run_dir / "checkpoints" / f"step_{s:06d}.txt" for s in steps]
+        steps = [cells[1] for _, cells in rows][1:]  # after the header row
+        paths = [Path(args.run) / "checkpoints" / f"step_{s:06d}.txt" for s in steps]
         meta["checkpoints"] = ",".join(str(s) for s in steps)
 
     eval_ds = parts[SPLIT_NAMES.index(args.split_name)]
@@ -320,53 +292,44 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_ID_COLUMNS = ("method", "head", "parameter", "taxonomy", "seed", "num_seeds")
-
-
 def cmd_report(args) -> int:
     if args.histogram:
-        text = read_input(args.histogram, "--histogram")
-        source = f"--histogram {args.histogram}"
-        body = _csv_body(text, source, ints=(1,))
-        if not body or body[0][1] != ["height", "count"]:
-            raise DataError(f"{source}: histogram input must have a "
-                            "'height,count' header")
-        rows = [cells for _, cells in body[1:]]
-        total = sum(c for _, c in rows)
-        meta = dict(read_meta(text), normalization="frequency")
+        meta, rows = read_rows(read_input(args.histogram, "--histogram"),
+                               f"--histogram {args.histogram}",
+                               ["height", "count"], ints=(1,))
+        counts = [cells for _, cells in rows][1:]  # after the header row
+        total = sum(c for _, c in counts)
         lines = ["height,frequency"]
-        lines += [f"{h},{fmt(c / total if total else 0.0)}" for h, c in rows]
-        write_csv(args.out, meta, lines)
+        lines += [f"{h},{fmt(c / total if total else 0.0)}" for h, c in counts]
+        write_csv(args.out, dict(meta, normalization="frequency"), lines)
         return EXIT_OK
 
-    tables, metas = [], []
+    tables, hashes = [], set()
     for path in args.tables:
-        text = read_input(path, "--tables")
-        body = [cells for _, cells in _csv_body(text, f"--tables {path}")]
-        if not body:
-            raise DataError(f"empty table: {path}")
-        tables.append((Path(path).stem, body[0], body[1:]))
-        metas.append(read_meta(text))
-    header0 = tables[0][1]
-    for _, header, _ in tables[1:]:
-        if header != header0:
-            raise DataError("column mismatch across input tables")
-    meta = {"sources": ",".join(stem for stem, _, _ in tables)}
-    hashes = {m.get("taxonomy_hash") for m in metas if "taxonomy_hash" in m}
+        source = f"--tables {path}"
+        meta, rows = read_rows(read_input(path, "--tables"), source)
+        (header_no, header), *body = rows
+        if tables and header != columns:
+            raise DataError(f"{source} line {header_no}: column mismatch with "
+                            f"the header of {args.tables[0]}")
+        columns = header
+        tables.append((Path(path).stem, body))
+        hashes.add(meta.get("taxonomy_hash"))
+    hashes.discard(None)
+    meta = {"sources": ",".join(stem for stem, _ in tables)}
     if len(hashes) == 1:
         meta["taxonomy_hash"] = hashes.pop()
-    ids = [c for c in header0 if c in _ID_COLUMNS]
-    metrics = [c for c in header0 if c not in _ID_COLUMNS and not c.endswith("_hw")]
-    col = {c: i for i, c in enumerate(header0)}
-    out_lines = [",".join(["source"] + ids + ["metric", "value", "half_width"])]
-    for source, _, rows in tables:
-        for cells in rows:
+    id_columns = set(POINT_ID_COLUMNS + MEAN_ID_COLUMNS)
+    ids = [c for c in columns if c in id_columns]
+    metrics = [c for c in columns if c not in id_columns and not c.endswith("_hw")]
+    col = {c: i for i, c in enumerate(columns)}
+    out_lines = [",".join(["source", *ids, "metric", "value", "half_width"])]
+    for stem, body in tables:
+        for _, cells in body:
             for metric in metrics:
-                hw_idx = col.get(metric + "_hw")
-                hw = cells[hw_idx] if hw_idx is not None else ""
-                out_lines.append(",".join(
-                    [source] + [cells[col[c]] for c in ids]
-                    + [metric, cells[col[metric]], hw]))
+                hw = cells[col[metric + "_hw"]] if metric + "_hw" in col else ""
+                out_lines.append(",".join([stem, *(cells[col[c]] for c in ids),
+                                           metric, cells[col[metric]], hw]))
     write_csv(args.out, meta, out_lines)
     return EXIT_OK
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .fileio import fmt
+from .fileio import DataError, fmt, read_rows
 from .model import SettingError
 from .taxonomy import Taxonomy
 
@@ -27,10 +28,6 @@ __all__ = [
     "split",
     "synth_hierarchical",
 ]
-
-
-class DataError(Exception):
-    """Malformed dataset input or an infeasible split."""
 
 
 @dataclass
@@ -82,42 +79,34 @@ class SplitSpec:
             raise DataError(f"split probabilities must sum to 1: {p}")
 
 
-def dataset_from_csv(text: str, tax: Taxonomy, source: str = "") -> Dataset:
+def dataset_from_csv(text: str, tax: Taxonomy, source: str = "dataset") -> Dataset:
     """Parse ``f0..f{D-1},label`` rows; labels must be leaves of ``tax``.
 
     A bad header or row, including a feature cell that is not a finite
     number, raises ``DataError`` naming ``source`` (the option or key and
-    the file, if any) and the line.
+    the file) and the line.
     """
-    lines = text.splitlines()
-    body = [(i + 1, l) for i, l in enumerate(lines) if l and not l.startswith("#")]
-    at = f"{source} line" if source else "line"
-    if not body:
-        raise DataError(f"{source or 'dataset'}: file has no header")
-    header_no, header = body[0]
-    cols = header.split(",")
-    if cols[-1] != "label" or cols[:-1] != [f"f{i}" for i in range(len(cols) - 1)]:
-        raise DataError(f"{at} {header_no}: expected header 'f0,..,f{{D-1}},label'")
-    dim = len(cols) - 1
-    rows, labels = [], []
-    for lineno, line in body[1:]:
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise DataError(f"{at} {lineno}: expected {dim + 1} cells, got {len(cells)}")
+    _, rows = read_rows(text, source, need_rows=True, header=lambda width: [
+        *(f"f{i}" for i in range(width - 1)), "label"])
+    features, labels = [], []
+    # Each row after the header is converted as the reader yields it, so the
+    # cells of all rows are never held at once.
+    for lineno, cells in islice(rows, 1, None):
         try:
-            rows.append([float(c) for c in cells[:-1]])
+            features.append([float(c) for c in cells[:-1]])
         except ValueError:
-            raise DataError(f"{at} {lineno}: non-numeric feature cell") from None
-        label = cells[-1]
-        if label not in tax.leaf_index:
-            raise DataError(f"{at} {lineno}: unknown label {label!r}")
-        labels.append(label)
-    if not labels:
-        raise DataError(f"{source or 'dataset'}: file has a header but no rows")
-    features = np.array(rows, dtype=float)
+            raise DataError(f"{source} line {lineno}: non-numeric feature "
+                            "cell") from None
+        if cells[-1] not in tax.leaf_index:
+            raise DataError(f"{source} line {lineno}: unknown label {cells[-1]!r}")
+        # The taxonomy's own string, so that no string of the row outlives
+        # it and pins the memory the row's cells took.
+        labels.append(tax.leaves[tax.leaf_index[cells[-1]]])
+    features = np.array(features, dtype=float)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise DataError(f"{at} {body[1 + bad[0]][0]}: feature cell is not a "
+    if bad.size:  # no line numbers are kept: find the bad row's line again
+        lineno = next(islice(read_rows(text, source)[1], bad[0] + 1, None))[0]
+        raise DataError(f"{source} line {lineno}: feature cell is not a "
                         "finite number")
     return Dataset(features, labels)
 

@@ -33,6 +33,7 @@ from .taxonomy import Taxonomy, UnknownNodeError
 __all__ = [
     "EPS",
     "softmax_batch",
+    "check_knob",
     "hxe_loss",
     "hxe_grad",
     "soft_label_matrix",
@@ -58,13 +59,19 @@ def softmax_batch(Z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def check_knob(name: str, value: float, prefix: str = "") -> None:
+    """A loss's one knob (HXE ``alpha``, soft-label ``beta``) must be
+    finite and >= 0; ``prefix`` leads the error message."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{prefix}{name} must be finite and >= 0, got {value}")
+
+
 def _edge_weights(tax: Taxonomy, alpha: float) -> np.ndarray:
     """Per-edge weights ``exp(-alpha * depth(child))`` in ``nonroot_bfs``
     order. ``alpha = 0`` gives uniform weights (the plain cross-entropy
     limit); larger alpha discounts edges deeper in the tree, trading
     fine-grained for coarse correctness."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    check_knob("alpha", alpha)
     return np.array([np.exp(-alpha * tax.depth[n]) for n in tax.nonroot_bfs])
 
 
@@ -87,8 +94,7 @@ def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
     normalizer, so exact symmetry holds only when the rows' distance
     multisets agree).
     """
-    if not 0 <= beta < np.inf:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    check_knob("beta", beta)
     weights = np.exp(-beta * tax.distance_matrix())
     return weights / weights.sum(axis=1, keepdims=True)
 

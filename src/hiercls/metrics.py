@@ -48,7 +48,9 @@ class MetricReport:
 def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
                         ks: tuple[int, ...]) -> MetricReport:
     """The report of rank matrix ``R`` (row i: example i's class indices in
-    descending score) against truth indices ``t``, at each cutoff in ``ks``."""
+    descending score) against truth indices ``t``, at each cutoff in ``ks``.
+    Misaligned inputs, a bad cutoff, an index outside the classes or a
+    class ranked twice in one row raise ``ValueError`` (naming the row)."""
     R = np.asarray(R, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
     if R.ndim != 2 or len(R) != len(t) or len(t) == 0:
@@ -56,6 +58,13 @@ def report_from_indices(tax: Taxonomy, R: np.ndarray, t: np.ndarray,
     if min(ks) < 1 or max(ks) > R.shape[1]:
         raise ValueError(f"cutoffs {list(ks)} must lie from 1 to the ranking "
                          f"width {R.shape[1]}")
+    n, S = tax.num_leaves, np.sort(R, axis=1)
+    bad = ((t < 0) | (t >= n) | (S[:, 0] < 0) | (S[:, -1] >= n)
+           | (S[:, 1:] == S[:, :-1]).any(axis=1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i}: truth {t[i]} or ranking {R[i].tolist()} is "
+                         f"not made of distinct class indices from 0 to {n - 1}")
     H = tax.lca_height_matrix()
     hits = R == t[:, None]
     topk_err = {k: float(1.0 - hits[:, :k].any(axis=1).mean()) for k in ks}

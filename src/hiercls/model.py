@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses as L
-from .fileio import fmt
+from .fileio import fmt, read_header
 from .metrics import MetricReport, report_from_indices
 from .taxonomy import Taxonomy
 
@@ -497,9 +497,7 @@ def checkpoint_from_text(text: str, source: str = "checkpoint"
     not fit ``layer_shapes``, or a value that is not a finite float raises
     ``ValueError`` naming ``source`` (and the line, for a value)."""
     lines = text.splitlines()
-    n_meta = next((i for i, line in enumerate(lines) if not line.startswith("# ")),
-                  len(lines))
-    meta = dict(line[2:].partition("=")[::2] for line in lines[:n_meta])
+    meta, n_meta = read_header(lines)
     if meta.get("format") != "hiercls-checkpoint-v1":
         raise ValueError(f"{source}: not a recognizable checkpoint file")
     missing = [key for key in _CHECKPOINT_KEYS if key not in meta]

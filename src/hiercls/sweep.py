@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, SplitSpec, dataset_from_csv, split
-from .fileio import fmt, meta_header, sha16, write_text
+from .fileio import fmt, meta_header, read_header, sha16, write_text
 from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, SettingError,
                     TrainingDivergedError, TrainSchedule, average_reports,
                     build_objective, confidence_half_width, init_model,
@@ -199,16 +199,6 @@ def read_input(path: str | Path, name: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def read_meta(text: str) -> dict[str, str]:
-    """The ``# key=value`` metadata lines of a file hiercls wrote."""
-    meta = {}
-    for line in text.splitlines():
-        if line.startswith("# ") and "=" in line:
-            key, _, val = line[2:].partition("=")
-            meta[key] = val
-    return meta
-
-
 def read_classes(path: str | Path, name: str) -> list[str]:
     """Class ids, one a line, taken verbatim; blank lines and ``#`` comments
     are skipped. Surrounding whitespace, a tab (no edge-list node has one)
@@ -256,11 +246,13 @@ def load_inputs(cfg: SweepConfig, prefix: str = "--"
     """
     tax = load_tax(cfg.taxonomy, cfg.classes, prefix)
     text = read_input(cfg.data, prefix + "data")
-    embedded = read_meta(text).get("taxonomy_hash", tax.hash_hex()).strip()
+    source = f"{prefix}data {cfg.data}"
+    meta, _ = read_header(text.splitlines())
+    embedded = meta.get("taxonomy_hash", tax.hash_hex()).strip()
     if embedded != tax.hash_hex():
-        raise DataError(f"dataset taxonomy hash {embedded} does not match "
-                        f"{prefix}taxonomy hash {tax.hash_hex()}")
-    parts = split(dataset_from_csv(text, tax, f"{prefix}data {cfg.data}"),
+        raise DataError(f"{source}: dataset taxonomy hash {embedded} does not "
+                        f"match {prefix}taxonomy hash {tax.hash_hex()}")
+    parts = split(dataset_from_csv(text, tax, source),
                   SplitSpec(cfg.split, cfg.split_seed))
     return tax, text, parts
 
@@ -366,11 +358,16 @@ def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
 # ---------------------------------------------------------------------------
 
 
+# The id columns of ``tradeoff.csv`` and ``tradeoff_mean.csv``; each
+# metric column after them has its half-width ``<metric>_hw`` beside it.
+POINT_ID_COLUMNS = ("method", "head", "parameter", "taxonomy", "seed")
+MEAN_ID_COLUMNS = POINT_ID_COLUMNS[:-1] + ("num_seeds",)
+
+
 def _table_lines(cfg: SweepConfig, rows: list[dict]) -> list[str]:
     """``tradeoff.csv``: one row a point."""
     cols = list(rows[0]["means"])
-    lines = [",".join(["method", "head", "parameter", "taxonomy", "seed"]
-                      + [f"{c},{c}_hw" for c in cols])]
+    lines = [",".join([*POINT_ID_COLUMNS, *(f"{c},{c}_hw" for c in cols)])]
     for r in rows:
         cells = [cfg.loss, cfg.head, r["parameter"], r["taxonomy"], str(r["seed"])]
         for c in cols:
@@ -387,8 +384,7 @@ def _mean_table_lines(cfg: SweepConfig, rows: list[dict]) -> list[str]:
     for r in rows:
         key = (cfg.loss, cfg.head, r["parameter"], r["taxonomy"])
         groups.setdefault(key, []).append(r)
-    lines = [",".join(["method", "head", "parameter", "taxonomy", "num_seeds"]
-                      + [f"{c},{c}_hw" for c in cols])]
+    lines = [",".join([*MEAN_ID_COLUMNS, *(f"{c},{c}_hw" for c in cols)])]
     for key, members in groups.items():
         cells = list(key) + [str(len(members))]
         for c in cols:

@@ -8,6 +8,10 @@ from hiercls.taxonomy import (Taxonomy, TaxonomyGraph, UnknownNodeError,
 
 TOY_TREE_EDGES = "R\tD\nR\tC\nD\tA\nD\tB\n"
 TOY_TREE_LEAVES = ["A", "B", "C"]
+# Floats whose text form a codec could get wrong: the signed zeros, the
+# smallest subnormals and the largest finite values.
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308]
 
 
 @pytest.fixture

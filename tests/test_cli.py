@@ -421,16 +421,18 @@ class TestTrainCommand:
         (["--seed", "-1"], "--seed: seeds must be >= 0, got [-1]"),
         (["--split-seed", "-1"], "--split-seed: split_seed must be >= 0, got -1"),
         (["--loss", "hxe", "--alpha", "nan"],
-         "error: alpha must be finite and >= 0, got nan"),
+         "error: --alpha: alpha must be finite and >= 0, got nan"),
+        (["--loss", "hxe", "--alpha", "-1"],
+         "error: --alpha: alpha must be finite and >= 0, got -1.0"),
         (["--loss", "soft", "--beta", "nan"],
-         "error: beta must be finite and >= 0, got nan"),
+         "error: --beta: beta must be finite and >= 0, got nan"),
         (["--loss", "soft", "--beta", "inf"],
-         "error: beta must be finite and >= 0, got inf"),
+         "error: --beta: beta must be finite and >= 0, got inf"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
             "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
             "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
             "seed_not_int", "seed_list", "seed_negative", "split_seed_negative",
-            "alpha_nan", "beta_nan", "beta_inf"])
+            "alpha_nan", "alpha_negative", "beta_nan", "beta_inf"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
@@ -440,6 +442,14 @@ class TestTrainCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_knob_exits_2_before_the_data_is_read(self, workdir, capsys):
+        code = run("train", "--data", workdir / "missing.csv", "--taxonomy",
+                   workdir / "missing.tsv", "--classes", workdir / "classes.txt",
+                   "--loss", "hxe", "--alpha", "-1", "--out", workdir / "x")
+        assert code == 2
+        assert ("error: --alpha: alpha must be finite and >= 0, got -1.0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags, message", [
         (["--loss", "ce", "--alpha", "0.5"], "--alpha: loss ce takes no parameter"),
@@ -737,6 +747,30 @@ def test_non_finite_data_cell_names_file_and_line(workdir, capsys, command,
     assert code == 2
     assert (f"error: {source} line {row + 1}: feature cell is not a finite "
             "number") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_short_data_row_names_file_and_line(workdir, capsys, command):
+    # The same form as --run, --histogram and --tables give a short row.
+    tree, data = gen_tree_and_data(workdir, per_class=5)
+    lines = data.read_text().splitlines()
+    row = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 3
+    lines[row] = lines[row].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n")
+    out = workdir / "out"
+    if command == "train":
+        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                   "--out", out)
+        source = f"--data {data}"
+    else:
+        code = run("sweep", "--config", write_sweep_config(workdir, tree, data),
+                   "--out", out)
+        source = f"data {data}"
+    assert code == 2
+    assert (f"error: {source} line {row + 1}: 6 cells, but the header has 7"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_balanced_tree
+from conftest import EXTREMES, TOY_TREE_EDGES, TOY_TREE_LEAVES, make_balanced_tree
 from hiercls.data import (DataError, Dataset, SplitSpec, dataset_from_csv,
                           dataset_to_csv, split, synth_hierarchical)
 from hiercls.model import SettingError
+from hiercls.taxonomy import load_edges, prune_to_tree
+
+# Hypothesis tests cannot take function-scoped fixtures.
+TOY = prune_to_tree(load_edges(TOY_TREE_EDGES), TOY_TREE_LEAVES)
 
 
 def class_means(ds: Dataset) -> dict[str, np.ndarray]:
@@ -57,6 +63,52 @@ class TestCsv:
     def test_comment_lines_skipped(self, toy_tree):
         text = "# taxonomy_hash=abc\nf0,label\n1.0,A\n"
         assert dataset_from_csv(text, toy_tree).n == 1
+
+
+@st.composite
+def datasets(draw):
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = st.sampled_from(EXTREMES) | st.floats(allow_nan=False,
+                                                  allow_infinity=False)
+    rows = st.lists(values, min_size=dim, max_size=dim)
+    features = draw(st.lists(rows, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(TOY_TREE_LEAVES), min_size=n,
+                           max_size=n))
+    return Dataset(np.array(features, dtype=float), labels)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(datasets())
+    def test_write_read_write_is_identity(self, ds):
+        text = dataset_to_csv(ds)
+        again = dataset_from_csv(text, TOY)
+        assert again.features.tobytes() == ds.features.tobytes()
+        assert again.labels == ds.labels
+        assert dataset_to_csv(again) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(datasets(), st.data())
+    def test_bad_cell_names_source_and_file_line(self, ds, data):
+        opening = data.draw(st.lists(st.sampled_from(
+            ["", "# taxonomy_hash=abc", "# note", "#"]), max_size=4))
+        lines = opening + dataset_to_csv(ds).splitlines()
+        # Blank and comment lines between the rows shift their line numbers.
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(len(opening) + 1, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(["", "# x=1"])))
+        rows = [i for i in range(len(opening) + 1, len(lines))
+                if lines[i] and not lines[i].startswith("#")]
+        row = data.draw(st.sampled_from(rows))
+        col = data.draw(st.integers(0, ds.feature_dim - 1))
+        cell = data.draw(st.sampled_from(["nan", "-inf", "1e999", "x", "",
+                                          "0x1", "1e"]))
+        cells = lines[row].split(",")
+        cells[col] = cell
+        lines[row] = ",".join(cells)
+        with pytest.raises(DataError) as err:
+            dataset_from_csv("\n".join(lines) + "\n", TOY, "--data d.csv")
+        assert str(err.value).startswith(f"--data d.csv line {row + 1}: ")
 
 
 class TestSplit:

@@ -3,7 +3,9 @@ its ``__all__``, so a refactor that drops the last use of an import also
 drops the import. ``__init__.py`` only re-exports; lines marked
 ``# noqa: F401`` are kept on purpose (the benchmark tracer's patch sites).
 Every name in a module's ``__all__`` exists there, so a deleted function
-cannot linger in ``__all__`` and keep its imports counted as used.
+cannot linger in ``__all__`` and keep its imports counted as used. Every
+top-level private name (``_x``) is used somewhere in ``src/``, so a helper
+whose last caller went does not linger either.
 """
 
 import ast
@@ -79,3 +81,48 @@ def test_catches_a_stale_export():
               "def kept(): pass\n"
               "__all__ = ['dataclass', 'LIMIT', 'kept', 'deleted']\n")
     assert undefined_exports(source) == ["deleted"]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level private names (``_x``, not dunders) of ``sources`` (module
+    name -> text) that no module of ``sources`` uses beyond defining them."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module} line {node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{where}: {name}" for name, where in sorted(defined.items())
+            if name not in used]
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert orphaned_private_names(sources) == []
+
+
+def test_catches_an_orphaned_private_helper():
+    sources = {
+        "cli.py": ("from .fileio import _shared\n"
+                   "_ROWS = 3\n"
+                   "def _csv_body(text):\n    return text\n"
+                   "def main():\n    return _shared(_ROWS)\n"),
+        "fileio.py": "def _shared(n):\n    return n\n",
+    }
+    assert orphaned_private_names(sources) == ["cli.py line 3: _csv_body"]

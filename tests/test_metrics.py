@@ -28,6 +28,22 @@ class TestReportInputs:
             with pytest.raises(ValueError, match="must align"):
                 M.report_from_indices(toy_tree, R, t, (1,))
 
+    @pytest.mark.parametrize("R, t, where", [
+        ([[-1]], [0], "row 0: truth 0 or ranking [-1]"),
+        ([[5]], [0], "row 0: truth 0 or ranking [5]"),
+        ([[0, 0]], [0], "row 0: truth 0 or ranking [0, 0]"),
+        ([[0]], [7], "row 0: truth 7 or ranking [0]"),
+        ([[0]], [-1], "row 0: truth -1 or ranking [0]"),
+        ([[0, 1], [1, 2], [2, 2], [3, 0]], [0, 1, 2, 9],
+         "row 2: truth 2 or ranking [2, 2]"),
+    ], ids=["negative_rank", "rank_past_classes", "duplicate_rank",
+            "truth_past_classes", "negative_truth", "first_bad_row"])
+    def test_rejects_out_of_range_and_duplicates(self, toy_tree, R, t, where):
+        with pytest.raises(ValueError) as err:
+            M.report_from_indices(toy_tree, R, t, (1,))
+        assert str(err.value) == (f"{where} is not made of distinct class "
+                                  "indices from 0 to 2")
+
 
 class TestTopKError:
     def test_always_rank_one(self, toy_tree):

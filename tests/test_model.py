@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, max_rel_error
+from conftest import EXTREMES, finite_difference, max_rel_error
 from hiercls import model as Md
 from hiercls.data import Dataset, synth_hierarchical
 from hiercls.losses import ConditionalHxeObjective, softmax_batch
@@ -582,16 +582,13 @@ class TestCheckpointText:
             np.testing.assert_array_equal(W, W2)
             np.testing.assert_array_equal(b, b2)
 
-    EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                -1.7976931348623157e308]
-
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_round_trip_keeps_bytes(self, data):
         dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
         shapes = tuple(zip(dims[:-1], dims[1:]))
         n = sum(d_in * d_out + d_out for d_in, d_out in shapes)
-        values = st.sampled_from(self.EXTREMES) | st.floats(allow_nan=False,
+        values = st.sampled_from(EXTREMES) | st.floats(allow_nan=False,
                                                             allow_infinity=False)
         params = np.array(data.draw(st.lists(values, min_size=n, max_size=n)),
                           dtype=float)

@@ -16,7 +16,7 @@ from .metrics import MetricReport, report_from_indices
 from .data import (DataError, Dataset, SplitSpec, dataset_from_csv,
                    dataset_to_csv, split, synth_hierarchical)
 from .model import (ClassifierModel, init_model, forward, AdamOptimizer,
-                    TrainSchedule, TrainingTrace, TrainingDivergedError, train,
+                    TrainSchedule, TrainingDivergedError, train,
                     fit_polynomial, select_checkpoints, evaluate_model)
 from .sweep import SweepConfig, parse_sweep_config, run_sweep
 

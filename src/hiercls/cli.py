@@ -6,7 +6,8 @@ Subcommands: ``hierarchy`` (build / randomize / export), ``gen-data``,
 taxonomy hash, never paths or timestamps, so identical flags reproduce
 byte-identical files.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 partial sweep failure.
+Exit codes: 0 success, 1 usage error, 2 bad input or diverged training, 3
+partial sweep failure.
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import DataError, dataset_to_csv, synth_hierarchical
 from .fileio import fmt, meta_header, read_rows, write_text
 from .losses import check_knob
-from .model import (LOSS_PARAMETERS, AveragedReport, SettingError,
-                    average_reports, build_objective, checkpoint_from_text,
-                    checkpoint_to_text, confidence_half_width, evaluate_model,
-                    output_dim_for, trace_to_csv)
+from .model import (LOSS_PARAMETERS, SettingError, TrainingDivergedError,
+                    build_objective, checkpoint_from_text, checkpoint_to_text,
+                    evaluate_model, output_dim_for)
 from .sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, RUN_SETTINGS,
-                    SPLIT_NAMES, SweepConfig, check_ks, load_inputs, load_tax,
-                    parse_sweep_config, read_classes, read_input,
-                    read_setting, run_meta, run_point, run_sweep, write_csv,
-                    write_histogram_csv, write_run_files)
+                    SPLIT_NAMES, SweepConfig, average_reports, check_ks,
+                    checkpoint_path, load_inputs, load_tax, parse_sweep_config,
+                    read_classes, read_histogram, read_input, read_selected,
+                    read_setting, run_meta, run_point, run_sweep, setting_text,
+                    write_csv, write_histogram_csv, write_report_csv,
+                    write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
                        load_taxonomy, parse_pairs, randomize_leaves)
 # Not called here: perfbench/tracer.py patches these lookup sites.
@@ -125,30 +125,6 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_rows(averaged: AveragedReport):
-    """``(metric, k, mean, half_width)`` rows of ``report.csv``."""
-    rows = []
-    for name, mean in averaged.means.items():
-        half = averaged.half_widths[name]
-        if name.startswith("top") and name.endswith("_error"):
-            rows.append(("top_k_error", name[3:-6], mean, half))
-        elif name.startswith("avg_hier_dist_at_"):
-            rows.append(("avg_hier_dist_topk", name.rsplit("_", 1)[1], mean, half))
-        else:
-            rows.append((name, "", mean, half))
-    counts = [r.mistake_count for r in averaged.reports]
-    rows.append(("mistake_count", "", float(np.mean(counts)),
-                 confidence_half_width(counts)))
-    rows.append(("num_examples", "", float(averaged.reports[0].num_examples), 0.0))
-    return rows
-
-
-def _write_report_csv(path, averaged: AveragedReport, meta) -> None:
-    write_csv(path, meta, ["metric,k,mean,half_width"]
-              + [f"{metric},{k},{fmt(mean)},{fmt(half)}"
-                 for metric, k, mean, half in _report_rows(averaged)])
-
-
 # The run settings ``evaluate`` takes; ``train`` takes all of RUN_SETTINGS.
 _EVALUATE_SETTINGS = ("split", "split_seed", "ks")
 
@@ -200,20 +176,19 @@ def cmd_train(args) -> int:
     cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[seed])
     tax, data_text, parts = load_inputs(cfg)
     check_ks(cfg.ks, tax, "--ks")
-    model, trace, selected, averaged = run_point(tax, parts, cfg, param, seed)
+    model, records, selected = run_point(tax, parts, cfg, param, seed)
 
     meta = dict(run_meta(cfg, tax, data_text), seed=seed)
     if name:
         meta[name] = fmt(param)
     out = Path(args.out)
-    write_run_files(out, meta, trace_to_csv(trace),
-                    [(i, trace.records[i].step) for i in selected],
-                    averaged.severity_histogram)
-    for rec in trace.records:
-        write_text(out / "checkpoints" / f"step_{rec.step:06d}.txt",
+    write_run_files(out, meta, records, selected)
+    for rec in records:
+        write_text(checkpoint_path(out, rec.step),
                    checkpoint_to_text(replace(model, params=rec.params),
                                       rec.step, tax.hash_hex()))
-    _write_report_csv(out / "report.csv", averaged, meta)
+    write_report_csv(out / "report.csv", meta,
+                     average_reports([records[i].report for i in selected]))
     return EXIT_OK
 
 
@@ -225,19 +200,13 @@ def cmd_evaluate(args) -> int:
                 split_name=args.split_name)
     paths = [args.checkpoint]
     if args.run:
-        sel_path = Path(args.run) / "selected.csv"
-        source = f"--run {sel_path}"
-        recorded, rows = read_rows(read_input(sel_path, "--run"), source,
-                                   ["trace_index", "step"], ints=(1,),
-                                   need_rows=True)
+        recorded, steps = read_selected(args.run, "--run")
         # Scoring on another split could score rows the run trained on.
-        for key in ("split", "split_seed"):
-            if (key in recorded and read_setting(key, recorded[key], source)
-                    != getattr(cfg, key)):
+        for key, value in recorded.items():
+            if value != getattr(cfg, key):
                 raise DataError(f"{_flag(key)} does not match the run's "
-                                f"{key}={recorded[key]}")
-        steps = [cells[1] for _, cells in rows][1:]  # after the header row
-        paths = [Path(args.run) / "checkpoints" / f"step_{s:06d}.txt" for s in steps]
+                                f"{key}={setting_text(value)}")
+        paths = [checkpoint_path(args.run, s) for s in steps]
         meta["checkpoints"] = ",".join(str(s) for s in steps)
 
     eval_ds = parts[SPLIT_NAMES.index(args.split_name)]
@@ -264,11 +233,11 @@ def cmd_evaluate(args) -> int:
         models.append(model)
     check_ks(cfg.ks, tax, "--ks")
     obj = build_objective(tax, cfg.loss, None, models[0].head)
-    averaged = average_reports([evaluate_model(tax, model, eval_ds, obj,
-                                               ks=cfg.ks) for model in models])
-    _write_report_csv(args.out_report, averaged, meta)
+    reports = [evaluate_model(tax, model, eval_ds, obj, ks=cfg.ks)
+               for model in models]
+    write_report_csv(args.out_report, meta, average_reports(reports))
     if args.out_histogram:
-        write_histogram_csv(args.out_histogram, averaged.severity_histogram, meta)
+        write_histogram_csv(args.out_histogram, meta, reports)
     return EXIT_OK
 
 
@@ -294,10 +263,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     if args.histogram:
-        meta, rows = read_rows(read_input(args.histogram, "--histogram"),
-                               f"--histogram {args.histogram}",
-                               ["height", "count"], ints=(1,))
-        counts = [cells for _, cells in rows][1:]  # after the header row
+        meta, counts = read_histogram(args.histogram, "--histogram")
         total = sum(c for _, c in counts)
         lines = ["height,frequency"]
         lines += [f"{h},{fmt(c / total if total else 0.0)}" for h, c in counts]
@@ -433,7 +399,8 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (HierarchyError, DataError, ValueError, OSError) as e:
+    except (HierarchyError, DataError, ValueError, OSError,
+            TrainingDivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

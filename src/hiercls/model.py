@@ -12,7 +12,6 @@ so identical inputs reproduce traces bitwise.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "AdamOptimizer",
     "TrainSchedule",
     "CheckpointRecord",
-    "TrainingTrace",
     "TrainingDivergedError",
     "SettingError",
     "train",
@@ -38,10 +36,6 @@ __all__ = [
     "polynomial_minimum",
     "select_checkpoints",
     "evaluate_model",
-    "average_reports",
-    "AveragedReport",
-    "confidence_half_width",
-    "trace_to_csv",
     "checkpoint_to_text",
     "checkpoint_from_text",
 ]
@@ -194,8 +188,8 @@ class AdamOptimizer:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise SettingError("lr", f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise SettingError("lr", f"lr must be > 0 and finite, got {self.lr}")
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One step on the flat ``params`` in place."""
@@ -240,24 +234,19 @@ class CheckpointRecord:
     train_loss: float
     val_loss: float
     report: MetricReport
-    params: np.ndarray
-
-
-@dataclass
-class TrainingTrace:
-    records: list[CheckpointRecord]
+    params: np.ndarray | None  # None where a sweep worker leaves them behind
 
 
 def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
           obj, optimizer: AdamOptimizer, schedule: TrainSchedule,
-          ks: tuple[int, ...]) -> TrainingTrace:
+          ks: tuple[int, ...]) -> list[CheckpointRecord]:
     """Seeded mini-batch training of ``model`` under the objective ``obj``,
-    with periodic checkpoints.
+    with periodic checkpoints; returns their records in step order.
 
     Batches are drawn from a fresh seeded shuffle each epoch (trailing
-    partial batches are skipped). Every ``checkpoint_every`` steps the trace
-    records the running training loss, the ``val_ds`` loss, a metric report
-    on ``eval_ds`` ranked by ``obj.scores`` (from the validation logits when
+    partial batches are skipped). Every ``checkpoint_every`` steps a record
+    holds the running training loss, the ``val_ds`` loss, a metric report on
+    ``eval_ds`` ranked by ``obj.scores`` (from the validation logits when
     ``eval_ds`` is ``val_ds``), and a parameter snapshot. Non-finite losses
     abort immediately.
     """
@@ -309,7 +298,7 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
                 params=model.params.copy(),
             ))
             run_sum, run_count = 0.0, 0
-    return TrainingTrace(records=records)
+    return records
 
 
 def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
@@ -384,22 +373,23 @@ def polynomial_minimum(coeffs: np.ndarray, lo: float, hi: float) -> float:
     return candidates[int(np.argmin(vals))]
 
 
-def select_checkpoints(trace: TrainingTrace, discard_before: int) -> list[int]:
-    """Pick 5 trace indices around the minimum of a degree-4 fit of the
-    validation loss against the step number.
+def select_checkpoints(records: list[CheckpointRecord],
+                       discard_before: int) -> list[int]:
+    """Pick 5 indices into ``records`` around the minimum of a degree-4 fit
+    of the validation loss against the step number.
 
     Checkpoints at steps <= ``discard_before`` are dropped first. The fit is
     evaluated inside the retained step range; the nearest retained checkpoint
     anchors a symmetric 5-wide index window, clipped at the ends.
     """
-    retained = [i for i, r in enumerate(trace.records) if r.step > discard_before]
+    retained = [i for i, r in enumerate(records) if r.step > discard_before]
     if len(retained) < 5:
         raise ValueError(
             f"need at least 5 checkpoints after step {discard_before}, "
             f"have {len(retained)}"
         )
-    steps = np.array([trace.records[i].step for i in retained], dtype=float)
-    losses = np.array([trace.records[i].val_loss for i in retained])
+    steps = np.array([records[i].step for i in retained], dtype=float)
+    losses = np.array([records[i].val_loss for i in retained])
     if len(np.unique(steps)) < 5:
         raise ValueError("degenerate fit: fewer than 5 distinct steps")
     mid = (steps[0] + steps[-1]) / 2.0
@@ -413,60 +403,8 @@ def select_checkpoints(trace: TrainingTrace, discard_before: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Averaged evaluation over selected checkpoints
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AveragedReport:
-    """Mean metric values over several checkpoints, with normal-approximation
-    95% half-widths (1.96 * sample std / sqrt(n)) and a summed severity
-    histogram."""
-
-    means: dict[str, float]
-    half_widths: dict[str, float]
-    severity_histogram: dict[int, int]
-    reports: list[MetricReport]
-
-
-def confidence_half_width(values) -> float:
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        return 0.0
-    return float(1.96 * values.std(ddof=1) / np.sqrt(values.size))
-
-
-def average_reports(reports: list[MetricReport]) -> AveragedReport:
-    """Mean and half-width of every scalar over ``reports``, and their
-    summed severity histogram in height order."""
-    scalars = [r.scalars() for r in reports]
-    series = {name: [s[name] for s in scalars] for name in scalars[0]}
-    hist: Counter[int] = Counter()
-    for r in reports:
-        hist.update(r.severity_histogram)
-    return AveragedReport(
-        means={name: float(np.mean(vals)) for name, vals in series.items()},
-        half_widths={name: confidence_half_width(vals)
-                     for name, vals in series.items()},
-        severity_histogram=dict(sorted(hist.items())), reports=reports)
-
-
-# ---------------------------------------------------------------------------
 # Text serialization
 # ---------------------------------------------------------------------------
-
-
-def trace_to_csv(trace: TrainingTrace) -> str:
-    """``step,train_loss,val_loss,<metric columns>`` rows."""
-    scalar_names = list(trace.records[0].report.scalars().keys())
-    header = ",".join(["step", "train_loss", "val_loss"] + scalar_names)
-    lines = [header]
-    for r in trace.records:
-        scalars = r.report.scalars()
-        cells = [str(r.step), fmt(r.train_loss), fmt(r.val_loss)]
-        cells += [fmt(scalars[name]) for name in scalar_names]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def checkpoint_to_text(model: ClassifierModel, step: int, taxonomy_hash: str) -> str:

@@ -9,7 +9,8 @@ whose inputs or numerics fail is recorded and skipped rather than aborting
 the grid.
 
 The ``train`` and ``evaluate`` commands share this module's run settings,
-input loader, ``run_point`` pipeline and run-file headers and writers.
+input loader, ``run_point`` pipeline and run files: each file's layout is
+spelled once here, its writer beside its reader.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ import csv
 import io
 import multiprocessing
 import os
+from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import DataError, Dataset, SplitSpec, dataset_from_csv, split
-from .fileio import fmt, meta_header, read_header, sha16, write_text
-from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, SettingError,
-                    TrainingDivergedError, TrainSchedule, average_reports,
-                    build_objective, confidence_half_width, init_model,
-                    select_checkpoints, trace_to_csv, train)
+from .fileio import fmt, meta_header, read_header, read_rows, sha16, write_text
+from .metrics import MetricReport
+from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, CheckpointRecord,
+                    SettingError, TrainingDivergedError, TrainSchedule,
+                    build_objective, init_model, select_checkpoints, train)
 from .taxonomy import Taxonomy, load_taxonomy, randomize_leaves
 
 __all__ = ["SweepConfig", "RUN_SETTINGS", "parse_sweep_config", "run_sweep",
@@ -56,7 +58,7 @@ class SweepConfig:
     data: str
     taxonomy: str
     classes: str
-    grid: list = field(default_factory=list)
+    grid: list | None = None
     head: str = "class"
     taxonomy_source: str = "true"
     split: tuple[float, float, float] = (0.7, 0.15, 0.15)
@@ -73,14 +75,22 @@ class SweepConfig:
     workers: int = 0
 
     def __post_init__(self):
-        if not self.grid:
+        if self.grid is None:
             self.grid = {"hxe": DEFAULT_ALPHA_GRID,
                          "soft": DEFAULT_BETA_GRID}.get(self.loss, [None])[:]
+        # Every point builds these; building them first rejects a bad
+        # schedule or learning rate before any point runs, and before the
+        # checks below divide by checkpoint_every.
+        TrainSchedule(self.steps, self.batch_size, self.checkpoint_every, seed=0)
+        AdamOptimizer(self.lr)
+        kept = (self.steps // self.checkpoint_every
+                - min(self.discard_before, self.steps) // self.checkpoint_every)
         kind, _, seed = self.taxonomy_source.partition(":")
         # Grid values are checked per point: a bad one fails only its point.
         for key, ok, message in (
                 ("loss", self.loss in LOSS_PARAMETERS,
                  f"loss must be one of {tuple(LOSS_PARAMETERS)}"),
+                ("grid", bool(self.grid), "grid must list at least one value"),
                 ("grid", self.loss != "ce" or self.grid == [None],
                  "loss ce takes no grid"),
                 ("head", self.head in HEADS, f"head must be one of {HEADS}"),
@@ -97,15 +107,14 @@ class SweepConfig:
                  "hidden_dim must be >= 1"),
                 ("discard_before", self.discard_before >= 0,
                  "discard_before must be >= 0"),
+                ("discard_before", kept >= 5, "discard_before must leave the 5 "
+                 f"checkpoints that selection needs, but steps={self.steps} and "
+                 f"checkpoint_every={self.checkpoint_every} leave {kept}"),
                 ("eval_split", self.eval_split in SPLIT_NAMES,
                  f"eval_split must be one of {SPLIT_NAMES}"),
                 ("workers", self.workers >= 0, "workers must be >= 0")):
             if not ok:
                 raise SettingError(key, f"{message}, got {getattr(self, key)!r}")
-        # Every point builds these; building them once here rejects a bad
-        # schedule, learning rate or split before any point runs.
-        TrainSchedule(self.steps, self.batch_size, self.checkpoint_every, seed=0)
-        AdamOptimizer(self.lr)
         try:
             SplitSpec(self.split, self.split_seed)
         except DataError as exc:
@@ -261,24 +270,131 @@ def load_inputs(cfg: SweepConfig, prefix: str = "--"
 # Run files (shared with the CLI)
 # ---------------------------------------------------------------------------
 
+_SELECTED_CSV, _SELECTED_HEADER = "selected.csv", "trace_index,step"
+_HISTOGRAM_HEADER = "height,count"
+# The values ``report.csv`` has after the ``scalars()`` names; the tradeoff
+# tables leave them out.
+_COUNTS = ("mistake_count", "num_examples")
+# The id columns of ``tradeoff.csv`` and ``tradeoff_mean.csv``; each
+# metric column after them has its half-width ``<metric>_hw`` beside it.
+POINT_ID_COLUMNS = ("method", "head", "parameter", "taxonomy", "seed")
+MEAN_ID_COLUMNS = POINT_ID_COLUMNS[:-1] + ("num_seeds",)
+
 
 def write_csv(path: str | Path, meta: dict, lines: list[str]) -> None:
     write_text(path, meta_header(meta) + "\n".join(lines) + "\n")
 
 
-def write_histogram_csv(path: str | Path, histogram: dict, meta: dict) -> None:
-    write_csv(path, meta, ["height,count"]
-              + [f"{h},{c}" for h, c in sorted(histogram.items())])
+def checkpoint_path(run: str | Path, step: int) -> Path:
+    """The checkpoint file of step ``step`` in run directory ``run``."""
+    return Path(run) / "checkpoints" / f"step_{step:06d}.txt"
 
 
-def write_run_files(out: Path, meta: dict, trace_csv: str,
-                    selected: list[tuple[int, int]], histogram: dict) -> None:
-    """A run's ``trace.csv``, ``selected.csv`` ((trace index, step) pairs)
-    and ``histogram.csv``, each under the same metadata header."""
-    write_text(out / "trace.csv", meta_header(meta) + trace_csv)
-    write_csv(out / "selected.csv", meta,
-              ["trace_index,step"] + [f"{i},{s}" for i, s in selected])
-    write_histogram_csv(out / "histogram.csv", histogram, meta)
+def mean_half_width(values) -> tuple[float, float]:
+    """The mean of ``values`` and its normal-approximation 95% half-width,
+    1.96 * sample std / sqrt(n) (0 for a single value)."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        return float(values.mean()), 0.0
+    return (float(values.mean()),
+            float(1.96 * values.std(ddof=1) / np.sqrt(values.size)))
+
+
+def average_reports(reports: list[MetricReport]) -> dict[str, tuple[float, float]]:
+    """``mean_half_width`` of each ``report.csv`` value over ``reports``, in
+    file order: each ``scalars()`` name, then ``mistake_count`` and
+    ``num_examples``."""
+    series = [{**r.scalars(), **{c: getattr(r, c) for c in _COUNTS}}
+              for r in reports]
+    return {name: mean_half_width([s[name] for s in series])
+            for name in series[0]}
+
+
+def write_report_csv(path: str | Path, meta: dict, averages: dict) -> None:
+    """``report.csv``: a ``metric,k,mean,half_width`` row per
+    ``average_reports`` value; a per-cutoff name is written as its metric
+    and cutoff (``top5_error`` as ``top_k_error,5``)."""
+    lines = ["metric,k,mean,half_width"]
+    for name, (mean, half) in averages.items():
+        if name.startswith("top") and name.endswith("_error"):
+            metric, k = "top_k_error", name[3:-6]
+        elif name.startswith("avg_hier_dist_at_"):
+            metric, k = "avg_hier_dist_topk", name.rsplit("_", 1)[1]
+        else:
+            metric, k = name, ""
+        lines.append(f"{metric},{k},{fmt(mean)},{fmt(half)}")
+    write_csv(path, meta, lines)
+
+
+def write_table_csv(path: str | Path, meta: dict, id_columns: tuple[str, ...],
+                    rows: list[tuple[tuple[str, ...], dict]]) -> None:
+    """A tradeoff table: per ``(id cells, average_reports values)`` row, the
+    id cells, then each ``scalars()`` mean and half-width."""
+    cols = [c for c in rows[0][1] if c not in _COUNTS]
+    lines = [",".join([*id_columns, *(f"{c},{c}_hw" for c in cols)])]
+    lines += [",".join([*ids, *(fmt(x) for c in cols for x in averages[c])])
+              for ids, averages in rows]
+    write_csv(path, meta, lines)
+
+
+def write_histogram_csv(path: str | Path, meta: dict,
+                        reports: list[MetricReport]) -> None:
+    """The severity histogram summed over ``reports``, in height order."""
+    hist = sum((Counter(r.severity_histogram) for r in reports), Counter())
+    write_csv(path, meta, [_HISTOGRAM_HEADER]
+              + [f"{h},{c}" for h, c in sorted(hist.items())])
+
+
+def read_histogram(path: str | Path, name: str
+                   ) -> tuple[dict[str, str], list[tuple[int, int]]]:
+    """The header dict and ``(height, count)`` rows of a histogram file; a
+    height or count that is not an integer >= 0 raises ``DataError`` naming
+    ``name`` (its option), the file and the line."""
+    source = f"{name} {path}"
+    meta, rows = read_rows(read_input(path, name), source,
+                           _HISTOGRAM_HEADER.split(","), ints=(0, 1))
+    next(rows)  # the header row
+    counts = []
+    for lineno, (height, count) in rows:
+        if min(height, count) < 0:
+            raise DataError(f"{source} line {lineno}: height and count must be "
+                            f">= 0, got {height},{count}")
+        counts.append((height, count))
+    return meta, counts
+
+
+def write_run_files(out: Path, meta: dict, records: list[CheckpointRecord],
+                    selected: list[int]) -> None:
+    """A run's ``trace.csv`` (``step,train_loss,val_loss`` and the report's
+    ``scalars()`` per checkpoint), ``selected.csv`` (the trace index and
+    step of each ``selected`` checkpoint) and ``histogram.csv`` (summed over
+    the selected reports), each under the same metadata header."""
+    names = list(records[0].report.scalars())
+    trace = [",".join(["step", "train_loss", "val_loss", *names])]
+    for r in records:
+        scalars = r.report.scalars()
+        trace.append(",".join([str(r.step), fmt(r.train_loss), fmt(r.val_loss),
+                               *(fmt(scalars[n]) for n in names)]))
+    write_csv(out / "trace.csv", meta, trace)
+    write_csv(out / _SELECTED_CSV, meta, [_SELECTED_HEADER]
+              + [f"{i},{records[i].step}" for i in selected])
+    write_histogram_csv(out / "histogram.csv", meta,
+                        [records[i].report for i in selected])
+
+
+def read_selected(run: str | Path, name: str) -> tuple[dict, list[int]]:
+    """The ``split`` and ``split_seed`` that run directory ``run`` recorded
+    (as ``read_setting`` reads them; a key it lacks is left out), and the
+    steps of its selected checkpoints. A bad file raises ``DataError``
+    naming ``name`` (its option), the file and the line."""
+    path = Path(run) / _SELECTED_CSV
+    source = f"{name} {path}"
+    meta, rows = read_rows(read_input(path, name), source,
+                           _SELECTED_HEADER.split(","), ints=(1,), need_rows=True)
+    next(rows)  # the header row
+    steps = [cells[1] for _, cells in rows]
+    return {key: read_setting(key, meta[key], source)
+            for key in ("split", "split_seed") if key in meta}, steps
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +418,18 @@ def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
     with parameter ``param``, ``None`` for ce) with seed ``seed`` on
     ``splits[0]``; each checkpoint records the ``splits[1]`` loss and its
     report on the ``cfg.eval_split`` part. Select 5 checkpoints on the
-    quartic fit of that loss alone and average their reports. Returns the
-    trained model, its trace, the selected trace indices and the averaged
-    report."""
+    quartic fit of that loss alone. Returns the trained model, the
+    checkpoint records and the selected indices into them; the run's
+    report averages the selected records' reports."""
     schedule = TrainSchedule(steps=cfg.steps, batch_size=cfg.batch_size,
                              checkpoint_every=cfg.checkpoint_every, seed=seed)
     model = init_model(tax, cfg.head, splits[0].feature_dim, seed=seed,
                        hidden_dim=cfg.hidden_dim)
     obj = build_objective(tax, cfg.loss, param, cfg.head)
-    trace = train(tax, model, splits[0], splits[1],
-                  splits[SPLIT_NAMES.index(cfg.eval_split)], obj,
-                  AdamOptimizer(lr=cfg.lr), schedule, cfg.ks)
-    selected = select_checkpoints(trace, cfg.discard_before)
-    averaged = average_reports([trace.records[i].report for i in selected])
-    return model, trace, selected, averaged
+    records = train(tax, model, splits[0], splits[1],
+                    splits[SPLIT_NAMES.index(cfg.eval_split)], obj,
+                    AdamOptimizer(lr=cfg.lr), schedule, cfg.ks)
+    return model, records, select_checkpoints(records, cfg.discard_before)
 
 
 def run_meta(cfg: SweepConfig, tax: Taxonomy, data_text: str,
@@ -332,7 +446,7 @@ def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
          splits: tuple[Dataset, Dataset, Dataset], param, seed: int) -> dict:
     tag = f"{cfg.loss}_{'none' if param is None else param}_{tax_label}_seed{seed}"
     try:
-        _, trace, selected, averaged = run_point(tax, splits, cfg, param, seed)
+        _, records, selected = run_point(tax, splits, cfg, param, seed)
     except (ValueError, TrainingDivergedError) as exc:
         # A point's bad parameter or diverged numerics fail only that point
         # (``ValueError`` includes ``LinAlgError``); any other error is a
@@ -345,53 +459,15 @@ def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
         "taxonomy": tax_label,
         "taxonomy_hash": tax.hash_hex(),
         "seed": seed,
-        "means": averaged.means,
-        "half_widths": averaged.half_widths,
-        "histogram": averaged.severity_histogram,
-        "trace_csv": trace_to_csv(trace),
-        "selected": [(i, trace.records[i].step) for i in selected],
+        # The parameter snapshots stay in the worker.
+        "records": [replace(r, params=None) for r in records],
+        "selected": selected,
     }
 
 
 # ---------------------------------------------------------------------------
 # Sweep driver
 # ---------------------------------------------------------------------------
-
-
-# The id columns of ``tradeoff.csv`` and ``tradeoff_mean.csv``; each
-# metric column after them has its half-width ``<metric>_hw`` beside it.
-POINT_ID_COLUMNS = ("method", "head", "parameter", "taxonomy", "seed")
-MEAN_ID_COLUMNS = POINT_ID_COLUMNS[:-1] + ("num_seeds",)
-
-
-def _table_lines(cfg: SweepConfig, rows: list[dict]) -> list[str]:
-    """``tradeoff.csv``: one row a point."""
-    cols = list(rows[0]["means"])
-    lines = [",".join([*POINT_ID_COLUMNS, *(f"{c},{c}_hw" for c in cols)])]
-    for r in rows:
-        cells = [cfg.loss, cfg.head, r["parameter"], r["taxonomy"], str(r["seed"])]
-        for c in cols:
-            cells += [fmt(r["means"][c]), fmt(r["half_widths"][c])]
-        lines.append(",".join(cells))
-    return lines
-
-
-def _mean_table_lines(cfg: SweepConfig, rows: list[dict]) -> list[str]:
-    """``tradeoff_mean.csv``: one row a (method, head, parameter, taxonomy),
-    the mean and half-width over its seeds."""
-    cols = list(rows[0]["means"])
-    groups: dict[tuple, list[dict]] = {}
-    for r in rows:
-        key = (cfg.loss, cfg.head, r["parameter"], r["taxonomy"])
-        groups.setdefault(key, []).append(r)
-    lines = [",".join([*MEAN_ID_COLUMNS, *(f"{c},{c}_hw" for c in cols)])]
-    for key, members in groups.items():
-        cells = list(key) + [str(len(members))]
-        for c in cols:
-            vals = [m["means"][c] for m in members]
-            cells += [fmt(float(np.mean(vals))), fmt(confidence_half_width(vals))]
-        lines.append(",".join(cells))
-    return lines
 
 
 def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
@@ -425,12 +501,24 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
         point_meta = dict(header_meta, point=r["tag"], seed=r["seed"],
                           parameter=r["parameter"],
                           point_taxonomy_hash=r["taxonomy_hash"])
-        write_run_files(out / "points" / r["tag"], point_meta, r["trace_csv"],
-                        r["selected"], r["histogram"])
+        write_run_files(out / "points" / r["tag"], point_meta, r["records"],
+                        r["selected"])
     if ok_rows:
-        write_csv(out / "tradeoff.csv", header_meta, _table_lines(config, ok_rows))
-        write_csv(out / "tradeoff_mean.csv", header_meta,
-                  _mean_table_lines(config, ok_rows))
+        # One row a point; then one a (method, head, parameter, taxonomy),
+        # the mean and half-width of its points' means over their seeds.
+        points, groups = [], {}
+        for r in ok_rows:
+            key = (config.loss, config.head, r["parameter"], r["taxonomy"])
+            averages = average_reports([r["records"][i].report
+                                        for i in r["selected"]])
+            points.append((key + (str(r["seed"]),), averages))
+            groups.setdefault(key, []).append(averages)
+        write_table_csv(out / "tradeoff.csv", header_meta, POINT_ID_COLUMNS,
+                        points)
+        write_table_csv(out / "tradeoff_mean.csv", header_meta, MEAN_ID_COLUMNS, [
+            (key + (str(len(group)),),
+             {c: mean_half_width([a[c][0] for a in group]) for c in group[0]})
+            for key, group in groups.items()])
     if failures:
         # Error text may hold commas, quotes or newlines: quote it as CSV.
         buf = io.StringIO()

@@ -199,10 +199,9 @@ def test_criterion_08_epoch_selection():
         assert np.abs(fitted - oracle).max() / np.abs(oracle).max() < 1e-8
 
     def trace_of(losses):
-        records = [Md.CheckpointRecord(step=(i + 1) * 100, train_loss=0.0,
-                                       val_loss=v, report=None, params=[])
-                   for i, v in enumerate(losses)]
-        return Md.TrainingTrace(records=records)
+        return [Md.CheckpointRecord(step=(i + 1) * 100, train_loss=0.0,
+                                    val_loss=v, report=None, params=[])
+                for i, v in enumerate(losses)]
 
     xs = np.arange(1, 21, dtype=float) * 100
     quartic = 1e-11 * (xs - 1400.0) ** 4 + ((xs - 1400.0) / 2000.0) ** 2

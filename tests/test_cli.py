@@ -428,11 +428,18 @@ class TestTrainCommand:
          "error: --beta: beta must be finite and >= 0, got nan"),
         (["--loss", "soft", "--beta", "inf"],
          "error: --beta: beta must be finite and >= 0, got inf"),
+        (["--lr", "inf"], "error: --lr: lr must be > 0 and finite, got inf"),
+        (["--lr", "nan"], "error: --lr: lr must be > 0 and finite, got nan"),
+        (["--discard-before", "40"],
+         "error: --discard-before: discard_before must leave the 5 checkpoints "
+         "that selection needs, but steps=60 and checkpoint_every=6 leave 4, "
+         "got 40"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
             "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
             "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
             "seed_not_int", "seed_list", "seed_negative", "split_seed_negative",
-            "alpha_nan", "alpha_negative", "beta_nan", "beta_inf"])
+            "alpha_nan", "alpha_negative", "beta_nan", "beta_inf", "lr_inf",
+            "lr_nan", "too_few_checkpoints"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
@@ -450,6 +457,32 @@ class TestTrainCommand:
         assert code == 2
         assert ("error: --alpha: alpha must be finite and >= 0, got -1.0"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "inf"], "error: --lr: lr must be > 0 and finite, got inf"),
+        (["--steps", "30", "--checkpoint-every", "5", "--discard-before", "20"],
+         "error: --discard-before: discard_before must leave the 5 checkpoints "
+         "that selection needs, but steps=30 and checkpoint_every=5 leave 2, "
+         "got 20"),
+    ], ids=["lr_inf", "too_few_checkpoints"])
+    def test_bad_schedule_exits_2_before_the_data_is_read(self, workdir, capsys,
+                                                          flags, message):
+        code = run("train", "--data", workdir / "missing.csv", "--taxonomy",
+                   workdir / "missing.tsv", "--classes", workdir / "classes.txt",
+                   "--loss", "ce", *flags, "--out", workdir / "x")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
+    def test_diverged_training_exits_2(self, workdir, capsys):
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "diverged"
+        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                   "--lr", "1.7e308", "--out", out)
+        assert code == 2
+        assert "error: non-finite loss nan at step 2 " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--loss", "ce", "--alpha", "0.5"], "--alpha: loss ce takes no parameter"),
@@ -892,17 +925,17 @@ class TestSweepCommand:
 
     def test_failures_csv_quotes_error_text(self, workdir):
         tree, data = gen_tree_and_data(workdir)
-        cfg = write_sweep_config(workdir, tree, data, discard_before="500")
-        out = workdir / "sweep_late"
+        cfg = write_sweep_config(workdir, tree, data, grid="-0.1,-0.9")
+        out = workdir / "sweep_negative"
         assert run("sweep", "--config", cfg, "--out", out) == 3
         rows = list(csv.reader(body(out / "failures.csv")))
         assert rows[0] == ["point", "error"]
-        assert [r[0] for r in rows[1:]] == ["hxe_0.1_true_seed0",
-                                            "hxe_0.9_true_seed0"]
+        assert [r[0] for r in rows[1:]] == ["hxe_-0.1_true_seed0",
+                                            "hxe_-0.9_true_seed0"]
         for row in rows:
             assert len(row) == 2
-        assert rows[1][1] == ("ValueError: need at least 5 checkpoints after "
-                              "step 500, have 0")
+        assert rows[1][1] == ("ValueError: alpha must be finite and >= 0, "
+                              "got -0.1")
 
     @pytest.mark.parametrize("overrides, message", [
         ({"step": "10"}, "line 17: unknown key 'step'"),
@@ -927,11 +960,17 @@ class TestSweepCommand:
         ({"taxonomy_source": "both:abc"}, "taxonomy_source must be 'true', "
                                           "'randomized:<seed>' or 'both:<seed>'"),
         ({"workers": "-1"}, "workers must be >= 0, got -1"),
+        ({"grid": ""}, "grid must list at least one value, got []"),
+        ({"lr": "inf"}, "lr must be > 0 and finite, got inf"),
+        ({"discard_before": "40"},
+         "discard_before must leave the 5 checkpoints that selection needs, "
+         "but steps=60 and checkpoint_every=6 leave 4, got 40"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
             "split_sum", "split_outside_0_1",
             "lr_not_float", "ce_with_grid", "no_seeds", "negative_seed",
-            "negative_split_seed", "seed_not_integer", "negative_workers"])
+            "negative_split_seed", "seed_not_integer", "negative_workers",
+            "empty_grid", "lr_inf", "too_few_checkpoints"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)
@@ -1049,7 +1088,12 @@ class TestReportCommand:
     @pytest.mark.parametrize("rows, line, problem", [
         ("height,count\n1,3\n2\n", 4, "1 cells, but the header has 2"),
         ("height,count\n1,3\n2,x\n", 4, "'x' is not an integer"),
-    ], ids=["row_without_count", "count_not_integer"])
+        ("height,count\nx,3\n-1,1\n", 3, "'x' is not an integer"),
+        ("height,count\n1,3\n-1,1\n", 4,
+         "height and count must be >= 0, got -1,1"),
+        ("height,count\n1,-3\n", 3, "height and count must be >= 0, got 1,-3"),
+    ], ids=["row_without_count", "count_not_integer", "height_not_integer",
+            "negative_height", "negative_count"])
     def test_bad_histogram_row_exits_2(self, workdir, capsys, rows, line,
                                        problem):
         src = workdir / "h.csv"

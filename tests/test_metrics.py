@@ -3,8 +3,7 @@ import pytest
 
 from conftest import lca_height, make_random_tree
 from hiercls import metrics as M
-from hiercls.cli import _report_rows
-from hiercls.model import average_reports
+from hiercls.sweep import average_reports, write_report_csv
 from hiercls.taxonomy import Taxonomy
 
 
@@ -227,10 +226,11 @@ class TestCsvSurfaces:
         text = predictions_to_csv(rankings, truths)
         assert predictions_from_csv(text) == (rankings, truths)
 
-    def test_report_rows_cover_metrics(self, toy_tree):
+    def test_report_rows_cover_metrics(self, toy_tree, tmp_path):
         r = M.report_from_indices(toy_tree, [[1], [2], [0]], [0, 0, 0], (1,))
-        rows = _report_rows(average_reports([r]))
-        names = [r[0] for r in rows]
-        assert "top_k_error" in names
-        assert "hier_dist_mistake" in names
-        assert "mistake_count" in names
+        write_report_csv(tmp_path / "report.csv", {}, average_reports([r]))
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["top_k_error", "1"], ["hier_dist_mistake", ""],
+            ["avg_hier_dist_topk", "1"], ["mistake_count", ""],
+            ["num_examples", ""]]

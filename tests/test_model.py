@@ -11,7 +11,8 @@ from hiercls import model as Md
 from hiercls.data import Dataset, synth_hierarchical
 from hiercls.losses import ConditionalHxeObjective, softmax_batch
 from hiercls.metrics import MetricReport
-from hiercls.sweep import SweepConfig, run_point
+from hiercls.sweep import (SweepConfig, average_reports, mean_half_width,
+                          run_point, write_run_files)
 from hiercls.taxonomy import load_edges, prune_to_tree
 
 
@@ -199,8 +200,8 @@ class TestTraining:
                              self.schedule(seed=3), ks=(1,))
             traces.append(trace)
         a, b = traces
-        assert [r.step for r in a.records] == [r.step for r in b.records]
-        for ra, rb in zip(a.records, b.records):
+        assert [r.step for r in a] == [r.step for r in b]
+        for ra, rb in zip(a, b):
             assert ra.train_loss == rb.train_loss
             assert ra.val_loss == rb.val_loss
             assert ra.params.tobytes() == rb.params.tobytes()
@@ -232,7 +233,7 @@ class TestTraining:
         hxe = run("hxe", 1e-9)
         soft = run("soft", 1e9)
         for other in (hxe, soft):
-            for r_ce, r_other in zip(ce.records, other.records):
+            for r_ce, r_other in zip(ce, other):
                 assert abs(r_ce.train_loss - r_other.train_loss) < 1e-6
                 assert abs(r_ce.val_loss - r_other.val_loss) < 1e-6
 
@@ -317,10 +318,9 @@ class TestTraining:
 
 class TestSelectCheckpoints:
     def fake_trace(self, steps, losses):
-        records = [Md.CheckpointRecord(step=s, train_loss=0.0, val_loss=v,
-                                       report=None, params=[])
-                   for s, v in zip(steps, losses)]
-        return Md.TrainingTrace(records=records)
+        return [Md.CheckpointRecord(step=s, train_loss=0.0, val_loss=v,
+                                    report=None, params=[])
+                for s, v in zip(steps, losses)]
 
     def test_exact_quartic_interior_minimum(self):
         steps = list(range(100, 2100, 100))
@@ -350,7 +350,7 @@ class TestSelectCheckpoints:
         losses = [3.0] * 5 + list(np.linspace(2.0, 1.0, 10))
         trace = self.fake_trace(steps, losses)
         chosen = Md.select_checkpoints(trace, discard_before=500)
-        assert all(trace.records[i].step > 500 for i in chosen)
+        assert all(trace[i].step > 500 for i in chosen)
         assert chosen == [10, 11, 12, 13, 14]
 
     def test_too_few_checkpoints_rejected(self):
@@ -460,8 +460,10 @@ class TestEvaluate:
         vals = [1.0, 2.0, 3.0, 4.0, 5.0]
         # sample std = sqrt(2.5); hand computation of 1.96 * std / sqrt(5)
         expected = 1.96 * math.sqrt(2.5) / math.sqrt(5)
-        assert Md.confidence_half_width(vals) == pytest.approx(expected, abs=1e-12)
-        assert Md.confidence_half_width([4.2]) == 0.0
+        mean, half = mean_half_width(vals)
+        assert mean == 3.0
+        assert half == pytest.approx(expected, abs=1e-12)
+        assert mean_half_width([4.2]) == (4.2, 0.0)
 
 
 class TestRunPoint:
@@ -473,15 +475,20 @@ class TestRunPoint:
 
     def test_averages_the_selected_reports(self, toy_tree):
         ds = toy_points(toy_tree)
-        _, trace, selected, avg = run_point(toy_tree, (ds, ds, ds),
-                                            self.config("ce"), None, 0)
-        assert selected == Md.select_checkpoints(trace, 0)
-        assert avg == Md.average_reports([trace.records[i].report
-                                          for i in selected])
-        vals = [trace.records[i].report.top_k_error[1] for i in selected]
-        assert avg.means["top1_error"] == pytest.approx(np.mean(vals))
-        hw = Md.confidence_half_width(vals)
-        assert avg.half_widths["top1_error"] == pytest.approx(hw)
+        _, records, selected = run_point(toy_tree, (ds, ds, ds),
+                                         self.config("ce"), None, 0)
+        assert selected == Md.select_checkpoints(records, 0)
+        reports = [records[i].report for i in selected]
+        avg = average_reports(reports)
+        assert list(avg) == [*reports[0].scalars(), "mistake_count",
+                             "num_examples"]
+        vals = [r.top_k_error[1] for r in reports]
+        assert avg["top1_error"] == mean_half_width(vals)
+        assert avg["top1_error"][0] == pytest.approx(np.mean(vals))
+        assert avg["mistake_count"] == mean_half_width(
+            [r.mistake_count for r in reports])
+        # Identical counts average to the count itself, with no spread.
+        assert avg["num_examples"] == (float(ds.n), 0.0)
 
     def test_builds_one_objective(self, toy_tree, monkeypatch):
         ds = toy_points(toy_tree)
@@ -499,15 +506,15 @@ class TestRunPoint:
         ds = toy_points(toy_tree)
         held_out = toy_points(toy_tree, per_class=15, seed=9)
         splits = (ds, ds, held_out)
-        model, on_val, selected, _ = run_point(
+        model, on_val, selected = run_point(
             toy_tree, splits, self.config("hxe", head=head), 0.5, 0)
-        _, on_test, selected_test, avg = run_point(
+        _, on_test, selected_test = run_point(
             toy_tree, splits, self.config("hxe", head=head, eval_split="test"),
             0.5, 0)
         # Training and selection read only the validation split.
         assert selected_test == selected
         ce = scorer(toy_tree, head)
-        for a, b in zip(on_val.records, on_test.records, strict=True):
+        for a, b in zip(on_val, on_test, strict=True):
             assert (a.step, a.train_loss, a.val_loss) == (b.step, b.train_loss,
                                                           b.val_loss)
             assert a.params.tobytes() == b.params.tobytes()
@@ -517,7 +524,6 @@ class TestRunPoint:
                                                  ks=(1, 2))
             assert b.report == Md.evaluate_model(toy_tree, checkpoint, held_out,
                                                  ce, ks=(1, 2))
-        assert avg.reports == [on_test.records[i].report for i in selected]
 
 
 def stable_top(scores, width):
@@ -607,15 +613,17 @@ class TestCheckpointText:
         with pytest.raises(ValueError):
             Md.checkpoint_from_text("just,a,csv\n1,2,3\n")
 
-    def test_trace_csv_columns(self, toy_tree):
+    def test_trace_csv_columns(self, toy_tree, tmp_path):
         ds = toy_points(toy_tree, per_class=10)
         model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=0)
-        trace = Md.train(toy_tree, model, ds, ds, ds, scorer(toy_tree, "class"),
-                         Md.AdamOptimizer(lr=0.01),
-                         Md.TrainSchedule(steps=60, batch_size=8,
-                                          checkpoint_every=20, seed=0), ks=(1, 2))
-        text = Md.trace_to_csv(trace)
-        header = text.splitlines()[0].split(",")
+        records = Md.train(toy_tree, model, ds, ds, ds,
+                           scorer(toy_tree, "class"), Md.AdamOptimizer(lr=0.01),
+                           Md.TrainSchedule(steps=60, batch_size=8,
+                                            checkpoint_every=20, seed=0),
+                           ks=(1, 2))
+        write_run_files(tmp_path, {}, records, [])
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        header = lines[0].split(",")
         assert header[:3] == ["step", "train_loss", "val_loss"]
         assert "top1_error" in header and "hier_dist_mistake" in header
-        assert len(text.splitlines()) == 4
+        assert len(lines) == 4

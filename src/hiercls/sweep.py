@@ -93,6 +93,8 @@ class SweepConfig:
                 ("grid", bool(self.grid), "grid must list at least one value"),
                 ("grid", self.loss != "ce" or self.grid == [None],
                  "loss ce takes no grid"),
+                ("grid", len(set(self.grid)) == len(self.grid),
+                 "grid must not repeat a value"),
                 ("head", self.head in HEADS, f"head must be one of {HEADS}"),
                 ("head", self.loss != "soft" or self.head == "class",
                  "loss = soft requires head = class"),
@@ -102,6 +104,8 @@ class SweepConfig:
                  "'both:<seed>'"),
                 ("seeds", bool(self.seeds), "seeds must list at least one seed"),
                 ("seeds", min(self.seeds, default=0) >= 0, "seeds must be >= 0"),
+                ("seeds", len(set(self.seeds)) == len(self.seeds),
+                 "seeds must not repeat a seed"),
                 ("split_seed", self.split_seed >= 0, "split_seed must be >= 0"),
                 ("hidden_dim", self.hidden_dim is None or self.hidden_dim >= 1,
                  "hidden_dim must be >= 1"),
@@ -348,19 +352,23 @@ def write_histogram_csv(path: str | Path, meta: dict,
 def read_histogram(path: str | Path, name: str
                    ) -> tuple[dict[str, str], list[tuple[int, int]]]:
     """The header dict and ``(height, count)`` rows of a histogram file; a
-    height or count that is not an integer >= 0 raises ``DataError`` naming
-    ``name`` (its option), the file and the line."""
+    height or count that is not an integer >= 0, or a height already given,
+    raises ``DataError`` naming ``name`` (its option), the file and the
+    line."""
     source = f"{name} {path}"
     meta, rows = read_rows(read_input(path, name), source,
                            _HISTOGRAM_HEADER.split(","), ints=(0, 1))
     next(rows)  # the header row
-    counts = []
+    counts = {}
     for lineno, (height, count) in rows:
         if min(height, count) < 0:
             raise DataError(f"{source} line {lineno}: height and count must be "
                             f">= 0, got {height},{count}")
-        counts.append((height, count))
-    return meta, counts
+        if height in counts:
+            raise DataError(f"{source} line {lineno}: height {height} is "
+                            "already given")
+        counts[height] = count
+    return meta, list(counts.items())
 
 
 def write_run_files(out: Path, meta: dict, records: list[CheckpointRecord],

@@ -157,6 +157,10 @@ class Taxonomy:
     ``leaves`` fixes the canonical class index order. ``nodes_bfs`` lists all
     nodes in breadth-first order starting at the root with children in stored
     order, which keeps every sibling group contiguous in ``nonroot_bfs``.
+
+    Numbering the leaves depth-first makes every subtree a contiguous range:
+    ``span[n]`` is the ``[lo, hi)`` of the n-th node of ``nodes_bfs`` and
+    ``dfs_pos[i]`` the depth-first position of class ``i``.
     """
 
     def __init__(self, root: str, children: dict[str, list[str]], leaves: list[str]):
@@ -204,8 +208,8 @@ class Taxonomy:
         self.tree_height = height[self.root]
         self.leaf_index = {leaf: i for i, leaf in enumerate(self.leaves)}
         self.node_index = {n: i for i, n in enumerate(self.nodes_bfs)}
-        self._dfs_pos = np.array([lo[leaf] for leaf in self.leaves], dtype=np.int64)
-        self._span = np.array([(lo[n], hi[n]) for n in self.nodes_bfs], dtype=np.int64)
+        self.dfs_pos = np.array([lo[leaf] for leaf in self.leaves], dtype=np.int64)
+        self.span = np.array([(lo[n], hi[n]) for n in self.nodes_bfs], dtype=np.int64)
         self._lca_height_matrix = None
         self._leaf_membership = None
 
@@ -233,7 +237,7 @@ class Taxonomy:
         if self._lca_height_matrix is None:
             L = self.num_leaves
             dfs = np.zeros((L, L), dtype=np.int64)
-            span = self._span
+            span = self.span
             for node in self.nonroot_bfs:
                 lo, hi = span[self.node_index[node]]
                 par = self.parent[node]
@@ -241,7 +245,7 @@ class Taxonomy:
                 h = self.height[par]
                 dfs[lo:hi, plo:lo] = h
                 dfs[lo:hi, hi:phi] = h
-            pos = self._dfs_pos
+            pos = self.dfs_pos
             self._lca_height_matrix = dfs[pos[:, None], pos]
         return self._lca_height_matrix
 
@@ -259,7 +263,7 @@ class Taxonomy:
         depth-first span ``[lo, hi)``.
         """
         if self._leaf_membership is None:
-            lo, hi, pos = self._span[:, :1], self._span[:, 1:], self._dfs_pos
+            lo, hi, pos = self.span[:, :1], self.span[:, 1:], self.dfs_pos
             self._leaf_membership = ((lo <= pos) & (pos < hi)).astype(float)
         return self._leaf_membership
 

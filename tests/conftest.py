@@ -1,7 +1,11 @@
+import math
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from hiercls import losses
 from hiercls.losses import EPS
 from hiercls.taxonomy import (Taxonomy, TaxonomyGraph, UnknownNodeError,
                               load_edges, prune_to_tree)
@@ -18,6 +22,20 @@ EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 def toy_tree() -> Taxonomy:
     """Three classes, two siblings under one branch plus a lone shallow leaf."""
     return prune_to_tree(load_edges(TOY_TREE_EDGES), TOY_TREE_LEAVES)
+
+
+# The two kernels of ``ClassHxeObjective``; ``hxe_kernel`` forces one.
+HXE_KERNELS = ("dense", "path")
+
+
+@contextmanager
+def hxe_kernel(kernel: str):
+    """Within the block, ``ClassHxeObjective`` (and so ``hxe_loss`` and
+    ``hxe_grad``) takes ``kernel`` on every tree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "_PATH_KERNEL_MIN_LEAVES",
+                   0 if kernel == "path" else math.inf)
+        yield
 
 
 def make_balanced_tree(branching: int = 3, depth: int = 3) -> Taxonomy:

@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (brute_lca, conditionals_from_class_probs,
-                      finite_difference, make_balanced_tree, make_random_dag,
-                      make_random_tree, max_rel_error, random_prob_vector)
+from conftest import (HXE_KERNELS, brute_lca, conditionals_from_class_probs,
+                      finite_difference, hxe_kernel, make_balanced_tree,
+                      make_random_dag, make_random_tree, max_rel_error,
+                      random_prob_vector)
 from hiercls import losses as L
 from hiercls import metrics as M
 from hiercls import model as Md
@@ -76,7 +77,8 @@ FD_SEEDS = {"ce": 301, "hxe_class": 302, "hxe_cond": 303, "soft": 304}
 
 
 def test_criterion_03_gradient_correctness():
-    """Analytic logit gradients match central finite differences."""
+    """Analytic logit gradients match central finite differences (class
+    HXE on both of its kernels)."""
     t0 = time.time()
     for kind in ("ce", "hxe_class", "hxe_cond", "soft"):
         rng = np.random.default_rng(FD_SEEDS[kind])
@@ -85,19 +87,24 @@ def test_criterion_03_gradient_correctness():
             alpha = float(rng.uniform(0.0, 1.5))
             beta = float(rng.uniform(0.5, 20.0))
             if kind == "ce":
-                obj = L.ClassCrossEntropy(tax)
+                objs = [L.ClassCrossEntropy(tax)]
             elif kind == "hxe_class":
-                obj = L.ClassHxeObjective(tax, alpha)
+                objs = []
+                for kernel in HXE_KERNELS:
+                    with hxe_kernel(kernel):
+                        objs.append(L.ClassHxeObjective(tax, alpha))
             elif kind == "hxe_cond":
-                obj = L.ConditionalHxeObjective(tax, alpha)
+                objs = [L.ConditionalHxeObjective(tax, alpha)]
             else:
-                obj = L.ClassSoftLabelObjective(L.soft_label_matrix(tax, beta))
-            z = rng.normal(scale=2.0, size=obj.num_outputs)
+                objs = [L.ClassSoftLabelObjective(L.soft_label_matrix(tax, beta))]
+            z = rng.normal(scale=2.0, size=objs[0].num_outputs)
             ti = np.array([int(rng.integers(tax.num_leaves))])
-            analytic = obj.grad_batch(z[None, :], ti)[0]
-            numeric = finite_difference(
-                lambda zz: float(obj.loss_batch(zz[None, :], ti)[0]), z, h=1e-5)
-            assert max_rel_error(analytic, numeric) < 1e-5
+            for obj in objs:
+                analytic = obj.grad_batch(z[None, :], ti)[0]
+                numeric = finite_difference(
+                    lambda zz: float(obj.loss_batch(zz[None, :], ti)[0]), z,
+                    h=1e-5)
+                assert max_rel_error(analytic, numeric) < 1e-5
     stamp(3, "gradient correctness", time.time() - t0, 10.0)
 
 

@@ -965,12 +965,16 @@ class TestSweepCommand:
         ({"discard_before": "40"},
          "discard_before must leave the 5 checkpoints that selection needs, "
          "but steps=60 and checkpoint_every=6 leave 4, got 40"),
+        ({"grid": "0.1,0.10", "seeds": "0"},
+         "grid must not repeat a value, got [0.1, 0.1]"),
+        ({"seeds": "1,0,01"}, "seeds must not repeat a seed, got [1, 0, 1]"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
             "split_sum", "split_outside_0_1",
             "lr_not_float", "ce_with_grid", "no_seeds", "negative_seed",
             "negative_split_seed", "seed_not_integer", "negative_workers",
-            "empty_grid", "lr_inf", "too_few_checkpoints"])
+            "empty_grid", "lr_inf", "too_few_checkpoints", "repeated_grid_value",
+            "repeated_seed"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)
@@ -1092,8 +1096,9 @@ class TestReportCommand:
         ("height,count\n1,3\n-1,1\n", 4,
          "height and count must be >= 0, got -1,1"),
         ("height,count\n1,-3\n", 3, "height and count must be >= 0, got 1,-3"),
+        ("height,count\n1,3\n2,1\n1,2\n", 5, "height 1 is already given"),
     ], ids=["row_without_count", "count_not_integer", "height_not_integer",
-            "negative_height", "negative_count"])
+            "negative_height", "negative_count", "repeated_height"])
     def test_bad_histogram_row_exits_2(self, workdir, capsys, rows, line,
                                        problem):
         src = workdir / "h.csv"

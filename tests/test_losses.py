@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ancestry, conditionals_from_class_probs, edge_weight,
-                      factorized_prob, finite_difference, hxe_walk,
-                      make_balanced_tree, make_random_tree, max_rel_error,
-                      random_prob_vector, shaped_trees)
+from conftest import (HXE_KERNELS, ancestry, conditionals_from_class_probs,
+                      edge_weight, factorized_prob, finite_difference,
+                      hxe_kernel, hxe_walk, make_balanced_tree,
+                      make_random_tree, max_rel_error, random_prob_vector,
+                      shaped_trees)
 from hiercls import losses as L
 from hiercls.taxonomy import Taxonomy, UnknownNodeError
 
@@ -129,8 +131,10 @@ class TestHxeLoss:
 
     def test_one_hot_truth_zero_loss(self, toy_tree):
         p = np.array([1.0, 0.0, 0.0])
-        for alpha in (0.0, 0.3, 2.0):
-            assert L.hxe_loss(toy_tree, alpha, p, "A") == 0.0
+        for kernel in HXE_KERNELS:
+            with hxe_kernel(kernel):
+                for alpha in (0.0, 0.3, 2.0):
+                    assert L.hxe_loss(toy_tree, alpha, p, "A") == 0.0
 
     def test_near_zero_alpha_limit(self):
         rng = np.random.default_rng(2)
@@ -149,12 +153,19 @@ class TestHxeLoss:
             truth = t.leaves[rng.integers(t.num_leaves)]
             alpha = float(rng.uniform(0, 2))
             walk = hxe_walk(t, alpha, p, truth)
-            assert abs(L.hxe_loss(t, alpha, p, truth) - walk) < 1e-12
+            for kernel in HXE_KERNELS:
+                with hxe_kernel(kernel):
+                    assert abs(L.hxe_loss(t, alpha, p, truth) - walk) < 1e-12
 
     def test_finite_on_degenerate_probs(self, toy_tree):
         p = np.array([0.0, 1.0, 0.0])
-        value = L.hxe_loss(toy_tree, 0.5, p, "A")
-        assert np.isfinite(value) and value >= 0.0
+        for kernel in HXE_KERNELS:
+            with hxe_kernel(kernel):
+                value = L.hxe_loss(toy_tree, 0.5, p, "A")
+                assert np.isfinite(value) and value >= 0.0
+                grad = L.hxe_grad(toy_tree, 0.5, np.array([-800.0, 0.0, -800.0]),
+                                  "A")
+                assert np.isfinite(grad).all()
 
 
 def soft_label_csv(tax: Taxonomy, rows: np.ndarray) -> str:
@@ -264,8 +275,10 @@ class TestGradients:
         z = np.array([0.3, 0.1, -0.2])
         p = softmax(z)
         onehot = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(L.hxe_grad(toy_tree, 0.0, z, "B"), p - onehot,
-                                   atol=1e-12)
+        for kernel in HXE_KERNELS:
+            with hxe_kernel(kernel):
+                np.testing.assert_allclose(L.hxe_grad(toy_tree, 0.0, z, "B"),
+                                           p - onehot, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["ce", "hxe_class", "hxe_cond", "soft"])
     def test_matches_finite_differences(self, kind):
@@ -276,19 +289,20 @@ class TestGradients:
             alpha = float(rng.uniform(0.0, 1.5))
             beta = float(rng.uniform(0.5, 20.0))
             if kind == "ce":
-                obj = L.ClassCrossEntropy(t)
+                objs = [L.ClassCrossEntropy(t)]
             elif kind == "hxe_class":
-                obj = L.ClassHxeObjective(t, alpha)
+                objs = [class_hxe(t, alpha, k) for k in HXE_KERNELS]
             elif kind == "hxe_cond":
-                obj = L.ConditionalHxeObjective(t, alpha)
+                objs = [L.ConditionalHxeObjective(t, alpha)]
             else:
-                obj = L.ClassSoftLabelObjective(L.soft_label_matrix(t, beta))
-            z = rng.normal(scale=2.0, size=obj.num_outputs)
+                objs = [L.ClassSoftLabelObjective(L.soft_label_matrix(t, beta))]
+            z = rng.normal(scale=2.0, size=objs[0].num_outputs)
             tarr = np.array([truth_idx])
-            analytic = obj.grad_batch(z[None, :], tarr)[0]
-            numeric = finite_difference(
-                lambda zz: float(obj.loss_batch(zz[None, :], tarr)[0]), z)
-            assert max_rel_error(analytic, numeric) < 1e-5
+            for obj in objs:
+                analytic = obj.grad_batch(z[None, :], tarr)[0]
+                numeric = finite_difference(
+                    lambda zz: float(obj.loss_batch(zz[None, :], tarr)[0]), z)
+                assert max_rel_error(analytic, numeric) < 1e-5
 
 
 class TestConditionalHead:
@@ -326,7 +340,8 @@ class TestConditionalHead:
 
 
 def class_coeff_oracle(tax, alpha) -> np.ndarray:
-    """``ClassHxeObjective.coeff`` by a per-leaf ``ancestry`` walk."""
+    """The dense kernel's ``coeff`` by a per-leaf ``ancestry`` walk: row
+    ``i`` holds leaf ``i``'s coefficient on each node (0 off its lineage)."""
     K = np.zeros((tax.num_leaves, tax.num_nodes))
     for leaf in tax.leaves:
         i = tax.leaf_index[leaf]
@@ -357,12 +372,35 @@ def conditional_oracle(tax, alpha):
     return starts, np.array(sizes), lam_path, path_ind
 
 
+def class_hxe(tax, alpha, kernel):
+    """``ClassHxeObjective(tax, alpha)`` with ``kernel`` forced."""
+    with hxe_kernel(kernel):
+        return L.ClassHxeObjective(tax, alpha)
+
+
+def assert_paths_match_oracle(tax, alpha, path_kernel):
+    """Row ``i`` of ``path`` is leaf ``i``'s ``ancestry`` (leaf first), then
+    the root again; ``coef`` holds the oracle's coefficients along it and 0
+    on the padding."""
+    K = class_coeff_oracle(tax, alpha)
+    path, coef = path_kernel.path, path_kernel.coef
+    assert path.dtype == np.int32
+    assert path.shape == (tax.num_leaves, tax.tree_height + 1)
+    for leaf in tax.leaves:
+        i = tax.leaf_index[leaf]
+        lineage = [tax.node_index[n] for n in ancestry(tax, leaf)]
+        pad = path.shape[1] - len(lineage)
+        np.testing.assert_array_equal(path[i], lineage + [0] * pad)
+        np.testing.assert_array_equal(coef[i], list(K[i, lineage]) + [0.0] * pad)
+
+
 class TestObjectiveTreeData:
     @settings(max_examples=200, deadline=None)
     @given(shaped_trees(), st.sampled_from([0.0, 0.5, 0.9, 1.7]))
     def test_match_ancestry_oracles(self, tax, alpha):
-        np.testing.assert_array_equal(L.ClassHxeObjective(tax, alpha).coeff,
+        np.testing.assert_array_equal(class_hxe(tax, alpha, "dense").kernel.coeff,
                                       class_coeff_oracle(tax, alpha))
+        assert_paths_match_oracle(tax, alpha, class_hxe(tax, alpha, "path").kernel)
         obj = L.ConditionalHxeObjective(tax, alpha)
         starts, sizes, lam_path, path_ind = conditional_oracle(tax, alpha)
         np.testing.assert_array_equal(obj.group_starts, starts)
@@ -375,10 +413,14 @@ class TestObjectiveTreeData:
 
     def test_root_that_is_its_only_leaf(self):
         tax = Taxonomy("R", {"R": []}, ["R"])
-        obj = L.ClassHxeObjective(tax, 0.5)
-        np.testing.assert_array_equal(obj.coeff, class_coeff_oracle(tax, 0.5))
-        assert obj.coeff.shape == (1, 1)
-        assert obj.loss_batch(np.zeros((1, 1)), np.array([0]))[0] == 0.0
+        dense = class_hxe(tax, 0.5, "dense").kernel
+        np.testing.assert_array_equal(dense.coeff, class_coeff_oracle(tax, 0.5))
+        assert dense.coeff.shape == (1, 1)
+        assert_paths_match_oracle(tax, 0.5, class_hxe(tax, 0.5, "path").kernel)
+        for kernel in HXE_KERNELS:
+            obj = class_hxe(tax, 0.5, kernel)
+            assert obj.loss_batch(np.zeros((1, 1)), np.array([0]))[0] == 0.0
+            assert obj.grad_batch(np.zeros((1, 1)), np.array([0]))[0, 0] == 0.0
         with pytest.raises(ValueError, match="edges"):
             L.ConditionalHxeObjective(tax, 0.5)
 
@@ -389,13 +431,14 @@ class TestBatchSingleConsistency:
         for _ in range(50):
             t = make_random_tree(rng, max_nodes=25)
             alpha = float(rng.uniform(0, 1.2))
-            obj = L.ClassHxeObjective(t, alpha)
             z = rng.normal(size=t.num_leaves)
             p = softmax(z)
             i = int(rng.integers(t.num_leaves))
-            batch = float(obj.loss_batch(z[None, :], np.array([i]))[0])
             scalar = hxe_walk(t, alpha, p, t.leaves[i])
-            assert abs(batch - scalar) < 1e-9
+            for kernel in HXE_KERNELS:
+                obj = class_hxe(t, alpha, kernel)
+                batch = float(obj.loss_batch(z[None, :], np.array([i]))[0])
+                assert abs(batch - scalar) < 1e-9
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -420,3 +463,55 @@ class TestBatchSingleConsistency:
 def test_unknown_truth_raises_unknown_node_error(toy_tree, call):
     with pytest.raises(UnknownNodeError, match="unknown leaf 'Z'"):
         call(toy_tree)
+
+
+def tree_with_leaves(rng, min_leaves: int) -> Taxonomy:
+    """An unbalanced random tree with at least ``min_leaves`` classes."""
+    while True:
+        tax = make_random_tree(rng, max_nodes=4 * min_leaves)
+        if tax.num_leaves >= min_leaves:
+            return tax
+
+
+def under_single_child_root(tax: Taxonomy) -> Taxonomy:
+    """``tax`` hung below a new root as its only child."""
+    return Taxonomy("top", {"top": [tax.root], **tax.children}, tax.leaves)
+
+
+class TestHxeKernels:
+    def test_size_rule(self, balanced27):
+        assert isinstance(L.ClassHxeObjective(balanced27, 0.5).kernel, L._DenseHxe)
+        large = make_balanced_tree(3, 4)
+        assert large.num_leaves >= L._PATH_KERNEL_MIN_LEAVES
+        assert isinstance(L.ClassHxeObjective(large, 0.5).kernel, L._PathHxe)
+
+    def test_kernels_agree(self):
+        rng = np.random.default_rng(14)
+        big = tree_with_leaves(rng, 300)
+        trees = [big, under_single_child_root(big),
+                 Taxonomy("R", {"R": []}, ["R"]),
+                 Taxonomy("R", {"R": ["A"], "A": []}, ["A"])]
+        for tax in trees:
+            for alpha, scale in [(0.0, 0.1), (0.5, 1.0), (1.3, 10.0), (2.0, 40.0)]:
+                Z = rng.normal(scale=scale, size=(33, tax.num_leaves))
+                truth = rng.integers(tax.num_leaves, size=len(Z))
+                dense, path = (class_hxe(tax, alpha, k) for k in HXE_KERNELS)
+                np.testing.assert_allclose(path.loss_batch(Z, truth),
+                                           dense.loss_batch(Z, truth),
+                                           rtol=1e-12, atol=1e-13)
+                np.testing.assert_allclose(path.grad_batch(Z, truth),
+                                           dense.grad_batch(Z, truth),
+                                           rtol=1e-12, atol=1e-14)
+
+    def test_path_kernel_builds_no_dense_matrix(self):
+        # A fresh tree, so no membership matrix is cached on it; one (L, N)
+        # array of even one byte an entry would break the bound.
+        tax = make_balanced_tree(3, 6)
+        tracemalloc.start()
+        try:
+            obj = L.ClassHxeObjective(tax, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(obj.kernel, L._PathHxe)
+        assert peak < tax.num_leaves * tax.num_nodes

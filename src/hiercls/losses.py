@@ -85,6 +85,21 @@ def _sibling_groups(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
                      dtype=np.int64))
 
 
+def _lineages(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's parent and each leaf's lineage, as ``nodes_bfs`` ids
+    (``int32``). The root is its own parent. Row ``i`` of the
+    ``(L, tree_height + 1)`` lineage table runs from leaf ``i`` up to the
+    root and repeats the root to the end."""
+    index = tax.node_index
+    parent = np.zeros(tax.num_nodes, dtype=np.int32)
+    parent[1:] = [index[tax.parent[n]] for n in tax.nonroot_bfs]
+    levels = np.empty((tax.tree_height + 1, tax.num_leaves), dtype=np.int32)
+    levels[0] = [index[leaf] for leaf in tax.leaves]
+    for j in range(1, len(levels)):  # one depth level a gather
+        parent.take(levels[j - 1], out=levels[j])
+    return parent, levels.T.copy()
+
+
 def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
     """Row-stochastic soft targets: row = true class, column = target class.
 
@@ -179,15 +194,9 @@ class _PathHxe:
     """
 
     def __init__(self, tax: Taxonomy, lam: np.ndarray):
-        index = tax.node_index
-        parent = np.zeros(tax.num_nodes, dtype=np.int32)  # the root is its own
-        parent[1:] = [index[tax.parent[n]] for n in tax.nonroot_bfs]
-        levels = np.empty((tax.tree_height + 1, tax.num_leaves), dtype=np.int32)
-        levels[0] = [index[leaf] for leaf in tax.leaves]
-        for j in range(1, len(levels)):  # one depth level a gather
-            parent.take(levels[j - 1], out=levels[j])
-        coef = np.diff(np.concatenate(([0.0], lam))[levels], axis=0, prepend=0.0)
-        self.path, self.coef = levels.T.copy(), coef.T.copy()
+        self.path = _lineages(tax)[1]
+        self.coef = np.diff(np.concatenate(([0.0], lam))[self.path], axis=1,
+                            prepend=0.0)
         self.lo, self.hi = tax.span.T.astype(np.int32)
         self.dfs_pos = tax.dfs_pos
         self.dfs_leaves = np.argsort(tax.dfs_pos)
@@ -285,47 +294,86 @@ class ConditionalHxeObjective:
     edge conditionals directly. With uniform weights the loss equals
     ``-log`` of the factorized leaf posterior.
 
-    Row ``i`` of ``path_indicator`` marks leaf ``i``'s non-root lineage; the
-    losses weight the truth's row by ``lam``.
+    ``perm`` sorts the groups by size into ``blocks``, each node-major
+    ``(groups, k, batch)``: a group sum is ``k`` elementwise additions in
+    ``np.add.reduceat``'s order, ``a0 + (a1 + ... + a(k-1))``. Above 8
+    children, where numpy's pairwise summation sets in, ``np.add.reduceat``
+    sums. The truth's padded lineage (``path``, as in ``_PathHxe``) places
+    the weights, and ``log_class_probs`` adds the conditionals top-down, a
+    depth level at a time.
     """
 
     def __init__(self, tax: Taxonomy, alpha: float):
-        self.num_outputs = len(tax.nonroot_bfs)
-        if self.num_outputs == 0:
+        self.num_outputs = N = len(tax.nonroot_bfs)
+        if N == 0:
             raise ValueError("conditional head needs a taxonomy with edges")
-        self.group_starts = _sibling_groups(tax)[1]
-        self.group_sizes = np.diff(self.group_starts, append=self.num_outputs)
         self.lam = _edge_weights(tax, alpha)
-        # Leaf-major: BLAS rounds a one-row product differently otherwise.
-        self.path_indicator = np.ascontiguousarray(tax.leaf_membership()[1:].T)
+        self.parent, self.path = _lineages(tax)
+        sizes = np.diff(_sibling_groups(tax)[1], append=N)
+        self.perm = np.argsort(np.repeat(sizes, sizes), kind="stable")
+        self.inv = np.argsort(self.perm)
+        ks, counts = np.unique(sizes, return_counts=True)
+        ends = np.cumsum(ks * counts).tolist()
+        self.blocks = list(zip(ks.tolist(), [0] + ends[:-1], ends))
+        depth = [tax.depth[n] for n in tax.nodes_bfs]
+        self.levels = np.searchsorted(depth, np.arange(1, tax.tree_height + 2))
 
-    def _expand(self, per_group: np.ndarray) -> np.ndarray:
-        return np.repeat(per_group, self.group_sizes, axis=1)
+    def _log_conditionals(self, Z: np.ndarray) -> np.ndarray:
+        """The group log-softmax of ``Z``, node-major ``(N, B)`` in ``perm``
+        order."""
+        X = np.asarray(Z, dtype=float).T[self.perm]
+        E = np.empty_like(X)
+        B = X.shape[1]
+        for k, lo, hi in self.blocks:
+            V, Ek = (A[lo:hi].reshape(-1, k, B) for A in (X, E))
+            V -= V.max(axis=1, keepdims=True)
+            np.exp(V, out=Ek)
+            if k > 8:
+                s = np.add.reduceat(E[lo:hi], np.arange(0, hi - lo, k), axis=0)
+            else:
+                tail = np.zeros((len(Ek), B))  # as numpy's pairwise sum starts
+                for j in range(1, k):
+                    tail += Ek[:, j]
+                s = Ek[:, 0] + tail
+            V -= np.log(s)[:, None]
+        return X
 
     def _log_softmax_groups(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        gmax = np.maximum.reduceat(Z, self.group_starts, axis=1)
-        shifted = Z - self._expand(gmax)
-        gsum = np.add.reduceat(np.exp(shifted), self.group_starts, axis=1)
-        return shifted - self._expand(np.log(gsum))
+        return np.ascontiguousarray(self._log_conditionals(Z)[self.inv].T)
 
     def log_class_probs(self, Z: np.ndarray) -> np.ndarray:
-        """Log leaf posteriors reconstructed by summing lineage conditionals;
+        """Log leaf posteriors, each the sum of its lineage's conditionals;
         they rank the classes. The weights play no part."""
-        return self._log_softmax_groups(Z) @ self.path_indicator.T
+        X = self._log_conditionals(Z)
+        logp = np.empty((len(self.parent), X.shape[1]))
+        logp[0] = 0.0
+        np.take(X, self.inv, axis=0, out=logp[1:])
+        for lo, hi in zip(self.levels[:-1], self.levels[1:]):
+            logp[lo:hi] += logp[self.parent[lo:hi]]
+        return np.ascontiguousarray(logp[self.path[:, 0]].T)
 
     scores = log_class_probs
 
+    def _on_lineage(self, truth_idx: np.ndarray) -> np.ndarray:
+        """``(B, num_nodes)`` mask of each truth's lineage, root included."""
+        path = self.path[truth_idx]
+        mask = np.zeros((len(path), len(self.parent)), dtype=bool)
+        mask[np.arange(len(path))[:, None], path] = True
+        return mask
+
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        logq = self._log_softmax_groups(Z)
-        return -(self.path_indicator[truth_idx] * self.lam * logq).sum(axis=1)
+        lam = self.lam * self._on_lineage(truth_idx)[:, 1:]
+        return -(lam * self._log_softmax_groups(Z)).sum(axis=1)
 
     def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        logq = self._log_softmax_groups(Z)
-        q = np.exp(logq)
-        lam = self.path_indicator[truth_idx] * self.lam
-        group_w = np.add.reduceat(lam, self.group_starts, axis=1)
-        return q * self._expand(group_w) - lam
+        on = self._on_lineage(truth_idx)
+        q = self._log_softmax_groups(Z)
+        np.exp(q, out=q)
+        # A group's weight is its lineage child's: the weight of its depth,
+        # which every sibling shares.
+        q *= self.lam * on[:, self.parent[1:]]
+        q -= self.lam * on[:, 1:]
+        return q
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,46 @@ def hxe_walk(tax: Taxonomy, alpha: float, p: np.ndarray, truth: str) -> float:
                       for n in ancestry(tax, truth)[:-1]))
 
 
+class DenseConditionalHxe:
+    """The conditional head in its dense formulation: one ``np.add.reduceat``
+    log-softmax over the sibling groups, ``lam`` times each truth's lineage
+    indicator row (from ``ancestry`` walks), and log leaf posteriors as one
+    product with the ``(L, N)`` indicator."""
+
+    def __init__(self, tax: Taxonomy, alpha: float):
+        sizes = [len(tax.children[n]) for n in tax.nodes_bfs if tax.children[n]]
+        self.starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self.sizes = np.array(sizes)
+        self.lam = np.array([edge_weight(tax, alpha, n) for n in tax.nonroot_bfs])
+        col = {n: i for i, n in enumerate(tax.nonroot_bfs)}
+        self.path_indicator = np.zeros((tax.num_leaves, len(col)))
+        for leaf in tax.leaves:
+            for node in ancestry(tax, leaf)[:-1]:
+                self.path_indicator[tax.leaf_index[leaf], col[node]] = 1.0
+
+    def _expand(self, per_group: np.ndarray) -> np.ndarray:
+        return np.repeat(per_group, self.sizes, axis=1)
+
+    def log_softmax_groups(self, Z: np.ndarray) -> np.ndarray:
+        gmax = np.maximum.reduceat(Z, self.starts, axis=1)
+        shifted = Z - self._expand(gmax)
+        gsum = np.add.reduceat(np.exp(shifted), self.starts, axis=1)
+        return shifted - self._expand(np.log(gsum))
+
+    def log_class_probs(self, Z: np.ndarray) -> np.ndarray:
+        return self.log_softmax_groups(Z) @ self.path_indicator.T
+
+    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        logq = self.log_softmax_groups(Z)
+        return -(self.path_indicator[truth_idx] * self.lam * logq).sum(axis=1)
+
+    def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        q = np.exp(self.log_softmax_groups(Z))
+        lam = self.path_indicator[truth_idx] * self.lam
+        group_w = np.add.reduceat(lam, self.starts, axis=1)
+        return q * self._expand(group_w) - lam
+
+
 def random_prob_vector(rng: np.random.Generator, size: int) -> np.ndarray:
     p = rng.random(size) + 1e-6
     return p / p.sum()

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (HXE_KERNELS, ancestry, conditionals_from_class_probs,
-                      edge_weight, factorized_prob, finite_difference,
-                      hxe_kernel, hxe_walk, make_balanced_tree,
-                      make_random_tree, max_rel_error, random_prob_vector,
-                      shaped_trees)
+from conftest import (HXE_KERNELS, DenseConditionalHxe, ancestry,
+                      conditionals_from_class_probs, edge_weight,
+                      factorized_prob, finite_difference, hxe_kernel, hxe_walk,
+                      make_balanced_tree, make_random_tree, max_rel_error,
+                      random_prob_vector, shaped_trees)
 from hiercls import losses as L
+from hiercls.model import _top_ranks
 from hiercls.taxonomy import Taxonomy, UnknownNodeError
 
 
@@ -356,22 +357,6 @@ def class_coeff_oracle(tax, alpha) -> np.ndarray:
     return K
 
 
-def conditional_oracle(tax, alpha):
-    """Sibling-group starts and sizes, weighted lineage rows and lineage
-    indicator rows of ``ConditionalHxeObjective`` by per-leaf walks."""
-    sizes = [len(tax.children[n]) for n in tax.nodes_bfs if tax.children[n]]
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    col = {n: i for i, n in enumerate(tax.nonroot_bfs)}
-    lam_path = np.zeros((tax.num_leaves, len(col)))
-    path_ind = np.zeros((tax.num_leaves, len(col)))
-    for leaf in tax.leaves:
-        i = tax.leaf_index[leaf]
-        for node in ancestry(tax, leaf)[:-1]:
-            lam_path[i, col[node]] = edge_weight(tax, alpha, node)
-            path_ind[i, col[node]] = 1.0
-    return starts, np.array(sizes), lam_path, path_ind
-
-
 def class_hxe(tax, alpha, kernel):
     """``ClassHxeObjective(tax, alpha)`` with ``kernel`` forced."""
     with hxe_kernel(kernel):
@@ -394,22 +379,56 @@ def assert_paths_match_oracle(tax, alpha, path_kernel):
         np.testing.assert_array_equal(coef[i], list(K[i, lineage]) + [0.0] * pad)
 
 
+def assert_conditional_matches_dense(tax, alpha, rng):
+    """The conditional head's group log-softmax, loss and gradient equal the
+    dense formulation's bit for bit; its log leaf posteriors lie within
+    1e-12 of the dense product and rank the classes alike."""
+    obj, dense = L.ConditionalHxeObjective(tax, alpha), DenseConditionalHxe(tax, alpha)
+    width = min(20, tax.num_leaves)
+    for scale in (0.5, 5.0):
+        Z = rng.normal(scale=scale, size=(17, obj.num_outputs))
+        truth = rng.integers(tax.num_leaves, size=len(Z))
+        np.testing.assert_array_equal(obj._log_softmax_groups(Z),
+                                      dense.log_softmax_groups(Z))
+        np.testing.assert_array_equal(obj.loss_batch(Z, truth),
+                                      dense.loss_batch(Z, truth))
+        np.testing.assert_array_equal(obj.grad_batch(Z, truth),
+                                      dense.grad_batch(Z, truth))
+        scores, oracle = obj.log_class_probs(Z), dense.log_class_probs(Z)
+        np.testing.assert_allclose(scores, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(_top_ranks(scores, width),
+                                      _top_ranks(oracle, width))
+
+
+def sibling_block_tree(sizes: list[int]) -> Taxonomy:
+    """Below a root with one child ``T``: a leaf ``x`` and one node with
+    ``k`` leaf children for each ``k`` in ``sizes``."""
+    groups = [f"g{i}" for i in range(len(sizes))]
+    children = {"R": ["T"], "T": ["x", *groups]}
+    for g, k in zip(groups, sizes):
+        children[g] = [f"{g}.{j}" for j in range(k)]
+    leaves = ["x"] + [leaf for g in groups for leaf in children[g]]
+    return Taxonomy("R", children, leaves)
+
+
 class TestObjectiveTreeData:
     @settings(max_examples=200, deadline=None)
-    @given(shaped_trees(), st.sampled_from([0.0, 0.5, 0.9, 1.7]))
-    def test_match_ancestry_oracles(self, tax, alpha):
+    @given(shaped_trees(), st.sampled_from([0.0, 0.5, 0.9, 1.7]),
+           st.integers(0, 2**32 - 1))
+    def test_match_ancestry_oracles(self, tax, alpha, seed):
         np.testing.assert_array_equal(class_hxe(tax, alpha, "dense").kernel.coeff,
                                       class_coeff_oracle(tax, alpha))
         assert_paths_match_oracle(tax, alpha, class_hxe(tax, alpha, "path").kernel)
-        obj = L.ConditionalHxeObjective(tax, alpha)
-        starts, sizes, lam_path, path_ind = conditional_oracle(tax, alpha)
-        np.testing.assert_array_equal(obj.group_starts, starts)
-        np.testing.assert_array_equal(obj.group_sizes, sizes)
-        np.testing.assert_array_equal(obj.path_indicator, path_ind)
-        assert obj.path_indicator.flags.c_contiguous
-        truth = np.arange(tax.num_leaves)
-        np.testing.assert_array_equal(obj.path_indicator[truth] * obj.lam,
-                                      lam_path)
+        assert_conditional_matches_dense(tax, alpha, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("sizes", [[8], [9], [40], [8, 9, 40, 9, 2, 8]],
+                             ids=["8", "9", "40", "mixed"])
+    def test_conditional_head_on_sibling_blocks(self, sizes):
+        # Groups of 1 (the root's), up to 8 (elementwise sums) and over 8
+        # (np.add.reduceat) children.
+        tax = sibling_block_tree(sizes)
+        for alpha in (0.0, 0.7):
+            assert_conditional_matches_dense(tax, alpha, np.random.default_rng(15))
 
     def test_root_that_is_its_only_leaf(self):
         tax = Taxonomy("R", {"R": []}, ["R"])
@@ -504,14 +523,34 @@ class TestHxeKernels:
                                            rtol=1e-12, atol=1e-14)
 
     def test_path_kernel_builds_no_dense_matrix(self):
-        # A fresh tree, so no membership matrix is cached on it; one (L, N)
-        # array of even one byte an entry would break the bound.
-        tax = make_balanced_tree(3, 6)
-        tracemalloc.start()
-        try:
-            obj = L.ClassHxeObjective(tax, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert isinstance(obj.kernel, L._PathHxe)
-        assert peak < tax.num_leaves * tax.num_nodes
+        # A fresh tree each, so no membership matrix is cached on it; one
+        # (L, N) array of even one byte an entry would break the bound.
+        for objective in (L.ClassHxeObjective, L.ConditionalHxeObjective):
+            tax = make_balanced_tree(3, 6)
+            tracemalloc.start()
+            try:
+                obj = objective(tax, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < tax.num_leaves * tax.num_nodes, objective
+            assert tax._leaf_membership is None
+        assert isinstance(L.ClassHxeObjective(tax, 0.5).kernel, L._PathHxe)
+
+
+def test_outputs_are_c_contiguous():
+    # A Fortran-ordered gradient takes backprop's product down another
+    # rounding path, so the checkpoints would change with equal values.
+    rng = np.random.default_rng(16)
+    for tax in (make_balanced_tree(3, 3), tree_with_leaves(rng, 100)):
+        objectives = [L.ClassCrossEntropy(tax),
+                      *(class_hxe(tax, 0.5, k) for k in HXE_KERNELS),
+                      L.ClassSoftLabelObjective(L.soft_label_matrix(tax, 2.0)),
+                      L.ConditionalHxeObjective(tax, 0.5)]
+        for obj in objectives:
+            Z = rng.normal(size=(9, obj.num_outputs))
+            outputs = [obj.grad_batch(Z, rng.integers(tax.num_leaves, size=9))]
+            if isinstance(obj, L.ConditionalHxeObjective):
+                outputs.append(obj.scores(Z))
+            for out in outputs:
+                assert out.dtype == np.float64 and out.flags.c_contiguous, obj

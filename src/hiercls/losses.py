@@ -49,9 +49,10 @@ EPS = 1e-12
 
 def softmax_batch(Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = Z - Z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +121,46 @@ def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _LeafLogits:
+class _Objective:
+    """``loss_and_grad`` gives a batch's losses and their C-ordered logit
+    gradient from one pass."""
+
+    def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        return self.loss_and_grad(Z, truth_idx)[1]
+
+
+class _LeafLogits(_Objective):
     """A class head ranks the classes by its leaf logits as they are."""
 
     @staticmethod
     def scores(Z: np.ndarray) -> np.ndarray:
         return Z
+
+    def loss_and_scores(self, Z: np.ndarray, truth_idx: np.ndarray):
+        return self.loss_batch(Z, truth_idx), Z
+
+
+def _weighted_nll(W: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Each row's ``-sum(W * log(M))``, with ``M`` floored at ``EPS``."""
+    return -(W * np.log(np.maximum(M, EPS))).sum(axis=1)
+
+
+def _inverse(masses: np.ndarray) -> np.ndarray:
+    """``1 / masses``, and 0 where a mass is clamped at ``EPS``."""
+    return np.where(masses > EPS, 1.0 / masses, 0.0)
+
+
+class _ProbabilityLoss(_LeafLogits):
+    """A loss of the softmax probabilities ``P``, from ``loss_from_probs``
+    and ``loss_and_prob_grad`` (the losses and their gradient in ``P``)."""
+
+    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        return self.loss_from_probs(softmax_batch(Z), truth_idx)
+
+    def loss_and_grad(self, Z: np.ndarray, truth_idx: np.ndarray):
+        P = softmax_batch(Z)
+        losses, G = self.loss_and_prob_grad(P, truth_idx)
+        return losses, P * (G - (G * P).sum(axis=1, keepdims=True))
 
 
 class ClassCrossEntropy(_LeafLogits):
@@ -135,15 +170,14 @@ class ClassCrossEntropy(_LeafLogits):
         self.num_outputs = tax.num_leaves
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        P = softmax_batch(Z)
-        picked = P[np.arange(len(P)), truth_idx]
-        return -np.log(np.maximum(picked, EPS))
+        return self.loss_and_grad(Z, truth_idx)[0]
 
-    def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+    def loss_and_grad(self, Z: np.ndarray, truth_idx: np.ndarray):
         P = softmax_batch(Z)
-        G = P.copy()
-        G[np.arange(len(P)), truth_idx] -= 1.0
-        return G
+        rows = np.arange(len(P))
+        losses = -np.log(np.maximum(P[rows, truth_idx], EPS))
+        P[rows, truth_idx] -= 1.0
+        return losses, P
 
 
 # Trees with at least this many classes take the path kernel. On balanced
@@ -169,13 +203,14 @@ class _DenseHxe:
             K[:, parent] -= lam[lo:hi] @ M[1 + lo:1 + hi]
 
     def loss(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        logm = np.log(np.maximum(P @ self.membership.T, EPS))
-        return -(self.coeff[truth_idx] * logm).sum(axis=1)
+        return _weighted_nll(self.coeff[truth_idx], P @ self.membership.T)
 
-    def prob_grad(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
+        """The losses and their gradient in ``P``, from one mass product."""
         masses = P @ self.membership.T
-        inv = np.where(masses > EPS, 1.0 / masses, 0.0)
-        return -(self.coeff[truth_idx] * inv) @ self.membership
+        K = self.coeff[truth_idx]
+        return (_weighted_nll(K, masses),
+                -(K * _inverse(masses)) @ self.membership)
 
 
 class _PathHxe:
@@ -221,20 +256,20 @@ class _PathHxe:
         return np.cumsum(steps, axis=1), widths
 
     def loss(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        masses = self._masses(P, truth_idx)[0]
-        return -(self.coef[truth_idx] * np.log(np.maximum(masses, EPS))).sum(axis=1)
+        return _weighted_nll(self.coef[truth_idx], self._masses(P, truth_idx)[0])
 
-    def prob_grad(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
+        """The losses and their gradient in ``P``, from one mass pass."""
         masses, widths = self._masses(P, truth_idx)
-        inv = np.where(masses > EPS, 1.0 / masses, 0.0)
+        coef = self.coef[truth_idx]
         # Level j's value holds on intervals H - j and H + j.
-        level = -np.cumsum((self.coef[truth_idx] * inv)[:, ::-1], axis=1)[:, ::-1]
+        level = -np.cumsum((coef * _inverse(masses))[:, ::-1], axis=1)[:, ::-1]
         per_interval = np.concatenate((level[:, ::-1], level[:, 1:]), axis=1)
         G = np.repeat(per_interval.ravel(), widths.ravel()).reshape(P.shape)
-        return G[:, self.dfs_pos]
+        return _weighted_nll(coef, masses), G[:, self.dfs_pos]
 
 
-class ClassHxeObjective(_LeafLogits):
+class ClassHxeObjective(_ProbabilityLoss):
     """Hierarchical cross-entropy driven from leaf logits.
 
     The lineage sum telescopes into per-node coefficients on the log leaf
@@ -251,42 +286,31 @@ class ClassHxeObjective(_LeafLogits):
         large = tax.num_leaves >= _PATH_KERNEL_MIN_LEAVES
         self.kernel = (_PathHxe if large else _DenseHxe)(tax, lam)
 
-    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return self.loss_from_probs(softmax_batch(Z), truth_idx)
-
     def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         """The loss of class-probability rows ``P``: the truth's coefficients
         against the floored log masses of its lineage."""
         return self.kernel.loss(P, truth_idx)
 
-    def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        P = softmax_batch(Z)
-        G = self.kernel.prob_grad(P, truth_idx)
-        return P * (G - (G * P).sum(axis=1, keepdims=True))
+    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
+        return self.kernel.loss_and_prob_grad(P, truth_idx)
 
 
-class ClassSoftLabelObjective(_LeafLogits):
+class ClassSoftLabelObjective(_ProbabilityLoss):
     """Cross-entropy against ``soft_label_matrix`` rows, over leaf logits."""
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
         self.num_outputs = rows.shape[0]
 
-    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return self.loss_from_probs(softmax_batch(Z), truth_idx)
-
     def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        return _weighted_nll(self.rows[truth_idx], P)
+
+    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
         Y = self.rows[truth_idx]
-        return -(Y * np.log(np.maximum(P, EPS))).sum(axis=1)
-
-    def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        P = softmax_batch(Z)
-        Y = self.rows[truth_idx]
-        g = np.where(P > EPS, -Y / P, 0.0)
-        return P * (g - (g * P).sum(axis=1, keepdims=True))
+        return _weighted_nll(Y, P), np.where(P > EPS, -Y / P, 0.0)
 
 
-class ConditionalHxeObjective:
+class ConditionalHxeObjective(_Objective):
     """Hierarchical cross-entropy on a conditional head.
 
     Logits are indexed by the non-root nodes in breadth-first order, which
@@ -346,34 +370,49 @@ class ConditionalHxeObjective:
         they rank the classes. The weights play no part."""
         X = self._log_conditionals(Z)
         logp = np.empty((len(self.parent), X.shape[1]))
-        logp[0] = 0.0
         np.take(X, self.inv, axis=0, out=logp[1:])
+        return self._add_down(logp)
+
+    scores = log_class_probs
+
+    def _add_down(self, logp: np.ndarray) -> np.ndarray:
+        """``log_class_probs`` from the log-conditionals in rows 1: of the
+        node-major ``logp``, each row added to its parent's top-down."""
+        logp[0] = 0.0
         for lo, hi in zip(self.levels[:-1], self.levels[1:]):
             logp[lo:hi] += logp[self.parent[lo:hi]]
         return np.ascontiguousarray(logp[self.path[:, 0]].T)
 
-    scores = log_class_probs
-
-    def _on_lineage(self, truth_idx: np.ndarray) -> np.ndarray:
-        """``(B, num_nodes)`` mask of each truth's lineage, root included."""
+    def _edge_loss(self, q: np.ndarray, truth_idx: np.ndarray):
+        """The losses of the group log-softmax ``q``, the ``(B, num_nodes)``
+        mask of each truth's lineage (root included) and its edge weights."""
         path = self.path[truth_idx]
-        mask = np.zeros((len(path), len(self.parent)), dtype=bool)
-        mask[np.arange(len(path))[:, None], path] = True
-        return mask
+        on = np.zeros((len(path), len(self.parent)), dtype=bool)
+        on[np.arange(len(path))[:, None], path] = True
+        lam = self.lam * on[:, 1:]
+        return -(lam * q).sum(axis=1), on, lam
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        lam = self.lam * self._on_lineage(truth_idx)[:, 1:]
-        return -(lam * self._log_softmax_groups(Z)).sum(axis=1)
+        return self._edge_loss(self._log_softmax_groups(Z), truth_idx)[0]
 
-    def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        on = self._on_lineage(truth_idx)
+    def loss_and_grad(self, Z: np.ndarray, truth_idx: np.ndarray):
         q = self._log_softmax_groups(Z)
+        losses, on, lam = self._edge_loss(q, truth_idx)
         np.exp(q, out=q)
         # A group's weight is its lineage child's: the weight of its depth,
         # which every sibling shares.
         q *= self.lam * on[:, self.parent[1:]]
-        q -= self.lam * on[:, 1:]
-        return q
+        q -= lam
+        return losses, q
+
+    def loss_and_scores(self, Z: np.ndarray, truth_idx: np.ndarray):
+        """``loss_batch`` and ``scores`` from one group log-softmax."""
+        q = self._log_softmax_groups(Z)
+        losses = self._edge_loss(q, truth_idx)[0]
+        logp = np.empty((len(self.parent), len(q)))
+        logp[1:] = q.T
+        del q  # before the scores' own (B, L) arrays are built
+        return losses, self._add_down(logp)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class SettingError(ValueError):
 def build_objective(tax: Taxonomy, loss: str, param: float | None, head: str):
     """Bind loss ``loss`` (``ce``; ``hxe``, whose ``param`` is alpha; or
     ``soft``, whose ``param`` is beta) to a taxonomy and head; returns a
-    batch objective with ``loss_batch``, ``grad_batch`` and ``scores``. An
+    batch objective with ``loss_and_grad`` (losses and logit gradient),
+    ``loss_batch``, ``scores`` and ``loss_and_scores``, each one pass. An
     unknown loss, or hxe or soft without ``param`` or with one that is not
     finite and >= 0, raises ``ValueError``."""
     if loss not in LOSS_PARAMETERS:
@@ -184,8 +185,9 @@ class AdamOptimizer:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    _work: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
@@ -194,18 +196,24 @@ class AdamOptimizer:
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One step on the flat ``params`` in place."""
         if not self.m.size:
-            self.m = np.zeros_like(params)
-            self.v = np.zeros_like(params)
+            # m, v and two work rows share one allocation, and a step
+            # makes none.
+            self.m, self.v, *self._work = np.zeros((4,) + params.shape)
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        m, v = self.m, self.v
+        m, v, (a, b) = self.m, self.v, self._work
+        # The recurrence's operations in numpy's order for the expressions
+        # above: ((1-b2)*g)*g, then lr*(m/c1), then / (sqrt(v/c2)+eps).
         m *= self.beta1
-        m += (1.0 - self.beta1) * grads
+        m += np.multiply(1.0 - self.beta1, grads, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * grads * grads
-        params -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        np.multiply(1.0 - self.beta2, grads, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        params -= np.divide(a, np.add(b, self.eps, out=b), out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +252,18 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
     with periodic checkpoints; returns their records in step order.
 
     Batches are drawn from a fresh seeded shuffle each epoch (trailing
-    partial batches are skipped). Every ``checkpoint_every`` steps a record
-    holds the running training loss, the ``val_ds`` loss, a metric report on
-    ``eval_ds`` ranked by ``obj.scores`` (from the validation logits when
-    ``eval_ds`` is ``val_ds``), and a parameter snapshot. Non-finite losses
-    abort immediately.
+    partial batches are skipped). Each step makes one ``obj.loss_and_grad``
+    call for the batch's losses and logit gradient. Every
+    ``checkpoint_every`` steps a record holds the running training loss, the
+    ``val_ds`` loss, a metric report on ``eval_ds`` ranked by ``obj.scores``
+    (loss and scores from one ``obj.loss_and_scores`` call when ``eval_ds``
+    is ``val_ds``), and a parameter snapshot. Non-finite losses abort
+    immediately, before the update.
     """
     if obj.num_outputs != model.output_dim:
         raise ValueError("model output dim does not match head for this taxonomy")
     X = train_ds.features
     t = train_ds.label_indices(tax)
-    Xv = val_ds.features
     tv = val_ds.label_indices(tax)
     te = tv if eval_ds is val_ds else eval_ds.label_indices(tax)
     rng = np.random.default_rng([schedule.seed, 1])
@@ -270,31 +279,26 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
             pos = 0
         idx = perm[pos:pos + bsz]
         pos += bsz
-        acts, Z = _forward_with_acts(model, X[idx])
-        batch_losses = obj.loss_batch(Z, t[idx])
+        Xb = X[idx]
+        acts, Z = _forward_with_acts(model, Xb)
+        batch_losses, dZ = obj.loss_and_grad(Z, t[idx])
         loss = float(batch_losses.mean())
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss} at step {step} "
                 f"(batch rows {idx[:5].tolist()}...)"
             )
-        dZ = obj.grad_batch(Z, t[idx])
-        grads = backprop(model, X[idx], dZ, acts=acts)
+        grads = backprop(model, Xb, dZ, acts=acts)
         optimizer.update(model.params, grads)
         run_sum += loss
         run_count += 1
         if step % schedule.checkpoint_every == 0:
-            # One name for the checkpoint's logits, so that none outlive the
-            # next checkpoint's forward pass.
-            Zc = forward(model, Xv)
-            val_loss = float(obj.loss_batch(Zc, tv).mean())
-            if eval_ds is not val_ds:
-                Zc = forward(model, eval_ds.features)
+            val_loss, ranks = _validate(model, obj, val_ds, tv, eval_ds, max(ks))
             records.append(CheckpointRecord(
                 step=step,
                 train_loss=run_sum / run_count,
                 val_loss=val_loss,
-                report=_report_from_logits(tax, obj, Zc, te, ks),
+                report=report_from_indices(tax, ranks, te, tuple(ks)),
                 params=model.params.copy(),
             ))
             run_sum, run_count = 0.0, 0
@@ -325,9 +329,16 @@ def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
     return top
 
 
-def _report_from_logits(tax, obj, Z, truth_idx, ks) -> MetricReport:
-    R = _top_ranks(obj.scores(Z), max(ks))
-    return report_from_indices(tax, R, truth_idx, tuple(ks))
+def _validate(model, obj, val_ds, tv, eval_ds, width):
+    """A checkpoint's mean ``val_ds`` loss (``tv`` its labels) and top
+    ``width`` ranks of ``eval_ds``; no logit or score matrix outlives its
+    use."""
+    if eval_ds is val_ds:
+        losses, S = obj.loss_and_scores(forward(model, val_ds.features), tv)
+    else:
+        losses = obj.loss_batch(forward(model, val_ds.features), tv)
+        S = obj.scores(forward(model, eval_ds.features))
+    return float(losses.mean()), _top_ranks(S, width)
 
 
 def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
@@ -340,8 +351,8 @@ def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
     third of the classes); ties break toward the lower canonical class
     index, exactly as a full stable sort of the negated scores would order
     them."""
-    Z = forward(model, ds.features)
-    return _report_from_logits(tax, obj, Z, ds.label_indices(tax), ks)
+    R = _top_ranks(obj.scores(forward(model, ds.features)), max(ks))
+    return report_from_indices(tax, R, ds.label_indices(tax), tuple(ks))
 
 
 # ---------------------------------------------------------------------------

@@ -554,3 +554,53 @@ def test_outputs_are_c_contiguous():
                 outputs.append(obj.scores(Z))
             for out in outputs:
                 assert out.dtype == np.float64 and out.flags.c_contiguous, obj
+
+
+def every_objective(tax: Taxonomy, alpha: float) -> list:
+    """Each objective on ``tax``, the class HXE under both kernels; the
+    conditional head where the tree has edges."""
+    objectives = [L.ClassCrossEntropy(tax),
+                  *(class_hxe(tax, alpha, k) for k in HXE_KERNELS),
+                  L.ClassSoftLabelObjective(L.soft_label_matrix(tax, 1.0 + alpha))]
+    if tax.num_nodes > 1:
+        objectives.append(L.ConditionalHxeObjective(tax, alpha))
+    return objectives
+
+
+def degenerate_rows(rng, width: int) -> np.ndarray:
+    """Logit rows whose softmax puts all mass on one output (or takes it all
+    from one), so that probabilities, masses and conditionals fall below
+    ``EPS``."""
+    Z = np.full((4, width), -800.0)
+    Z[np.arange(4), rng.integers(width, size=4)] = 0.0
+    Z[3] = np.where(Z[3] == 0.0, -800.0, 0.0)  # one output loses
+    return Z
+
+
+class TestFusedCalls:
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_trees(), st.sampled_from([0.0, 0.5, 1.7]),
+           st.integers(0, 2**32 - 1))
+    def test_loss_and_grad_agree_with_loss_batch(self, tax, alpha, seed):
+        rng = np.random.default_rng(seed)
+        for obj in every_objective(tax, alpha):
+            for Z in (rng.normal(scale=3.0, size=(11, obj.num_outputs)),
+                      degenerate_rows(rng, obj.num_outputs)):
+                truth = rng.integers(tax.num_leaves, size=len(Z))
+                losses, dZ = obj.loss_and_grad(Z, truth)
+                np.testing.assert_array_equal(losses, obj.loss_batch(Z, truth))
+                assert np.isfinite(losses).all() and np.isfinite(dZ).all()
+                assert dZ.dtype == np.float64 and dZ.flags.c_contiguous, obj
+                assert dZ.shape == Z.shape
+                np.testing.assert_array_equal(obj.grad_batch(Z, truth), dZ)
+                val_losses, scores = obj.loss_and_scores(Z, truth)
+                np.testing.assert_array_equal(val_losses, losses)
+                np.testing.assert_array_equal(scores, obj.scores(Z))
+                assert scores.flags.c_contiguous, obj
+
+    def test_degenerate_rows_hit_the_clamps(self):
+        # The rows above reach the EPS floors they are meant to test.
+        tax = make_balanced_tree(3, 3)
+        P = L.softmax_batch(degenerate_rows(np.random.default_rng(0),
+                                            tax.num_leaves))
+        assert (P < L.EPS).any(axis=1).all()

@@ -180,8 +180,9 @@ class TestFlatParametersMatchReference:
             ref_opt.update(ref_params, reference_backprop(
                 ref_layers, X[idx], obj.grad_batch(Z_ref, t[idx])))
             assert np.array_equal(model.params, flatten(ref_layers))
-        assert opt.m.tobytes() == np.concatenate(
-            [m.ravel() for m in ref_opt.m]).tobytes()
+        for mine, ref in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
+            assert mine.tobytes() == np.concatenate(
+                [a.ravel() for a in ref]).tobytes()
 
 
 class TestTraining:
@@ -262,11 +263,8 @@ class TestTraining:
         class Bad:
             num_outputs = toy_tree.num_leaves
 
-            def loss_batch(self, Z, t):
-                return np.full(len(Z), np.nan)
-
-            def grad_batch(self, Z, t):
-                return np.zeros_like(Z)
+            def loss_and_grad(self, Z, t):
+                return np.full(len(Z), np.nan), np.zeros_like(Z)
 
         model = Md.init_model(toy_tree, "class", ds.feature_dim, seed=0)
         with pytest.raises(Md.TrainingDivergedError, match="step 1"):
@@ -314,6 +312,99 @@ class TestTraining:
                                       Md._layer_views(num, model.shapes)):
             for g, n in zip(g_layer, num_layer):
                 assert max_rel_error(g.ravel(), n.ravel()) < 1e-4
+
+
+def reference_train(tax, model, train_ds, val_ds, eval_ds, obj, optimizer,
+                    schedule, ks):
+    """``Md.train`` from separate calls: ``loss_batch`` and ``grad_batch``
+    on each step's logits, and ``loss_batch`` and ``scores`` on each
+    checkpoint's."""
+    X, t = train_ds.features, train_ds.label_indices(tax)
+    Xv, tv = val_ds.features, val_ds.label_indices(tax)
+    te = eval_ds.label_indices(tax)
+    rng = np.random.default_rng([schedule.seed, 1])
+    n = len(X)
+    bsz = min(schedule.batch_size, n)
+    perm, pos = rng.permutation(n), 0
+    records, run_sum, run_count = [], 0.0, 0
+    for step in range(1, schedule.steps + 1):
+        if pos + bsz > n:
+            perm, pos = rng.permutation(n), 0
+        idx = perm[pos:pos + bsz]
+        pos += bsz
+        acts, Z = Md._forward_with_acts(model, X[idx])
+        loss = float(obj.loss_batch(Z, t[idx]).mean())
+        dZ = obj.grad_batch(Z, t[idx])
+        optimizer.update(model.params, Md.backprop(model, X[idx], dZ, acts=acts))
+        run_sum += loss
+        run_count += 1
+        if step % schedule.checkpoint_every == 0:
+            val_loss = float(obj.loss_batch(Md.forward(model, Xv), tv).mean())
+            scores = obj.scores(Md.forward(model, eval_ds.features))
+            ranks = Md._top_ranks(scores, max(ks))
+            records.append(Md.CheckpointRecord(
+                step, run_sum / run_count, val_loss,
+                Md.report_from_indices(tax, ranks, te, ks), model.params.copy()))
+            run_sum, run_count = 0.0, 0
+    return records
+
+
+class CountingObjective:
+    """Forwards to ``obj`` and counts the calls of each method."""
+
+    def __init__(self, obj):
+        self.obj, self.num_outputs, self.calls = obj, obj.num_outputs, {}
+
+    def __getattr__(self, name):
+        method = getattr(self.obj, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args)
+
+        return counted
+
+
+FUSED_SPECS = [("ce", None, "class"), ("hxe", 0.4, "class"),
+               ("soft", 3.0, "class"), ("hxe", 0.4, "conditional")]
+
+
+class TestFusedTrainingStep:
+    def schedule(self):
+        return Md.TrainSchedule(steps=90, batch_size=16, checkpoint_every=15,
+                                seed=2)
+
+    @pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: f"{s[0]}-{s[2]}")
+    @pytest.mark.parametrize("same_eval", [True, False], ids=["eval_val", "eval_other"])
+    def test_records_match_separate_calls(self, balanced27, spec, same_eval):
+        train_ds = toy_points(balanced27, per_class=6)
+        val_ds = toy_points(balanced27, per_class=3, seed=1)
+        eval_ds = val_ds if same_eval else toy_points(balanced27, per_class=4,
+                                                      seed=2)
+        loss, param, head = spec
+        runs = []
+        for loop in (Md.train, reference_train):
+            obj = Md.build_objective(balanced27, loss, param, head)
+            model = Md.init_model(balanced27, head, train_ds.feature_dim, seed=3,
+                                  hidden_dim=7)
+            runs.append(loop(balanced27, model, train_ds, val_ds, eval_ds, obj,
+                             Md.AdamOptimizer(lr=0.02), self.schedule(), (1, 5)))
+        fused, separate = runs
+        assert len(fused) == len(separate) == 6
+        for a, b in zip(fused, separate):
+            assert (a.step, a.train_loss, a.val_loss) == (b.step, b.train_loss,
+                                                          b.val_loss)
+            assert a.report == b.report
+            assert a.params.tobytes() == b.params.tobytes()
+
+    @pytest.mark.parametrize("spec", FUSED_SPECS, ids=lambda s: f"{s[0]}-{s[2]}")
+    def test_one_loss_and_grad_call_a_step(self, balanced27, spec):
+        ds = toy_points(balanced27, per_class=4)
+        obj = CountingObjective(Md.build_objective(balanced27, *spec))
+        model = Md.init_model(balanced27, spec[2], ds.feature_dim, seed=0)
+        Md.train(balanced27, model, ds, ds, ds, obj, Md.AdamOptimizer(lr=0.01),
+                 self.schedule(), ks=(1,))
+        assert obj.calls == {"loss_and_grad": 90, "loss_and_scores": 6}
 
 
 class TestSelectCheckpoints:

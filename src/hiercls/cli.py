@@ -248,7 +248,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = parse_sweep_config(read_input(args.config, "--config"),
-                                Path(args.config).parent)
+                                Path(args.config).parent, f"--config {args.config}")
     if args.workers is not None:
         with _flag_named():
             config = replace(config, workers=read_setting("workers", args.workers,

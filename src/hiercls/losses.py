@@ -73,32 +73,7 @@ def _edge_weights(tax: Taxonomy, alpha: float) -> np.ndarray:
     limit); larger alpha discounts edges deeper in the tree, trading
     fine-grained for coarse correctness."""
     check_knob("alpha", alpha)
-    return np.exp(-alpha * np.array([tax.depth[n] for n in tax.nonroot_bfs],
-                                    dtype=float))
-
-
-def _sibling_groups(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
-    """Each sibling group's parent row in ``nodes_bfs`` and its start in
-    ``nonroot_bfs`` (breadth-first order keeps a group contiguous)."""
-    parents = [n for n in tax.nodes_bfs if tax.children[n]]
-    return (np.array([tax.node_index[n] for n in parents], dtype=np.int64),
-            np.array([tax.node_index[tax.children[n][0]] - 1 for n in parents],
-                     dtype=np.int64))
-
-
-def _lineages(tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's parent and each leaf's lineage, as ``nodes_bfs`` ids
-    (``int32``). The root is its own parent. Row ``i`` of the
-    ``(L, tree_height + 1)`` lineage table runs from leaf ``i`` up to the
-    root and repeats the root to the end."""
-    index = tax.node_index
-    parent = np.zeros(tax.num_nodes, dtype=np.int32)
-    parent[1:] = [index[tax.parent[n]] for n in tax.nonroot_bfs]
-    levels = np.empty((tax.tree_height + 1, tax.num_leaves), dtype=np.int32)
-    levels[0] = [index[leaf] for leaf in tax.leaves]
-    for j in range(1, len(levels)):  # one depth level a gather
-        parent.take(levels[j - 1], out=levels[j])
-    return parent, levels.T.copy()
+    return np.exp(-alpha * tax.depth_row[1:])
 
 
 def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
@@ -189,18 +164,15 @@ _PATH_KERNEL_MIN_LEAVES = 72
 class _DenseHxe:
     """Small trees: all subtree masses as one product ``P @ membership.T``.
 
-    Row ``i`` of ``coeff``: the weights (root 0) times leaf ``i``'s
-    membership column, less in each parent's column the weight of its child
-    on that lineage (one product per sibling group, one exact subtraction
-    an entry).
+    Row ``i`` of the ``(L, num_nodes)`` ``coeff`` holds leaf ``i``'s lineage
+    coefficients in their nodes' columns and 0 elsewhere; the root padding's
+    coefficients are 0, so adding them changes no entry.
     """
 
-    def __init__(self, tax: Taxonomy, lam: np.ndarray):
-        self.membership = M = tax.leaf_membership()
-        parents, starts = _sibling_groups(tax)
-        self.coeff = K = np.multiply(M.T, np.concatenate(([0.0], lam)), order="C")
-        for parent, lo, hi in zip(parents, starts, np.append(starts[1:], len(lam))):
-            K[:, parent] -= lam[lo:hi] @ M[1 + lo:1 + hi]
+    def __init__(self, tax: Taxonomy, coef: np.ndarray):
+        self.membership = tax.leaf_membership()
+        self.coeff = np.zeros((tax.num_leaves, tax.num_nodes))
+        np.add.at(self.coeff, (np.arange(tax.num_leaves)[:, None], tax.lineage), coef)
 
     def loss(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         return _weighted_nll(self.coeff[truth_idx], P @ self.membership.T)
@@ -216,9 +188,8 @@ class _DenseHxe:
 class _PathHxe:
     """Large trees: each truth's lineage alone, from the depth-first spans.
 
-    ``path[i]`` lists leaf ``i``'s lineage as node ids, leaf first, padded
-    with the root to ``tree_height + 1`` entries; ``coef[i]`` holds their
-    coefficients (0 on the padding). In depth-first leaf order the nested
+    ``path[i]`` is leaf ``i``'s row of ``tax.lineage`` and ``coef[i]`` holds
+    its coefficients (0 on the padding). In depth-first leaf order the nested
     spans of a lineage cut ``[0, L)`` into ``2 * tree_height + 1``
     intervals: the leaf in the middle, and on either side of it the part of
     each ancestor's span outside its child's (empty where that child's span
@@ -228,10 +199,8 @@ class _PathHxe:
     holds a leaf is constant on each interval.
     """
 
-    def __init__(self, tax: Taxonomy, lam: np.ndarray):
-        self.path = _lineages(tax)[1]
-        self.coef = np.diff(np.concatenate(([0.0], lam))[self.path], axis=1,
-                            prepend=0.0)
+    def __init__(self, tax: Taxonomy, coef: np.ndarray):
+        self.path, self.coef = tax.lineage, coef
         self.lo, self.hi = tax.span.T.astype(np.int32)
         self.dfs_pos = tax.dfs_pos
         self.dfs_leaves = np.argsort(tax.dfs_pos)
@@ -241,7 +210,7 @@ class _PathHxe:
         B, L = P.shape
         # A zero column ends each row, so no interval start runs past it.
         Pd = np.zeros((B, L + 1))
-        Pd[:, :L] = P[:, self.dfs_leaves]
+        np.take(P, self.dfs_leaves, axis=1, out=Pd[:, :L])
         path = self.path[truth_idx]
         bounds = np.concatenate((self.lo[path[:, ::-1]], self.hi[path]), axis=1)
         widths = np.diff(bounds, axis=1)
@@ -273,18 +242,20 @@ class ClassHxeObjective(_ProbabilityLoss):
     """Hierarchical cross-entropy driven from leaf logits.
 
     The lineage sum telescopes into per-node coefficients on the log leaf
-    masses. Coefficients for the truth's path: the leaf keeps its own
+    masses, one row per class along ``tax.lineage``: the leaf keeps its own
     weight, each inner node gets (own weight - child-on-path weight), and
-    the root gets minus the weight of its child on the path. ``kernel``
-    evaluates them: ``_DenseHxe`` on trees with fewer than
-    ``_PATH_KERNEL_MIN_LEAVES`` classes, ``_PathHxe`` on larger ones.
+    the root gets minus the weight of its child on the path (root weight 0,
+    so the padding gets 0). ``kernel`` evaluates them: ``_DenseHxe`` on
+    trees with fewer than ``_PATH_KERNEL_MIN_LEAVES`` classes, ``_PathHxe``
+    on larger ones.
     """
 
     def __init__(self, tax: Taxonomy, alpha: float):
         self.num_outputs = tax.num_leaves
-        lam = _edge_weights(tax, alpha)
+        weights = np.concatenate(([0.0], _edge_weights(tax, alpha)))
+        coef = np.diff(weights[tax.lineage], axis=1, prepend=0.0)
         large = tax.num_leaves >= _PATH_KERNEL_MIN_LEAVES
-        self.kernel = (_PathHxe if large else _DenseHxe)(tax, lam)
+        self.kernel = (_PathHxe if large else _DenseHxe)(tax, coef)
 
     def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         """The loss of class-probability rows ``P``: the truth's coefficients
@@ -322,25 +293,25 @@ class ConditionalHxeObjective(_Objective):
     ``(groups, k, batch)``: a group sum is ``k`` elementwise additions in
     ``np.add.reduceat``'s order, ``a0 + (a1 + ... + a(k-1))``. Above 8
     children, where numpy's pairwise summation sets in, ``np.add.reduceat``
-    sums. The truth's padded lineage (``path``, as in ``_PathHxe``) places
-    the weights, and ``log_class_probs`` adds the conditionals top-down, a
+    sums. The truth's row of ``path`` (``tax.lineage``) places the
+    weights, and ``log_class_probs`` adds the conditionals top-down, a
     depth level at a time.
     """
 
     def __init__(self, tax: Taxonomy, alpha: float):
-        self.num_outputs = N = len(tax.nonroot_bfs)
-        if N == 0:
+        self.num_outputs = tax.num_nodes - 1
+        if self.num_outputs == 0:
             raise ValueError("conditional head needs a taxonomy with edges")
         self.lam = _edge_weights(tax, alpha)
-        self.parent, self.path = _lineages(tax)
-        sizes = np.diff(_sibling_groups(tax)[1], append=N)
-        self.perm = np.argsort(np.repeat(sizes, sizes), kind="stable")
+        self.parent, self.path = tax.parent_row, tax.lineage
+        # The size of each node's sibling group.
+        sizes = np.bincount(self.parent[1:])[self.parent[1:]]
+        self.perm = np.argsort(sizes, kind="stable")
         self.inv = np.argsort(self.perm)
         ks, counts = np.unique(sizes, return_counts=True)
-        ends = np.cumsum(ks * counts).tolist()
+        ends = np.cumsum(counts).tolist()
         self.blocks = list(zip(ks.tolist(), [0] + ends[:-1], ends))
-        depth = [tax.depth[n] for n in tax.nodes_bfs]
-        self.levels = np.searchsorted(depth, np.arange(1, tax.tree_height + 2))
+        self.levels = np.searchsorted(tax.depth_row, np.arange(1, tax.tree_height + 2))
 
     def _log_conditionals(self, Z: np.ndarray) -> np.ndarray:
         """The group log-softmax of ``Z``, node-major ``(N, B)`` in ``perm``

@@ -373,14 +373,14 @@ def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
 def polynomial_minimum(coeffs: np.ndarray, lo: float, hi: float) -> float:
     """Argmin of the polynomial over [lo, hi]; ties go to the smaller x."""
     coeffs = np.asarray(coeffs, dtype=float)
-    deriv = np.polynomial.polynomial.polyder(coeffs)
+    deriv = np.polyder(coeffs[::-1])  # highest power first
     candidates = [lo, hi]
     if not np.allclose(deriv, 0.0):
-        for r in np.roots(deriv[::-1]):
+        for r in np.roots(deriv):
             if abs(r.imag) < 1e-9 and lo - 1e-12 <= r.real <= hi + 1e-12:
                 candidates.append(float(np.clip(r.real, lo, hi)))
     candidates = sorted(set(candidates))
-    vals = [float(np.polynomial.polynomial.polyval(c, coeffs)) for c in candidates]
+    vals = [float(np.polyval(coeffs[::-1], c)) for c in candidates]
     return candidates[int(np.argmin(vals))]
 
 
@@ -401,7 +401,7 @@ def select_checkpoints(records: list[CheckpointRecord],
         )
     steps = np.array([records[i].step for i in retained], dtype=float)
     losses = np.array([records[i].val_loss for i in retained])
-    if len(np.unique(steps)) < 5:
+    if len(set(steps.tolist())) < 5:
         raise ValueError("degenerate fit: fewer than 5 distinct steps")
     mid = (steps[0] + steps[-1]) / 2.0
     half = (steps[-1] - steps[0]) / 2.0

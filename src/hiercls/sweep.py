@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
 import os
 from collections import Counter
 from collections.abc import Callable
@@ -177,9 +176,11 @@ def setting_text(value) -> str:
     return fmt(value) if isinstance(value, float) else str(value)
 
 
-def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
+def parse_sweep_config(text: str, base_dir: str | Path = ".",
+                       source: str = "config") -> SweepConfig:
     """Parse a ``key = value`` config document; paths resolve against
-    ``base_dir``. A bad value's error names its line and key."""
+    ``base_dir``. A bad value's error names ``source`` (the option and the
+    file), its line and key."""
     known = {f.name for f in fields(SweepConfig)}
     kwargs: dict = {}
     lines: dict[str, int] = {}
@@ -187,16 +188,17 @@ def parse_sweep_config(text: str, base_dir: str | Path = ".") -> SweepConfig:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{source} line {lineno}"
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"{where}: expected 'key = value'")
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in known:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
         if key in lines:
-            raise ValueError(f"config line {lineno}: key {key!r} is already "
+            raise ValueError(f"{where}: key {key!r} is already "
                              f"set on line {lines[key]}")
         lines[key] = lineno
-        kwargs[key] = read_setting(key, val, f"config line {lineno}: {key}")
+        kwargs[key] = read_setting(key, val, f"{where}: {key}")
     for key in ("loss", "data", "taxonomy", "classes"):
         if key not in kwargs:
             raise ValueError(f"sweep config is missing the {key!r} key")
@@ -492,9 +494,15 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
             for label, variant in variants.items()
             for param in config.grid
             for seed in config.seeds]
-    workers = config.workers or os.cpu_count() or 1
-    workers = min(workers, len(jobs))
+    # The CPUs this process may run on: a cpuset or taskset can leave fewer
+    # than the host has.
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    workers = min(config.workers or usable, len(jobs))
     if workers > 1:
+        # Imported here, not at the top: only the pool needs it, and its
+        # import would cost every other command about 8 ms.
+        import multiprocessing
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.starmap(_job, jobs)
     else:

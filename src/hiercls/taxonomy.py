@@ -161,6 +161,11 @@ class Taxonomy:
     Numbering the leaves depth-first makes every subtree a contiguous range:
     ``span[n]`` is the ``[lo, hi)`` of the n-th node of ``nodes_bfs`` and
     ``dfs_pos[i]`` the depth-first position of class ``i``.
+
+    The same rows of ``nodes_bfs`` lay the tree out as integers:
+    ``parent_row`` (``int32``, the root its own parent), ``depth_row``, and
+    the ``(L, tree_height + 1)`` ``lineage`` table, whose row ``i`` runs from
+    class ``i`` up to the root and repeats the root to the end.
     """
 
     def __init__(self, root: str, children: dict[str, list[str]], leaves: list[str]):
@@ -207,7 +212,15 @@ class Taxonomy:
         self.height = height
         self.tree_height = height[self.root]
         self.leaf_index = {leaf: i for i, leaf in enumerate(self.leaves)}
-        self.node_index = {n: i for i, n in enumerate(self.nodes_bfs)}
+        self.node_index = index = {n: i for i, n in enumerate(self.nodes_bfs)}
+        self.parent_row = np.array([0] + [index[parent[n]] for n in self.nonroot_bfs],
+                                   dtype=np.int32)
+        self.depth_row = np.array([depth[n] for n in self.nodes_bfs])
+        lineage = np.empty((self.tree_height + 1, len(self.leaves)), dtype=np.int32)
+        lineage[0] = [index[leaf] for leaf in self.leaves]
+        for j in range(1, len(lineage)):  # one depth level a gather
+            self.parent_row.take(lineage[j - 1], out=lineage[j])
+        self.lineage = lineage.T.copy()
         self.dfs_pos = np.array([lo[leaf] for leaf in self.leaves], dtype=np.int64)
         self.span = np.array([(lo[n], hi[n]) for n in self.nodes_bfs], dtype=np.int64)
         self._lca_height_matrix = None
@@ -237,14 +250,11 @@ class Taxonomy:
         if self._lca_height_matrix is None:
             L = self.num_leaves
             dfs = np.zeros((L, L), dtype=np.int64)
-            span = self.span
-            for node in self.nonroot_bfs:
-                lo, hi = span[self.node_index[node]]
-                par = self.parent[node]
-                plo, phi = span[self.node_index[par]]
-                h = self.height[par]
-                dfs[lo:hi, plo:lo] = h
-                dfs[lo:hi, hi:phi] = h
+            span = self.span.tolist()
+            height = [self.height[n] for n in self.nodes_bfs]
+            for (lo, hi), par in zip(span[1:], self.parent_row[1:].tolist()):
+                plo, phi = span[par]
+                dfs[lo:hi, plo:lo] = dfs[lo:hi, hi:phi] = height[par]
             pos = self.dfs_pos
             self._lca_height_matrix = dfs[pos[:, None], pos]
         return self._lca_height_matrix

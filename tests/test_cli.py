@@ -1,7 +1,12 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -945,14 +950,14 @@ class TestSweepCommand:
          "loss = soft requires head = class"),
         ({"lr": "0"}, "lr must be > 0"),
         ({"discard_before": "-1"}, "discard_before must be >= 0"),
-        ({"steps": "ten"}, "config line 10: steps: invalid literal for int()"),
-        ({"split": "0.5,0.5"}, "config line 7: split: needs three "
+        ({"steps": "ten"}, "sweep.cfg line 10: steps: invalid literal for int()"),
+        ({"split": "0.5,0.5"}, "sweep.cfg line 7: split: needs three "
                                "comma-separated values, got '0.5,0.5'"),
         ({"split": "0.5,0.3,0.3"},
          "split probabilities must sum to 1: (0.5, 0.3, 0.3)"),
         ({"split": "1.2,-0.1,-0.1"},
          "split probabilities must each lie in (0, 1)"),
-        ({"lr": "fast"}, "config line 14: lr: could not convert"),
+        ({"lr": "fast"}, "sweep.cfg line 14: lr: could not convert"),
         ({"loss": "ce"}, "loss ce takes no grid, got [0.1, 0.9]"),
         ({"seeds": ""}, "seeds must list at least one seed, got []"),
         ({"seeds": "0,-1"}, "seeds must be >= 0, got [0, -1]"),
@@ -1017,7 +1022,7 @@ class TestSweepCommand:
         cfg.write_text(cfg.read_text() + "steps = 70\n")
         out = workdir / "sweep_twice"
         assert run("sweep", "--config", cfg, "--out", out) == 2
-        assert ("config line 17: key 'steps' is already set on line 10"
+        assert ("sweep.cfg line 17: key 'steps' is already set on line 10"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -1184,6 +1189,39 @@ class TestEndToEndDeterminism:
         for rel in files[0]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
+    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 1}, [2]),
+                                             ({0, 1, 2, 3}, [2])],
+                             ids=["one_cpu", "two_cpus", "more_cpus_than_points"])
+    def test_pool_size_follows_cpu_affinity(self, workdir, monkeypatch, cpus,
+                                            pools):
+        # workers = 0 asks for one worker per CPU the process may run on, at
+        # most one per point (two here); a pool that would have one worker
+        # is not made.
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, workers="0")
+        made = []
+
+        class SerialPool:
+            def __init__(self, workers):
+                made.append(workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, jobs):
+                return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=SerialPool))
+        assert run("sweep", "--config", cfg, "--out", workdir / "sw") == 0
+        assert made == pools
+        assert len(body(workdir / "sw" / "tradeoff.csv")) == 3
+
     def test_infeasible_selection_schedule_exits_2(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         code = run("train", "--data", data, "--taxonomy", tree, "--classes",
@@ -1194,3 +1232,32 @@ class TestEndToEndDeterminism:
                    "--out", workdir / "short")
         assert code == 2
         assert "5 checkpoints" in capsys.readouterr().err
+
+
+def test_train_and_evaluate_skip_unused_imports(workdir):
+    # Each of these costs a fresh process milliseconds on first import:
+    # numpy.ma (np.unique on floats), numpy.polynomial, and multiprocessing,
+    # which only the sweep's pool needs.
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree, "--classes",
+              workdir / "classes.txt"]
+    commands = [
+        ["train", *inputs, "--loss", "hxe", "--alpha", "0.5", *TINY_TRAIN,
+         "--seed", "1", "--out", workdir / "run"],
+        ["evaluate", *inputs, "--split", "0.6,0.2,0.2", "--split-name", "test",
+         "--ks", "1,2", "--run", workdir / "run", "--out-report",
+         workdir / "report.csv"],
+    ]
+    script = "\n".join([
+        "import sys",
+        "from hiercls.cli import main",
+        *(f"assert main({[str(a) for a in argv]!r}) == 0" for argv in commands),
+        "print(*sorted({'numpy.ma', 'numpy.polynomial', 'multiprocessing'}"
+        " & set(sys.modules)))"])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path),
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

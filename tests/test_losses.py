@@ -444,6 +444,71 @@ class TestObjectiveTreeData:
             L.ConditionalHxeObjective(tax, 0.5)
 
 
+def name_walk_layout(tax: Taxonomy, alpha: float) -> dict:
+    """The HXE heads' tree tables as they were built from ``Taxonomy``'s
+    name-keyed dicts before it kept an integer layout: the dense ``coeff``
+    from one product per sibling group, the path kernel's ``path`` and
+    ``coef``, and the conditional head's ``perm``, ``blocks`` and
+    ``levels``."""
+    index = tax.node_index
+    lam = np.exp(-alpha * np.array([tax.depth[n] for n in tax.nonroot_bfs],
+                                   dtype=float))
+    parents = [n for n in tax.nodes_bfs if tax.children[n]]
+    parent_rows = [index[n] for n in parents]
+    starts = np.array([index[tax.children[n][0]] - 1 for n in parents], dtype=np.int64)
+    M = tax.leaf_membership()
+    coeff = np.multiply(M.T, np.concatenate(([0.0], lam)), order="C")
+    for row, lo, hi in zip(parent_rows, starts, np.append(starts[1:], len(lam))):
+        coeff[:, row] -= lam[lo:hi] @ M[1 + lo:1 + hi]
+    parent = np.zeros(tax.num_nodes, dtype=np.int32)
+    parent[1:] = [index[tax.parent[n]] for n in tax.nonroot_bfs]
+    levels = np.empty((tax.tree_height + 1, tax.num_leaves), dtype=np.int32)
+    levels[0] = [index[leaf] for leaf in tax.leaves]
+    for j in range(1, len(levels)):
+        parent.take(levels[j - 1], out=levels[j])
+    path = levels.T.copy()
+    sizes = np.diff(starts, append=len(lam))
+    ks, counts = np.unique(sizes, return_counts=True)
+    ends = np.cumsum(ks * counts).tolist()
+    depth = [tax.depth[n] for n in tax.nodes_bfs]
+    return {
+        "coeff": coeff, "path": path,
+        "coef": np.diff(np.concatenate(([0.0], lam))[path], axis=1, prepend=0.0),
+        "perm": np.argsort(np.repeat(sizes, sizes), kind="stable"),
+        "blocks": list(zip(ks.tolist(), [0] + ends[:-1], ends)),
+        "levels": np.searchsorted(depth, np.arange(1, tax.tree_height + 2)),
+    }
+
+
+def layout_trees():
+    """Random unbalanced trees, each whose root has several children also
+    under a single-child root, and balanced ones."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        tax = make_random_tree(rng, max_nodes=120)
+        yield tax
+        if len(tax.children[tax.root]) > 1:
+            yield under_single_child_root(tax)
+    for branching, depth in [(2, 1), (2, 5), (3, 3), (3, 4), (5, 2), (9, 2)]:
+        yield make_balanced_tree(branching, depth)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.7])
+def test_tree_tables_keep_their_bytes(alpha):
+    for tax in layout_trees():
+        want = name_walk_layout(tax, alpha)
+        dense = class_hxe(tax, alpha, "dense").kernel
+        path = class_hxe(tax, alpha, "path").kernel
+        cond = L.ConditionalHxeObjective(tax, alpha)
+        got = {"coeff": dense.coeff, "path": path.path, "coef": path.coef,
+               "perm": cond.perm, "levels": cond.levels}
+        for name, table in got.items():
+            assert table.dtype == want[name].dtype, name
+            assert table.shape == want[name].shape, name
+            assert table.tobytes() == want[name].tobytes(), name
+        assert cond.blocks == want["blocks"]
+
+
 class TestBatchSingleConsistency:
     def test_hxe_batch_matches_scalar_definition(self):
         rng = np.random.default_rng(6)

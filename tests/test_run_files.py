@@ -1,9 +1,12 @@
 """Each run file's writer beside the reader of what it wrote: for every
 file, write -> read -> write gives the same bytes, and every float comes
 back bit for bit (``repr`` tells -0.0 from 0.0 and names each float once).
+The sweep config that a run's header records and the class list read back
+the same way, and a malformed value in either names its file and line.
 """
 
 import tempfile
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,11 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXTREMES
+from hiercls.cli import main
+from hiercls.data import DataError
 from hiercls.fileio import read_rows
-from hiercls.model import CheckpointRecord
-from hiercls.sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, read_histogram,
-                           read_selected, write_report_csv, write_run_files,
-                           write_table_csv)
+from hiercls.model import HEADS, CheckpointRecord
+from hiercls.sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, SPLIT_NAMES,
+                           SweepConfig, parse_sweep_config, read_classes,
+                           read_histogram, read_selected, run_meta,
+                           write_report_csv, write_run_files, write_table_csv)
+from hiercls.taxonomy import Taxonomy
 
 META = {"taxonomy_hash": "0123abcd", "seed": 3}
 FLOATS = st.sampled_from(EXTREMES) | st.floats(allow_nan=False,
@@ -152,3 +159,91 @@ def test_write_read_write_is_identity(name, data):
         write(second, again)
         for file in files:
             assert (second / file).read_bytes() == (first / file).read_bytes()
+
+
+# --- the sweep config, as a run's header records it ------------------------
+
+PATH_KEYS = ("data", "taxonomy", "classes")
+SETTING_KEYS = tuple(f.name for f in fields(SweepConfig) if f.name not in PATH_KEYS)
+TREE = Taxonomy("R", {"R": ["A", "B"]}, ["A", "B"])
+
+
+@st.composite
+def sweep_configs(draw) -> SweepConfig:
+    """A valid config with every setting drawn."""
+    loss = draw(st.sampled_from(["ce", "hxe", "soft"]))
+    every, discard = draw(st.integers(1, 50)), draw(st.integers(0, 500))
+    train, val = draw(st.floats(0.01, 0.49)), draw(st.floats(0.01, 0.49))
+    seeds = st.lists(st.integers(0, 10**6), min_size=1, max_size=3, unique=True)
+    return SweepConfig(
+        loss, "d.csv", "t.tsv", "c.txt",
+        grid=None if loss == "ce" else draw(st.lists(FLOATS, min_size=1,
+                                                     max_size=3, unique=True)),
+        head="class" if loss == "soft" else draw(st.sampled_from(HEADS)),
+        taxonomy_source=draw(st.sampled_from(["true", "randomized", "both"])
+                             .map(lambda kind: kind if kind == "true"
+                                  else f"{kind}:{draw(st.integers(0, 99))}")),
+        split=(train, val, 1.0 - train - val),
+        split_seed=draw(st.integers(0, 10**6)), seeds=draw(seeds),
+        steps=discard + every * draw(st.integers(5, 20)),
+        batch_size=draw(st.integers(1, 512)), checkpoint_every=every,
+        discard_before=discard,
+        lr=draw(st.floats(1e-9, 1e3)),
+        ks=tuple(draw(st.lists(st.integers(1, 99), min_size=1, max_size=3))),
+        eval_split=draw(st.sampled_from(SPLIT_NAMES)),
+        hidden_dim=draw(st.none() | st.integers(1, 256)),
+        workers=draw(st.integers(0, 8)))
+
+
+def config_text(meta: dict) -> str:
+    """A config document of the settings in ``meta``, then the paths. A ce
+    run records ``grid=None``, which no config can set: it leaves the key
+    out."""
+    keys = [k for k in SETTING_KEYS if k in meta
+            and not (k == "grid" and meta["loss"] == "ce")]
+    return "".join([*(f"{k} = {meta[k]}\n" for k in keys),
+                    "data = d.csv\ntaxonomy = t.tsv\nclasses = c.txt\n"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_configs())
+def test_config_meta_text_config_is_identity(cfg):
+    meta = run_meta(cfg, TREE, "", SETTING_KEYS)
+    back = parse_sweep_config(config_text(meta))
+    assert back == cfg
+    assert run_meta(back, TREE, "", SETTING_KEYS) == meta
+
+
+def test_malformed_config_value_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("loss = hxe\n# a comment\nsteps = 1e3\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert (f"--config {cfg} line 3: steps: invalid literal for int()"
+            in capsys.readouterr().err)
+
+
+# --- the class list ---------------------------------------------------------
+
+# Ids as ``read_classes`` takes them: no line break, tab or comma, no
+# surrounding whitespace, and no leading '#'.
+CLASS_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                  blacklist_characters=",\t"),
+                    min_size=1, max_size=8).filter(
+    lambda s: s == s.strip() and not s.startswith("#"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(CLASS_IDS, min_size=1, max_size=6))
+def test_class_list_reads_back(ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "classes.txt")
+        path.write_text("".join(f"{i}\n" for i in ids), encoding="utf-8")
+        assert read_classes(path, "--classes") == ids
+
+
+def test_malformed_class_id_names_file_and_line(tmp_path):
+    path = tmp_path / "classes.txt"
+    path.write_text("A\n\n# comment\nB,C\n")
+    with pytest.raises(DataError, match="^--classes .*classes.txt line 4: "
+                                        "class id 'B,C' contains a comma$"):
+        read_classes(path, "--classes")

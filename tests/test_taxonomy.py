@@ -473,6 +473,15 @@ def assert_span_matrices_match_oracles(tax):
         for node in ancestry(tax, leaf):
             membership[tax.node_index[node], j] = 1.0
     np.testing.assert_array_equal(tax.leaf_membership(), membership)
+    index = tax.node_index
+    assert tax.parent_row.dtype == tax.lineage.dtype == np.int32
+    assert tax.parent_row.tolist() == [0] + [index[tax.parent[n]]
+                                             for n in tax.nonroot_bfs]
+    assert tax.depth_row.tolist() == [tax.depth[n] for n in tax.nodes_bfs]
+    for leaf in tax.leaves:
+        rows = [index[n] for n in ancestry(tax, leaf)]
+        assert tax.lineage[tax.leaf_index[leaf]].tolist() == (
+            rows + [0] * (tax.tree_height + 1 - len(rows)))
 
 
 def assert_rebuilt_from_children_map(tax):

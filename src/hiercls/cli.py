@@ -1,6 +1,6 @@
 """Command-line orchestration.
 
-Subcommands: ``hierarchy`` (build / randomize / export), ``gen-data``,
+Subcommands: ``hierarchy`` (build / randomize), ``gen-data``,
 ``train``, ``evaluate``, ``sweep``, ``report``. Outputs are UTF-8 CSV with
 ``#``-prefixed metadata headers carrying the run configuration and the
 taxonomy hash, never paths or timestamps, so identical flags reproduce
@@ -26,12 +26,11 @@ from .model import (LOSS_PARAMETERS, SettingError, TrainingDivergedError,
                     build_objective, checkpoint_from_text, checkpoint_to_text,
                     evaluate_model, output_dim_for)
 from .sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, RUN_SETTINGS,
-                    SPLIT_NAMES, SweepConfig, average_reports, check_ks,
-                    checkpoint_path, load_inputs, load_tax, parse_sweep_config,
-                    read_classes, read_histogram, read_input, read_selected,
-                    read_setting, run_meta, run_point, run_sweep, setting_text,
-                    write_csv, write_histogram_csv, write_report_csv,
-                    write_run_files)
+                    SPLIT_NAMES, SweepConfig, average_reports, checkpoint_path,
+                    load_inputs, load_tax, parse_sweep_config, read_classes,
+                    read_histogram, read_input, read_selected, read_setting,
+                    run_meta, run_point, run_sweep, setting_text, write_csv,
+                    write_histogram_csv, write_report_csv, write_run_files)
 from .taxonomy import (HierarchyError, apply_edits, leaf_permutation,
                        load_taxonomy, parse_pairs, randomize_leaves)
 # Not called here: perfbench/tracer.py patches these lookup sites.
@@ -76,7 +75,7 @@ def cmd_hierarchy(args) -> int:
             tax = apply_edits(tax, parse_pairs(edits, "node<TAB>new_parent",
                                                "--edits"))
         write_text(args.out, _export_with_header(tax))
-    elif args.action == "randomize":
+    else:  # randomize
         seed = read_setting("seed", args.seed, "--seed")
         if seed < 0:
             raise ValueError(f"--seed: seed must be >= 0, got {seed}")
@@ -91,9 +90,6 @@ def cmd_hierarchy(args) -> int:
         sidecar = args.permutation_out or (args.out + ".permutation.csv")
         write_csv(sidecar, {"randomize_seed": seed,
                             "source_taxonomy_hash": tax.hash_hex()}, lines)
-    else:  # export
-        tax = load_tax(args.taxonomy, args.classes)
-        write_text(args.out, _export_with_header(tax))
     return EXIT_OK
 
 
@@ -169,13 +165,14 @@ def cmd_train(args) -> int:
                              + (f"--{name}" if name else "no parameter"))
     # A one-point sweep: its grid value and seed read as the sweep's would.
     param = getattr(args, name) if name else None
-    if param is not None:
+    if name:
+        if param is None:
+            raise ValueError(f"--{name}: loss {args.loss} needs --{name}")
         param = _one_value("grid", f"--{name}", param)
         check_knob(name, param, f"--{name}: ")
     seed = _one_value("seeds", "--seed", args.seed)
     cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[seed])
     tax, data_text, parts = load_inputs(cfg)
-    check_ks(cfg.ks, tax, "--ks")
     model, records, selected = run_point(tax, parts, cfg, param, seed)
 
     meta = dict(run_meta(cfg, tax, data_text), seed=seed)
@@ -231,7 +228,6 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"{source}: head={model.head}, but the run's first "
                             f"checkpoint has head={models[0].head}")
         models.append(model)
-    check_ks(cfg.ks, tax, "--ks")
     obj = build_objective(tax, cfg.loss, None, models[0].head)
     reports = [evaluate_model(tax, model, eval_ds, obj, ks=cfg.ks)
                for model in models]
@@ -310,7 +306,7 @@ def build_parser() -> _Parser:
                      description="hierarchy-aware classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_h = sub.add_parser("hierarchy", help="build, randomize, or export trees")
+    p_h = sub.add_parser("hierarchy", help="build or randomize trees")
     hsub = p_h.add_subparsers(dest="action", required=True)
     p_build = hsub.add_parser("build")
     p_build.add_argument("--edges", required=True)
@@ -323,10 +319,6 @@ def build_parser() -> _Parser:
     p_rand.add_argument("--seed", required=True)
     p_rand.add_argument("--out", required=True)
     p_rand.add_argument("--permutation-out", default=None)
-    p_exp = hsub.add_parser("export")
-    p_exp.add_argument("--taxonomy", required=True)
-    p_exp.add_argument("--classes", required=True)
-    p_exp.add_argument("--out", required=True)
 
     p_g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     p_g.add_argument("--taxonomy", required=True)

@@ -98,14 +98,14 @@ def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
 
 class _Objective:
     """``loss_and_grad`` gives a batch's losses and their C-ordered logit
-    gradient from one pass."""
+    gradient from one pass; ``loss_batch`` and ``grad_batch`` are its
+    halves. A class head ranks the classes by its leaf logits as they are."""
+
+    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        return self.loss_and_grad(Z, truth_idx)[0]
 
     def grad_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         return self.loss_and_grad(Z, truth_idx)[1]
-
-
-class _LeafLogits(_Objective):
-    """A class head ranks the classes by its leaf logits as they are."""
 
     @staticmethod
     def scores(Z: np.ndarray) -> np.ndarray:
@@ -125,10 +125,11 @@ def _inverse(masses: np.ndarray) -> np.ndarray:
     return np.where(masses > EPS, 1.0 / masses, 0.0)
 
 
-class _ProbabilityLoss(_LeafLogits):
+class _ProbabilityLoss(_Objective):
     """A loss of the softmax probabilities ``P``, from ``loss_from_probs``
     and ``loss_and_prob_grad`` (the losses and their gradient in ``P``)."""
 
+    # Not derived: the path kernel's gradient per checkpoint slowed wide_class 2%.
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         return self.loss_from_probs(softmax_batch(Z), truth_idx)
 
@@ -138,14 +139,11 @@ class _ProbabilityLoss(_LeafLogits):
         return losses, P * (G - (G * P).sum(axis=1, keepdims=True))
 
 
-class ClassCrossEntropy(_LeafLogits):
+class ClassCrossEntropy(_Objective):
     """Plain softmax cross-entropy over leaf logits."""
 
     def __init__(self, tax: Taxonomy):
         self.num_outputs = tax.num_leaves
-
-    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return self.loss_and_grad(Z, truth_idx)[0]
 
     def loss_and_grad(self, Z: np.ndarray, truth_idx: np.ndarray):
         P = softmax_batch(Z)
@@ -362,9 +360,6 @@ class ConditionalHxeObjective(_Objective):
         on[np.arange(len(path))[:, None], path] = True
         lam = self.lam * on[:, 1:]
         return -(lam * q).sum(axis=1), on, lam
-
-    def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return self._edge_loss(self._log_softmax_groups(Z), truth_idx)[0]
 
     def loss_and_grad(self, Z: np.ndarray, truth_idx: np.ndarray):
         q = self._log_softmax_groups(Z)

@@ -138,7 +138,7 @@ def parse_split(text: str) -> tuple[float, float, float]:
 
 
 def parse_ks(text: str) -> tuple[int, ...]:
-    """Comma-separated top-k cutoffs; ``check_ks`` bounds them."""
+    """Comma-separated top-k cutoffs; ``load_inputs`` bounds them."""
     try:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
@@ -243,23 +243,18 @@ def load_tax(taxonomy: str, classes: str, prefix: str = "--") -> Taxonomy:
                          f"{prefix}classes {classes}")
 
 
-def check_ks(ks: tuple[int, ...], tax: Taxonomy, name: str) -> None:
-    """Every run needs at least one top-k cutoff, each from 1 to the
-    number of classes."""
-    if not ks or min(ks) < 1 or max(ks) > tax.num_leaves:
-        raise ValueError(f"{name}: needs cutoffs from 1 to the "
-                         f"{tax.num_leaves} classes, got {list(ks)}")
-
-
 def load_inputs(cfg: SweepConfig, prefix: str = "--"
                 ) -> tuple[Taxonomy, str, tuple[Dataset, Dataset, Dataset]]:
     """Load a run's taxonomy and dataset and split the dataset.
 
-    Rejects a dataset whose ``taxonomy_hash`` header names another
-    taxonomy. Returns the taxonomy, the dataset text and its (train, val,
-    test) split.
+    Rejects ``ks`` cutoffs outside 1 to the number of classes, then a
+    dataset whose ``taxonomy_hash`` header names another taxonomy. Returns
+    the taxonomy, the dataset text and its (train, val, test) split.
     """
     tax = load_tax(cfg.taxonomy, cfg.classes, prefix)
+    if not cfg.ks or min(cfg.ks) < 1 or max(cfg.ks) > tax.num_leaves:
+        raise ValueError(f"{prefix}ks: needs cutoffs from 1 to the "
+                         f"{tax.num_leaves} classes, got {list(cfg.ks)}")
     text = read_input(cfg.data, prefix + "data")
     source = f"{prefix}data {cfg.data}"
     meta, _ = read_header(text.splitlines())
@@ -445,10 +440,10 @@ def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
 def run_meta(cfg: SweepConfig, tax: Taxonomy, data_text: str,
              keys: tuple[str, ...] = ("loss", *RUN_SETTINGS)) -> dict:
     """The header of a run's files: the config ``keys`` (an unset
-    ``hidden_dim`` left out), each as the text ``read_setting`` reads back,
-    and the input hashes."""
+    ``hidden_dim`` and a ce run's ``grid`` left out), each as the text
+    ``read_setting`` reads back, and the input hashes."""
     meta = {key: setting_text(getattr(cfg, key)) for key in keys
-            if getattr(cfg, key) is not None}
+            if getattr(cfg, key) not in (None, [None])}
     return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=sha16(data_text))
 
 
@@ -487,7 +482,6 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     """
     out = Path(out_dir)
     tax, data_text, splits = load_inputs(config, prefix="")
-    check_ks(config.ks, tax, "ks")
     variants = dict(_taxonomy_variants(tax, config.taxonomy_source))
 
     jobs = [(config, label, variant, splits, param, seed)
@@ -542,4 +536,7 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
         writer.writerow(["point", "error"])
         writer.writerows([r["tag"], r["error"]] for r in failures)
         write_text(out / "failures.csv", meta_header(header_meta) + buf.getvalue())
+    else:
+        # An earlier sweep's failures are not this one's.
+        (out / "failures.csv").unlink(missing_ok=True)
     return len(failures)

@@ -96,13 +96,6 @@ class TestHierarchyCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_export_reimports_identically(self, workdir):
-        tree, _ = gen_tree_and_data(workdir, per_class=5)
-        out = workdir / "exported.tsv"
-        assert run("hierarchy", "export", "--taxonomy", tree, "--classes",
-                   workdir / "classes.txt", "--out", out) == 0
-        assert body(out) == body(tree)
-
     def test_class_id_with_comma_rejected(self, tmp_path, capsys):
         # Such an id could never be a dataset label.
         (tmp_path / "edges.tsv").write_text("R\tA\nR\tB,x\n")
@@ -231,6 +224,17 @@ class TestHierarchyCommand:
         assert message in capsys.readouterr().err
         assert not (workdir / "tree.tsv").exists()
 
+    def test_empty_class_list_exits_2(self, workdir, capsys):
+        classes = workdir / "none.txt"
+        classes.write_text("# no classes\n\n")
+        out = workdir / "tree.tsv"
+        code = run("hierarchy", "build", "--edges", workdir / "edges.tsv",
+                   "--classes", classes, "--out", out)
+        assert code == 2
+        assert (f"error: --classes: no class ids in {classes}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, workdir, capsys):
         code = run("hierarchy", "build", "--edges", workdir / "missing.tsv",
                    "--classes", workdir / "classes.txt",
@@ -257,7 +261,7 @@ class TestHierarchyCommand:
                    "--out", tmp_path / "edited.tsv") == 0
         assert run("hierarchy", "randomize", "--taxonomy", tmp_path / "tree.tsv",
                    *inputs, "--seed", "3", "--out", tmp_path / "rand.tsv") == 0
-        assert run("hierarchy", "export", "--taxonomy", tmp_path / "edited.tsv",
+        assert run("hierarchy", "build", "--edges", tmp_path / "edited.tsv",
                    *inputs, "--out", tmp_path / "exported.tsv") == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("tree.tsv", "edited.tsv", "rand.tsv",
@@ -439,12 +443,18 @@ class TestTrainCommand:
          "error: --discard-before: discard_before must leave the 5 checkpoints "
          "that selection needs, but steps=60 and checkpoint_every=6 leave 4, "
          "got 40"),
+        (["--steps", "0"], "error: --steps: steps must be >= 1, got 0"),
+        (["--batch-size", "0"],
+         "error: --batch-size: batch_size must be >= 1, got 0"),
+        (["--checkpoint-every", "0"],
+         "error: --checkpoint-every: checkpoint_every must be >= 1, got 0"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
             "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
             "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
             "seed_not_int", "seed_list", "seed_negative", "split_seed_negative",
             "alpha_nan", "alpha_negative", "beta_nan", "beta_inf", "lr_inf",
-            "lr_nan", "too_few_checkpoints"])
+            "lr_nan", "too_few_checkpoints", "steps_0", "batch_size_0",
+            "checkpoint_every_0"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
@@ -462,6 +472,18 @@ class TestTrainCommand:
         assert code == 2
         assert ("error: --alpha: alpha must be finite and >= 0, got -1.0"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("loss, name", [("hxe", "alpha"), ("soft", "beta")])
+    def test_missing_knob_exits_2_before_the_data_is_read(self, workdir, capsys,
+                                                          loss, name):
+        out = workdir / "x"
+        code = run("train", "--data", workdir / "missing.csv", "--taxonomy",
+                   workdir / "missing.tsv", "--classes", workdir / "classes.txt",
+                   "--loss", loss, "--out", out)
+        assert code == 2
+        assert (f"error: --{name}: loss {loss} needs --{name}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "inf"], "error: --lr: lr must be > 0 and finite, got inf"),
@@ -623,7 +645,7 @@ class TestEvaluateCommand:
         ckpt = next((out / "checkpoints").glob("step_*.txt"))
         code = run("evaluate", "--data", data2, "--taxonomy", tree2,
                    "--classes", workdir / "classes.txt", "--split",
-                   "0.6,0.2,0.2", "--checkpoint", ckpt,
+                   "0.6,0.2,0.2", "--ks", "1", "--checkpoint", ckpt,
                    "--out-report", workdir / "r.csv")
         assert code == 2
         assert "hash" in capsys.readouterr().err
@@ -658,6 +680,9 @@ CHECKPOINT_EDITS = {
         lambda L: _with_header(L, layer_shapes="6x5;4x3"),
         ": input_dim=6 and output_dim=3 do not fit layer_shapes=6x5;4x3, "
         "or its layers do not chain"),
+    "unparsable_header_value": (
+        lambda L: _with_header(L, step="x"),
+        ": bad header value: invalid literal for int() with base 10: 'x'"),
     "value_count": (
         lambda L: L[:-1], ": 20 values, but layer_shapes=6x3 needs 21"),
     "unparsable_value": (
@@ -695,7 +720,7 @@ def test_bad_checkpoint_exits_2_naming_file(workdir, capsys, case):
     ckpt.write_text("\n".join(edit(lines)) + "\n")
     report = workdir / "report.csv"
     code = run("evaluate", "--data", data, "--taxonomy", tree, "--classes",
-               workdir / "classes.txt", "--split", "0.6,0.2,0.2",
+               workdir / "classes.txt", "--split", "0.6,0.2,0.2", "--ks", "1",
                "--checkpoint", ckpt, "--out-report", report)
     assert code == 2
     assert f"error: --checkpoint {ckpt}{message}" in capsys.readouterr().err
@@ -714,8 +739,8 @@ def test_bad_checkpoint_in_run_names_run_file(workdir, capsys):
     lines = ckpt.read_text().splitlines()
     lines[8] = "nan"
     ckpt.write_text("\n".join(lines) + "\n")
-    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--run", trained,
-               "--out-report", workdir / "report.csv")
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--ks", "1",
+               "--run", trained, "--out-report", workdir / "report.csv")
     assert code == 2
     assert (f"error: --run {ckpt} line 9: value 'nan' is not a finite float"
             in capsys.readouterr().err)
@@ -737,8 +762,8 @@ def test_bad_selected_csv_names_run_file_and_line(workdir, capsys, rows, problem
     meta = [l for l in selected.read_text().splitlines() if l.startswith("#")]
     selected.write_text("\n".join(meta + rows) + "\n")
     report = workdir / "report.csv"
-    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--run", trained,
-               "--out-report", report)
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--ks", "1",
+               "--run", trained, "--out-report", report)
     assert code == 2
     where = problem.format(last=len(meta) + len(rows))
     assert f"error: --run {selected} {where}" in capsys.readouterr().err
@@ -756,7 +781,7 @@ def test_run_with_mixed_heads_names_the_checkpoint(workdir, capsys):
     name = f"step_{step:06d}.txt"
     ckpt = workdir / "class" / "checkpoints" / name
     ckpt.write_text((workdir / "conditional" / "checkpoints" / name).read_text())
-    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2",
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--ks", "1",
                "--run", workdir / "class", "--out-report", workdir / "report.csv")
     assert code == 2
     assert (f"error: --run {ckpt}: head=conditional, but the run's first "
@@ -908,6 +933,25 @@ class TestSweepCommand:
         taxonomies = {r[3] for r in rows}
         assert taxonomies == {"true", "randomized"}
 
+    def test_randomized_only_sweep(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data, grid="0.5",
+                                 taxonomy_source="randomized:11")
+        out = workdir / "sweep_randomized"
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        for name in ("tradeoff.csv", "tradeoff_mean.csv"):
+            assert [r.split(",")[3] for r in body(out / name)[1:]] == ["randomized"]
+        assert [p.name for p in (out / "points").iterdir()] == [
+            "hxe_0.5_randomized_seed0"]
+        # The point trained on the tree that `hierarchy randomize` writes.
+        rand = workdir / "rand.tsv"
+        assert run("hierarchy", "randomize", "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--seed", "11", "--out", rand) == 0
+        rand_hash = next(l.split("=")[1] for l in rand.read_text().splitlines()
+                         if l.startswith("# taxonomy_hash="))
+        trace = (out / "points" / "hxe_0.5_randomized_seed0" / "trace.csv")
+        assert f"# point_taxonomy_hash={rand_hash}" in trace.read_text()
+
     def test_failed_point_recorded_exit_3(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         cfg = write_sweep_config(workdir, tree, data, loss="soft",
@@ -922,6 +966,27 @@ class TestSweepCommand:
              "ValueError: beta must be finite and >= 0, got inf"]]
         ok_rows = body(out / "tradeoff.csv")[1:]
         assert len(ok_rows) == 1
+
+    def test_clean_rerun_removes_stale_failures(self, workdir):
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "sweep_again"
+        cfg = write_sweep_config(workdir, tree, data, grid="-1,0.5")
+        assert run("sweep", "--config", cfg, "--out", out) == 3
+        assert (out / "failures.csv").exists()
+        cfg = write_sweep_config(workdir, tree, data, grid="0.5")
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        assert not (out / "failures.csv").exists()
+
+    def test_config_line_without_equals_exits_2(self, workdir, capsys):
+        tree, data = gen_tree_and_data(workdir)
+        cfg = write_sweep_config(workdir, tree, data)
+        first, rest = cfg.read_text().split("\n", 1)
+        cfg.write_text(f"{first}\nsteps 60\n{rest}")
+        out = workdir / "sweep_bad"
+        assert run("sweep", "--config", cfg, "--out", out) == 2
+        assert (f"error: --config {cfg} line 2: expected 'key = value'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_config_key(self, workdir, capsys):
         bad = workdir / "bad.cfg"

@@ -2,7 +2,9 @@
 file, write -> read -> write gives the same bytes, and every float comes
 back bit for bit (``repr`` tells -0.0 from 0.0 and names each float once).
 The sweep config that a run's header records and the class list read back
-the same way, and a malformed value in either names its file and line.
+the same way, and a malformed value in either names its file and line. A
+taxonomy file rebuilds to its own bytes, and an edits file reads back as
+written.
 """
 
 import tempfile
@@ -24,7 +26,7 @@ from hiercls.sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, SPLIT_NAMES,
                            SweepConfig, parse_sweep_config, read_classes,
                            read_histogram, read_selected, run_meta,
                            write_report_csv, write_run_files, write_table_csv)
-from hiercls.taxonomy import Taxonomy
+from hiercls.taxonomy import Taxonomy, parse_pairs
 
 META = {"taxonomy_hash": "0123abcd", "seed": 3}
 FLOATS = st.sampled_from(EXTREMES) | st.floats(allow_nan=False,
@@ -196,11 +198,8 @@ def sweep_configs(draw) -> SweepConfig:
 
 
 def config_text(meta: dict) -> str:
-    """A config document of the settings in ``meta``, then the paths. A ce
-    run records ``grid=None``, which no config can set: it leaves the key
-    out."""
-    keys = [k for k in SETTING_KEYS if k in meta
-            and not (k == "grid" and meta["loss"] == "ce")]
+    """A config document of the settings in ``meta``, then the paths."""
+    keys = [k for k in SETTING_KEYS if k in meta]
     return "".join([*(f"{k} = {meta[k]}\n" for k in keys),
                     "data = d.csv\ntaxonomy = t.tsv\nclasses = c.txt\n"])
 
@@ -247,3 +246,55 @@ def test_malformed_class_id_names_file_and_line(tmp_path):
     with pytest.raises(DataError, match="^--classes .*classes.txt line 4: "
                                         "class id 'B,C' contains a comma$"):
         read_classes(path, "--classes")
+
+
+# --- the taxonomy file and the edits file ----------------------------------
+
+# Node ids as ``parse_pairs`` takes them; a class id also has no comma.
+NODE_IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                                 blacklist_characters="\t"),
+                   min_size=1, max_size=8).filter(
+    lambda s: s == s.strip() and not s.startswith("#"))
+
+
+@st.composite
+def trees(draw) -> tuple[str, list[str]]:
+    """The edge list of a random tree over free-text ids, its edges in a
+    drawn order, and its leaves in a drawn class order."""
+    n = draw(st.integers(2, 12))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    ids: list[str] = []
+    for i in range(n):
+        strategy = NODE_IDS if i in parents else CLASS_IDS
+        ids.append(draw(strategy.filter(lambda s: s not in ids)))
+    edges = draw(st.permutations([f"{ids[p]}\t{ids[i]}\n"
+                                  for i, p in enumerate(parents, start=1)]))
+    leaves = [ids[i] for i in range(n) if i not in parents]
+    return "".join(edges), draw(st.permutations(leaves))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees())
+def test_tree_file_rebuilds_to_its_bytes(tree):
+    edges, classes = tree
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp, name) for name in
+                 ("edges.tsv", "classes.txt", "tree.tsv", "again.tsv")}
+        paths["edges.tsv"].write_text(edges, encoding="utf-8")
+        paths["classes.txt"].write_text("".join(f"{c}\n" for c in classes),
+                                        encoding="utf-8")
+        for source, out in (("edges.tsv", "tree.tsv"), ("tree.tsv", "again.tsv")):
+            assert main(["hierarchy", "build", "--edges", str(paths[source]),
+                         "--classes", str(paths["classes.txt"]),
+                         "--out", str(paths[out])]) == 0
+        assert paths["again.tsv"].read_bytes() == paths["tree.tsv"].read_bytes()
+        written = parse_pairs(paths["tree.tsv"].read_text(encoding="utf-8"),
+                              "parent<TAB>child")
+        assert set(classes) <= {child for _, child in written}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(NODE_IDS, NODE_IDS), max_size=6))
+def test_edits_file_reads_back(edits):
+    text = "".join(f"{node}\t{parent}\n" for node, parent in edits)
+    assert parse_pairs(text, "node<TAB>new_parent", "--edits") == edits

@@ -106,6 +106,8 @@ class SweepConfig:
                 ("seeds", len(set(self.seeds)) == len(self.seeds),
                  "seeds must not repeat a seed"),
                 ("split_seed", self.split_seed >= 0, "split_seed must be >= 0"),
+                ("ks", len(set(self.ks)) == len(self.ks),
+                 "ks must not repeat a cutoff"),
                 ("hidden_dim", self.hidden_dim is None or self.hidden_dim >= 1,
                  "hidden_dim must be >= 1"),
                 ("discard_before", self.discard_before >= 0,
@@ -327,15 +329,14 @@ def write_report_csv(path: str | Path, meta: dict, averages: dict) -> None:
     write_csv(path, meta, lines)
 
 
-def write_table_csv(path: str | Path, meta: dict, id_columns: tuple[str, ...],
-                    rows: list[tuple[tuple[str, ...], dict]]) -> None:
+def table_lines(id_columns: tuple[str, ...],
+                rows: list[tuple[tuple[str, ...], dict]]) -> list[str]:
     """A tradeoff table: per ``(id cells, average_reports values)`` row, the
     id cells, then each ``scalars()`` mean and half-width."""
     cols = [c for c in rows[0][1] if c not in _COUNTS]
     lines = [",".join([*id_columns, *(f"{c},{c}_hw" for c in cols)])]
-    lines += [",".join([*ids, *(fmt(x) for c in cols for x in averages[c])])
-              for ids, averages in rows]
-    write_csv(path, meta, lines)
+    return lines + [",".join([*ids, *(fmt(x) for c in cols for x in averages[c])])
+                    for ids, averages in rows]
 
 
 def write_histogram_csv(path: str | Path, meta: dict,
@@ -406,16 +407,6 @@ def read_selected(run: str | Path, name: str) -> tuple[dict, list[int]]:
 # Point execution
 # ---------------------------------------------------------------------------
 
-def _taxonomy_variants(tax: Taxonomy, source: str) -> list[tuple[str, Taxonomy]]:
-    if source == "true":
-        return [("true", tax)]
-    kind, _, seed = source.partition(":")
-    randomized = randomize_leaves(tax, int(seed))
-    if kind == "randomized":
-        return [("randomized", randomized)]
-    return [("true", tax), ("randomized", randomized)]
-
-
 def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
               cfg: SweepConfig, param, seed: int):
     """The paper's protocol for one model, used by ``train`` and by every
@@ -447,27 +438,18 @@ def run_meta(cfg: SweepConfig, tax: Taxonomy, data_text: str,
     return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=sha16(data_text))
 
 
-def _job(cfg: SweepConfig, tax_label: str, tax: Taxonomy,
-         splits: tuple[Dataset, Dataset, Dataset], param, seed: int) -> dict:
-    tag = f"{cfg.loss}_{'none' if param is None else param}_{tax_label}_seed{seed}"
+def _job(cfg: SweepConfig, tax: Taxonomy,
+         splits: tuple[Dataset, Dataset, Dataset], param, seed: int):
+    """One sweep point's checkpoint records, without their parameter
+    snapshots, and selected indices; or, if it failed, its error text."""
     try:
         _, records, selected = run_point(tax, splits, cfg, param, seed)
     except (ValueError, TrainingDivergedError) as exc:
         # A point's bad parameter or diverged numerics fail only that point
         # (``ValueError`` includes ``LinAlgError``); any other error is a
         # bug and propagates with its traceback.
-        return {"ok": False, "tag": tag, "error": f"{type(exc).__name__}: {exc}"}
-    return {
-        "ok": True,
-        "tag": tag,
-        "parameter": "" if param is None else str(param),
-        "taxonomy": tax_label,
-        "taxonomy_hash": tax.hash_hex(),
-        "seed": seed,
-        # The parameter snapshots stay in the worker.
-        "records": [replace(r, params=None) for r in records],
-        "selected": selected,
-    }
+        return f"{type(exc).__name__}: {exc}"
+    return [replace(r, params=None) for r in records], selected
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +464,26 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     """
     out = Path(out_dir)
     tax, data_text, splits = load_inputs(config, prefix="")
-    variants = dict(_taxonomy_variants(tax, config.taxonomy_source))
-
-    jobs = [(config, label, variant, splits, param, seed)
-            for label, variant in variants.items()
-            for param in config.grid
-            for seed in config.seeds]
+    header_meta = run_meta(config, tax, data_text, (
+        "loss", *RUN_SETTINGS, "grid", "seeds", "taxonomy_source"))
+    kind, _, tax_seed = config.taxonomy_source.partition(":")
+    variants = [] if kind == "randomized" else [("true", tax)]
+    if kind != "true":
+        variants.append(("randomized", randomize_leaves(tax, int(tax_seed))))
+    # Each point once, in file order: its ``tradeoff.csv`` id cells, the
+    # header of its files (naming its tag) and its job.
+    points = []
+    for label, variant in variants:
+        point_hash = variant.hash_hex()
+        for param in config.grid:
+            parameter = "" if param is None else str(param)
+            for seed in config.seeds:
+                tag = f"{config.loss}_{parameter or 'none'}_{label}_seed{seed}"
+                meta = dict(header_meta, point=tag, seed=seed, parameter=parameter,
+                            point_taxonomy_hash=point_hash)
+                ids = (config.loss, config.head, parameter, label, str(seed))
+                points.append((ids, meta, (config, variant, splits, param, seed)))
+    jobs = [job for *_, job in points]
     # The CPUs this process may run on: a cpuset or taskset can leave fewer
     # than the host has.
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -502,41 +498,35 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     else:
         results = [_job(*job) for job in jobs]
 
-    header_meta = run_meta(config, tax, data_text, (
-        "loss", *RUN_SETTINGS, "grid", "seeds", "taxonomy_source"))
-
-    ok_rows = [r for r in results if r["ok"]]
-    failures = [r for r in results if not r["ok"]]
-    for r in ok_rows:
-        point_meta = dict(header_meta, point=r["tag"], seed=r["seed"],
-                          parameter=r["parameter"],
-                          point_taxonomy_hash=r["taxonomy_hash"])
-        write_run_files(out / "points" / r["tag"], point_meta, r["records"],
-                        r["selected"])
-    if ok_rows:
-        # One row a point; then one a (method, head, parameter, taxonomy),
-        # the mean and half-width of its points' means over their seeds.
-        points, groups = [], {}
-        for r in ok_rows:
-            key = (config.loss, config.head, r["parameter"], r["taxonomy"])
-            averages = average_reports([r["records"][i].report
-                                        for i in r["selected"]])
-            points.append((key + (str(r["seed"]),), averages))
-            groups.setdefault(key, []).append(averages)
-        write_table_csv(out / "tradeoff.csv", header_meta, POINT_ID_COLUMNS,
-                        points)
-        write_table_csv(out / "tradeoff_mean.csv", header_meta, MEAN_ID_COLUMNS, [
-            (key + (str(len(group)),),
-             {c: mean_half_width([a[c][0] for a in group]) for c in group[0]})
-            for key, group in groups.items()])
-    if failures:
-        # Error text may hold commas, quotes or newlines: quote it as CSV.
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["point", "error"])
-        writer.writerows([r["tag"], r["error"]] for r in failures)
-        write_text(out / "failures.csv", meta_header(header_meta) + buf.getvalue())
-    else:
-        # An earlier sweep's failures are not this one's.
-        (out / "failures.csv").unlink(missing_ok=True)
+    # The parent writes every file: perfbench's tracer keeps a worker's
+    # spans only up to the end of its last ``run_point``.
+    rows, groups, failures = [], {}, []
+    for (ids, meta, _), result in zip(points, results):
+        if isinstance(result, str):
+            failures.append([meta["point"], result])
+            continue
+        records, selected = result
+        write_run_files(out / "points" / meta["point"], meta, records, selected)
+        averages = average_reports([records[i].report for i in selected])
+        rows.append((ids, averages))
+        groups.setdefault(ids[:-1], []).append(averages)
+    # One row a (method, head, parameter, taxonomy): the mean and
+    # half-width of its points' means over their seeds.
+    means = [(key + (str(len(group)),),
+              {c: mean_half_width([a[c][0] for a in group]) for c in group[0]})
+             for key, group in groups.items()]
+    # Error text may hold commas, quotes or newlines: quote it as CSV, in
+    # one block less the last line break, which ``write_csv`` adds.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(failures)
+    # A sweep-level file is written when this sweep has rows for it, else
+    # removed: one that an earlier sweep left in ``out`` is not this one's.
+    for name, lines in (
+            ("tradeoff.csv", rows and table_lines(POINT_ID_COLUMNS, rows)),
+            ("tradeoff_mean.csv", means and table_lines(MEAN_ID_COLUMNS, means)),
+            ("failures.csv", failures and ["point,error", buf.getvalue()[:-1]])):
+        if lines:
+            write_csv(out / name, header_meta, lines)
+        else:
+            (out / name).unlink(missing_ok=True)
     return len(failures)

@@ -448,13 +448,15 @@ class TestTrainCommand:
          "error: --batch-size: batch_size must be >= 1, got 0"),
         (["--checkpoint-every", "0"],
          "error: --checkpoint-every: checkpoint_every must be >= 1, got 0"),
+        (["--ks", "2,1,2"],
+         "error: --ks: ks must not repeat a cutoff, got (2, 1, 2)"),
     ], ids=["lr_0", "lr_negative", "negative_discard", "hidden_dim_0",
             "steps_not_int", "bad_head", "bad_eval_split", "split_sum",
             "split_outside_0_1", "alpha_not_float", "alpha_list", "beta_empty",
             "seed_not_int", "seed_list", "seed_negative", "split_seed_negative",
             "alpha_nan", "alpha_negative", "beta_nan", "beta_inf", "lr_inf",
             "lr_nan", "too_few_checkpoints", "steps_0", "batch_size_0",
-            "checkpoint_every_0"])
+            "checkpoint_every_0", "repeated_ks"])
     def test_bad_training_value_exits_2(self, workdir, capsys, flags, message):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "bad_run"
@@ -977,6 +979,18 @@ class TestSweepCommand:
         assert run("sweep", "--config", cfg, "--out", out) == 0
         assert not (out / "failures.csv").exists()
 
+    def test_failed_rerun_removes_stale_tables(self, workdir):
+        # A table the sweep has no rows for is removed like failures.csv.
+        tree, data = gen_tree_and_data(workdir)
+        out = workdir / "sweep_again"
+        cfg = write_sweep_config(workdir, tree, data, grid="0.5")
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        cfg = write_sweep_config(workdir, tree, data, grid="-1")
+        assert run("sweep", "--config", cfg, "--out", out) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["failures.csv",
+                                                         "points"]
+        assert "# grid=-1.0" in (out / "failures.csv").read_text()
+
     def test_config_line_without_equals_exits_2(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         cfg = write_sweep_config(workdir, tree, data)
@@ -1038,13 +1052,14 @@ class TestSweepCommand:
         ({"grid": "0.1,0.10", "seeds": "0"},
          "grid must not repeat a value, got [0.1, 0.1]"),
         ({"seeds": "1,0,01"}, "seeds must not repeat a seed, got [1, 0, 1]"),
+        ({"ks": "5,5"}, "ks must not repeat a cutoff, got (5, 5)"),
     ], ids=["unknown_key", "bad_head", "hidden_dim_0", "soft_conditional",
             "lr_0", "negative_discard", "steps_not_int", "split_two_values",
             "split_sum", "split_outside_0_1",
             "lr_not_float", "ce_with_grid", "no_seeds", "negative_seed",
             "negative_split_seed", "seed_not_integer", "negative_workers",
             "empty_grid", "lr_inf", "too_few_checkpoints", "repeated_grid_value",
-            "repeated_seed"])
+            "repeated_seed", "repeated_ks"])
     def test_bad_config_rejected_before_any_point(self, workdir, capsys,
                                                   overrides, message):
         tree, data = gen_tree_and_data(workdir)

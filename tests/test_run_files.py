@@ -24,8 +24,8 @@ from hiercls.fileio import read_rows
 from hiercls.model import HEADS, CheckpointRecord
 from hiercls.sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, SPLIT_NAMES,
                            SweepConfig, parse_sweep_config, read_classes,
-                           read_histogram, read_selected, run_meta,
-                           write_report_csv, write_run_files, write_table_csv)
+                           read_histogram, read_selected, run_meta, table_lines,
+                           write_csv, write_report_csv, write_run_files)
 from hiercls.taxonomy import Taxonomy, parse_pairs
 
 META = {"taxonomy_hash": "0123abcd", "seed": 3}
@@ -119,7 +119,7 @@ def table_values(id_columns):
 
 def table_format(name, id_columns):
     def write(out: Path, value) -> None:
-        write_table_csv(out / name, META, id_columns, value)
+        write_csv(out / name, META, table_lines(id_columns, value))
 
     def read(out: Path):
         header, cells = body(out / name)
@@ -191,7 +191,8 @@ def sweep_configs(draw) -> SweepConfig:
         batch_size=draw(st.integers(1, 512)), checkpoint_every=every,
         discard_before=discard,
         lr=draw(st.floats(1e-9, 1e3)),
-        ks=tuple(draw(st.lists(st.integers(1, 99), min_size=1, max_size=3))),
+        ks=tuple(draw(st.lists(st.integers(1, 99), min_size=1, max_size=3,
+                               unique=True))),
         eval_split=draw(st.sampled_from(SPLIT_NAMES)),
         hidden_dim=draw(st.none() | st.integers(1, 256)),
         workers=draw(st.integers(0, 8)))

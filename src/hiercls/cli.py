@@ -71,9 +71,12 @@ def cmd_hierarchy(args) -> int:
                             read_classes(args.classes, "--classes"),
                             f"--edges {args.edges}", f"--classes {args.classes}")
         if args.edits:
-            edits = read_input(args.edits, "--edits")
-            tax = apply_edits(tax, parse_pairs(edits, "node<TAB>new_parent",
-                                               "--edits"))
+            edits = parse_pairs(read_input(args.edits, "--edits"),
+                                "node<TAB>new_parent", "--edits")
+            try:
+                tax = apply_edits(tax, edits)
+            except HierarchyError as exc:
+                raise type(exc)(f"--edits {args.edits}: {exc}") from None
         write_text(args.out, _export_with_header(tax))
     else:  # randomize
         seed = read_setting("seed", args.seed, "--seed")
@@ -268,14 +271,18 @@ def cmd_report(args) -> int:
 
     tables, hashes = [], set()
     for path in args.tables:
-        source = f"--tables {path}"
+        source, stem = f"--tables {path}", Path(path).stem
+        for other, (seen, _) in zip(args.tables, tables):
+            if seen == stem:
+                raise DataError(f"{source}: same file stem {stem!r} as "
+                                f"--tables {other}")
         meta, rows = read_rows(read_input(path, "--tables"), source)
         (header_no, header), *body = rows
         if tables and header != columns:
             raise DataError(f"{source} line {header_no}: column mismatch with "
                             f"the header of {args.tables[0]}")
         columns = header
-        tables.append((Path(path).stem, body))
+        tables.append((stem, body))
         hashes.add(meta.get("taxonomy_hash"))
     hashes.discard(None)
     meta = {"sources": ",".join(stem for stem, _ in tables)}

@@ -122,7 +122,7 @@ def _weighted_nll(W: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _inverse(masses: np.ndarray) -> np.ndarray:
     """``1 / masses``, and 0 where a mass is clamped at ``EPS``."""
-    return np.where(masses > EPS, 1.0 / masses, 0.0)
+    return np.divide(1.0, masses, out=np.zeros_like(masses), where=masses > EPS)
 
 
 class _ProbabilityLoss(_Objective):
@@ -276,7 +276,8 @@ class ClassSoftLabelObjective(_ProbabilityLoss):
 
     def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
         Y = self.rows[truth_idx]
-        return _weighted_nll(Y, P), np.where(P > EPS, -Y / P, 0.0)
+        return _weighted_nll(Y, P), np.divide(-Y, P, out=np.zeros_like(P),
+                                              where=P > EPS)
 
 
 class ConditionalHxeObjective(_Objective):

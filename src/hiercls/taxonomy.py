@@ -196,10 +196,12 @@ class Taxonomy:
         # [lo, hi) of ``dfs_leaves``, since children are visited in order.
         dfs_leaves = [n for n in self._preorder if not self.children[n]]
         if sorted(dfs_leaves) != sorted(self.leaves):
+            extra = set(dfs_leaves).difference(self.leaves)
+            lost = set(self.leaves).difference(dfs_leaves)
             raise HierarchyError(
-                "leaf list must equal the set of zero-child nodes; "
-                f"tree has {sorted(dfs_leaves)}, got {sorted(self.leaves)}"
-            )
+                f"node {min(extra)!r} has no children but is not a class" if extra
+                else f"class {min(lost)!r} is not a node with no children" if lost
+                else "class list contains duplicates")
         lo = {leaf: i for i, leaf in enumerate(dfs_leaves)}
         hi = {leaf: i + 1 for i, leaf in enumerate(dfs_leaves)}
         # Heights and spans bottom-up in reverse preorder.
@@ -322,8 +324,6 @@ def prune_to_tree(graph: TaxonomyGraph, leaves: list[str]) -> Taxonomy:
     """
     if not leaves:
         raise HierarchyError("class list is empty")
-    if len(set(leaves)) != len(leaves):
-        raise HierarchyError("class list contains duplicates")
     roots = graph.roots()
     if len(roots) != 1:
         raise HierarchyError(f"expected exactly one root, found {roots}")
@@ -402,41 +402,28 @@ def load_taxonomy(edge_text: str, leaves: list[str], source: str = "",
 
 
 def apply_edits(tax: Taxonomy, edits: list[tuple[str, str]]) -> Taxonomy:
-    """Reparent nodes in a copy of the children map, then restore all tree
-    invariants; the edited map alone builds the result.
+    """Reparent nodes in a copy of the children map and re-run the splice;
+    the result keeps ``tax.leaves``, so ``Taxonomy`` rejects edits that give
+    a class a child, splice one away or leave an inner node with no children.
 
     Each edit is ``(node, new_parent)``. Edits apply sequentially; a node may
     not be the root and its new parent may not lie inside its own subtree
-    (that would create a cycle). The single-child splice is re-run. Leaves
-    that survive keep their canonical order; nodes that become leaves are
-    appended in depth-first order.
+    (that would create a cycle).
     """
     children = {n: list(c) for n, c in tax.children.items()}
-    parent = dict(tax.parent)  # kept in step for the cycle walk alone
     for node, new_parent in edits:
         if node == tax.root:
             raise HierarchyError("cannot reparent the root")
         for known in (node, new_parent):
             if known not in children:
                 raise UnknownNodeError(f"unknown node {known!r}")
-        # Walk up from new_parent; hitting node means new_parent is in its subtree.
-        probe = new_parent
-        while probe not in (node, tax.root):
-            probe = parent[probe]
-        if probe == node:
+        if new_parent in _preorder(node, children):
             raise CycleError(f"reparenting {node!r} under {new_parent!r} "
                              "creates a cycle")
-        children[parent[node]].remove(node)
+        next(kids for kids in children.values() if node in kids).remove(node)
         children[new_parent].append(node)
-        parent[node] = new_parent
-
     _splice_single_child(children)
-
-    zero_child = dict.fromkeys(n for n in _preorder(tax.root, children)
-                               if not children[n])
-    still = [leaf for leaf in tax.leaves if leaf in zero_child]
-    new = [n for n in zero_child if n not in tax.leaf_index]
-    return Taxonomy(tax.root, children, still + new)
+    return Taxonomy(tax.root, children, tax.leaves)
 
 
 def _preorder(root: str, children: dict[str, list[str]]) -> list[str]:

@@ -224,6 +224,30 @@ class TestHierarchyCommand:
         assert message in capsys.readouterr().err
         assert not (workdir / "tree.tsv").exists()
 
+    @pytest.mark.parametrize("edges, classes, edits, message", [
+        (TOY_TREE_EDGES + "R\tE\n", "A\nB\nC\nE\n", "E\tC\n",
+         "class 'C' is not a node with no children"),
+        (TOY_TREE_EDGES, "A\nB\nC\n", "A\tR\nB\tR\n",
+         "node 'D' has no children but is not a class"),
+        (TOY_TREE_EDGES, "A\nB\nC\n", "C\tD\nZ\tR\n", "unknown node 'Z'"),
+        (TOY_TREE_EDGES, "A\nB\nC\n", "D\tA\n",
+         "reparenting 'D' under 'A' creates a cycle"),
+        (TOY_TREE_EDGES, "A\nB\nC\n", "R\tD\n", "cannot reparent the root"),
+    ], ids=["drops_a_class", "adds_a_leaf", "unknown_node", "cycle", "root"])
+    def test_bad_edit_exits_2_naming_file(self, tmp_path, capsys, edges, classes,
+                                          edits, message):
+        for name, text in (("edges.tsv", edges), ("classes.txt", classes),
+                           ("edits.tsv", edits)):
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "tree.tsv"
+        code = run("hierarchy", "build", "--edges", tmp_path / "edges.tsv",
+                   "--classes", tmp_path / "classes.txt",
+                   "--edits", tmp_path / "edits.tsv", "--out", out)
+        assert code == 2
+        assert (f"error: --edits {tmp_path / 'edits.tsv'}: {message}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_empty_class_list_exits_2(self, workdir, capsys):
         classes = workdir / "none.txt"
         classes.write_text("# no classes\n\n")
@@ -1228,6 +1252,17 @@ class TestReportCommand:
         rows = body(out)
         assert len(rows) == 3
         assert {r.split(",")[0] for r in rows[1:]} == {"t1", "t2"}
+
+    def test_repeated_stem_rejected(self, workdir, capsys):
+        tables = [workdir / d / "tradeoff.csv" for d in ("a", "b")]
+        for t in tables:
+            t.parent.mkdir()
+            t.write_text("method,parameter,seed,top1_error\nce,,0,0.5\n")
+        out = workdir / "merged.csv"
+        assert run("report", "--tables", *tables, "--out", out) == 2
+        assert (f"error: --tables {tables[1]}: same file stem 'tradeoff' as "
+                f"--tables {tables[0]}" in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_column_mismatch_rejected(self, workdir, capsys):
         t1 = workdir / "t1.csv"

@@ -15,6 +15,9 @@ from hiercls import losses as L
 from hiercls.model import _top_ranks
 from hiercls.taxonomy import Taxonomy, UnknownNodeError
 
+# A masked division must not compute (and warn on) the entries it discards.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def softmax(z: np.ndarray) -> np.ndarray:
     return L.softmax_batch(np.asarray(z, dtype=float)[None, :])[0]

@@ -311,11 +311,11 @@ class TestApplyEdits:
             apply_edits(toy_tree, [("R", "D")])
 
     def test_reparent_cascades_splices(self, toy_tree):
-        # Moving A under leaf C leaves both C and D with one child each,
-        # so both get spliced and the two survivors hang off the root.
-        t = apply_edits(toy_tree, [("A", "C")])
-        assert t.parent == {"A": "R", "B": "R"}
-        assert t.leaves == ["A", "B"]
+        # Moving A under class C leaves both C and D with one child each;
+        # splicing both would drop class C, so the edit is rejected.
+        with pytest.raises(HierarchyError,
+                           match="class 'C' is not a node with no children"):
+            apply_edits(toy_tree, [("A", "C")])
 
     def test_reparent_into_branching_target(self):
         edges = "R\tD\nR\tE\nD\tA\nD\tB\nE\tC\nE\tF"
@@ -527,7 +527,9 @@ class TestDepthFirstSpans:
     def test_edited_trees_match_oracles(self, tax, data):
         for _ in range(data.draw(st.integers(1, 3))):
             node = data.draw(st.sampled_from(tax.nonroot_bfs))
-            targets = [n for n in tax.nodes_bfs if node not in ancestry(tax, n)]
+            # Inner targets only: an edit that gives a class a child fails.
+            targets = [n for n in tax.nodes_bfs
+                       if tax.children[n] and node not in ancestry(tax, n)]
             tax = apply_edits(tax, [(node, data.draw(st.sampled_from(targets)))])
         assert_span_matrices_match_oracles(tax)
         assert_rebuilt_from_children_map(tax)

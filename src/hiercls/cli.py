@@ -175,10 +175,10 @@ def cmd_train(args) -> int:
         check_knob(name, param, f"--{name}: ")
     seed = _one_value("seeds", "--seed", args.seed)
     cfg = _config(args, args.loss, RUN_SETTINGS, grid=[param], seeds=[seed])
-    tax, data_text, parts = load_inputs(cfg)
+    tax, data_sha, parts = load_inputs(cfg)
     model, records, selected = run_point(tax, parts, cfg, param, seed)
 
-    meta = dict(run_meta(cfg, tax, data_text), seed=seed)
+    meta = dict(run_meta(cfg, tax, data_sha), seed=seed)
     if name:
         meta[name] = fmt(param)
     out = Path(args.out)
@@ -195,8 +195,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     # Checkpoints are ranked by the scores of the ce objective of their head.
     cfg = _config(args, "ce", _EVALUATE_SETTINGS)
-    tax, data_text, parts = load_inputs(cfg)
-    meta = dict(run_meta(cfg, tax, data_text, _EVALUATE_SETTINGS),
+    tax, data_sha, parts = load_inputs(cfg)
+    meta = dict(run_meta(cfg, tax, data_sha, _EVALUATE_SETTINGS),
                 split_name=args.split_name)
     paths = [args.checkpoint]
     if args.run:

@@ -43,6 +43,10 @@ __all__ = [
 HEADS = ("class", "conditional")
 # Loss kind -> the name of its one parameter (ce takes none).
 LOSS_PARAMETERS = {"ce": None, "hxe": "alpha", "soft": "beta"}
+# Rows a scoring block takes of a split's whole logits: a blocked forward
+# pass, or a 1-row block (never from np.array_split), changed bits.
+_SCORE_ROWS = 128
+_CHECKPOINT_CHUNK = 4096  # values formatted per join in checkpoint_to_text
 
 
 class TrainingDivergedError(RuntimeError):
@@ -148,7 +152,9 @@ def _forward_with_acts(model, X):
         h = np.tanh(h @ W + b)
         acts.append(h)
     W, b = model.layers[-1]
-    return acts, h @ W + b
+    Z = h @ W
+    Z += b  # in place: one (rows, outputs) array, the same sums
+    return acts, Z
 
 
 def backprop(model: ClassifierModel, X: np.ndarray, dZ: np.ndarray,
@@ -329,16 +335,30 @@ def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
     return top
 
 
+def _in_blocks(fn, *arrays):
+    """``fn`` on each block of at most ``_SCORE_ROWS`` same rows of
+    ``arrays``; each of its results concatenated over the blocks."""
+    split = (np.array_split(a, -(-len(a) // _SCORE_ROWS)) for a in arrays)
+    return [np.concatenate(r) for r in zip(*(fn(*b) for b in zip(*split)))]
+
+
+def _ranks(obj, Z, width):
+    return _in_blocks(lambda Zb: (_top_ranks(obj.scores(Zb), width),), Z)[0]
+
+
 def _validate(model, obj, val_ds, tv, eval_ds, width):
     """A checkpoint's mean ``val_ds`` loss (``tv`` its labels) and top
-    ``width`` ranks of ``eval_ds``; no logit or score matrix outlives its
-    use."""
+    ``width`` ranks of ``eval_ds``, from one forward pass per split."""
     if eval_ds is val_ds:
-        losses, S = obj.loss_and_scores(forward(model, val_ds.features), tv)
+        def block(Zb, t):
+            losses, S = obj.loss_and_scores(Zb, t)
+            return losses, _top_ranks(S, width)
+        losses, ranks = _in_blocks(block, forward(model, val_ds.features), tv)
     else:
-        losses = obj.loss_batch(forward(model, val_ds.features), tv)
-        S = obj.scores(forward(model, eval_ds.features))
-    return float(losses.mean()), _top_ranks(S, width)
+        losses, = _in_blocks(lambda Zb, t: (obj.loss_batch(Zb, t),),
+                             forward(model, val_ds.features), tv)
+        ranks = _ranks(obj, forward(model, eval_ds.features), width)
+    return float(losses.mean()), ranks
 
 
 def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
@@ -346,12 +366,12 @@ def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
     """Metric report for one parameter set, ranked by ``obj.scores``: any
     objective of the model's head, built once by the caller (class-head
     scores are the logits, conditional-head scores the factorized log leaf
-    posteriors). Each example ranks only its top ``max(ks)`` classes (a
-    partial partition, then a sort of that slice, when that is at most a
-    third of the classes); ties break toward the lower canonical class
-    index, exactly as a full stable sort of the negated scores would order
-    them."""
-    R = _top_ranks(obj.scores(forward(model, ds.features)), max(ks))
+    posteriors), in blocks of ``_SCORE_ROWS`` rows after one forward pass.
+    Each example ranks only its top ``max(ks)`` classes (a partial
+    partition, then a sort of that slice, when that is at most a third of
+    the classes); ties break toward the lower canonical class index, exactly
+    as a full stable sort of the negated scores would order them."""
+    R = _ranks(obj, forward(model, ds.features), max(ks))
     return report_from_indices(tax, R, ds.label_indices(tax), tuple(ks))
 
 
@@ -431,7 +451,8 @@ def checkpoint_to_text(model: ClassifierModel, step: int, taxonomy_hash: str) ->
         f"# layer_shapes={shapes}",
         f"# step={step}",
         f"# taxonomy_hash={taxonomy_hash}",
-        *map(fmt, model.params.tolist()),
+        *("\n".join(map(fmt, model.params[i:i + _CHECKPOINT_CHUNK].tolist()))
+          for i in range(0, model.params.size, _CHECKPOINT_CHUNK)),
     ]) + "\n"
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -251,7 +252,7 @@ def load_inputs(cfg: SweepConfig, prefix: str = "--"
 
     Rejects ``ks`` cutoffs outside 1 to the number of classes, then a
     dataset whose ``taxonomy_hash`` header names another taxonomy. Returns
-    the taxonomy, the dataset text and its (train, val, test) split.
+    the taxonomy, the data's ``sha16`` and its (train, val, test) split.
     """
     tax = load_tax(cfg.taxonomy, cfg.classes, prefix)
     if not cfg.ks or min(cfg.ks) < 1 or max(cfg.ks) > tax.num_leaves:
@@ -259,14 +260,16 @@ def load_inputs(cfg: SweepConfig, prefix: str = "--"
                          f"{tax.num_leaves} classes, got {list(cfg.ks)}")
     text = read_input(cfg.data, prefix + "data")
     source = f"{prefix}data {cfg.data}"
-    meta, _ = read_header(text.splitlines())
+    # The header alone: its first row starts with neither # nor "\n".
+    row = re.search(r"^[^#\n]", text, re.M)
+    meta, _ = read_header(text[:row and row.start()].splitlines())
     embedded = meta.get("taxonomy_hash", tax.hash_hex()).strip()
     if embedded != tax.hash_hex():
         raise DataError(f"{source}: dataset taxonomy hash {embedded} does not "
                         f"match {prefix}taxonomy hash {tax.hash_hex()}")
     parts = split(dataset_from_csv(text, tax, source),
                   SplitSpec(cfg.split, cfg.split_seed))
-    return tax, text, parts
+    return tax, sha16(text), parts
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +394,19 @@ def write_run_files(out: Path, meta: dict, records: list[CheckpointRecord],
 def read_selected(run: str | Path, name: str) -> tuple[dict, list[int]]:
     """The ``split`` and ``split_seed`` that run directory ``run`` recorded
     (as ``read_setting`` reads them; a key it lacks is left out), and the
-    steps of its selected checkpoints. A bad file raises ``DataError``
-    naming ``name`` (its option), the file and the line."""
+    steps of its selected checkpoints. A bad file, or a step given twice,
+    raises ``DataError`` naming ``name`` (its option), the file and the
+    line."""
     path = Path(run) / _SELECTED_CSV
     source = f"{name} {path}"
     meta, rows = read_rows(read_input(path, name), source,
                            _SELECTED_HEADER.split(","), ints=(1,), need_rows=True)
     next(rows)  # the header row
-    steps = [cells[1] for _, cells in rows]
+    steps = []
+    for lineno, (_, step) in rows:
+        if step in steps:
+            raise DataError(f"{source} line {lineno}: step {step} is already given")
+        steps.append(step)
     return {key: read_setting(key, meta[key], source)
             for key in ("split", "split_seed") if key in meta}, steps
 
@@ -428,14 +436,14 @@ def run_point(tax: Taxonomy, splits: tuple[Dataset, Dataset, Dataset],
     return model, records, select_checkpoints(records, cfg.discard_before)
 
 
-def run_meta(cfg: SweepConfig, tax: Taxonomy, data_text: str,
+def run_meta(cfg: SweepConfig, tax: Taxonomy, data_sha: str,
              keys: tuple[str, ...] = ("loss", *RUN_SETTINGS)) -> dict:
     """The header of a run's files: the config ``keys`` (an unset
     ``hidden_dim`` and a ce run's ``grid`` left out), each as the text
-    ``read_setting`` reads back, and the input hashes."""
+    ``read_setting`` reads back, the taxonomy hash and ``data_sha``."""
     meta = {key: setting_text(getattr(cfg, key)) for key in keys
             if getattr(cfg, key) not in (None, [None])}
-    return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=sha16(data_text))
+    return dict(meta, taxonomy_hash=tax.hash_hex(), data_sha=data_sha)
 
 
 def _job(cfg: SweepConfig, tax: Taxonomy,
@@ -463,8 +471,8 @@ def run_sweep(config: SweepConfig, out_dir: str | Path) -> int:
     Returns the number of failed points (0 means a fully successful sweep).
     """
     out = Path(out_dir)
-    tax, data_text, splits = load_inputs(config, prefix="")
-    header_meta = run_meta(config, tax, data_text, (
+    tax, data_sha, splits = load_inputs(config, prefix="")
+    header_meta = run_meta(config, tax, data_sha, (
         "loss", *RUN_SETTINGS, "grid", "seeds", "taxonomy_source"))
     kind, _, tax_seed = config.taxonomy_source.partition(":")
     variants = [] if kind == "randomized" else [("true", tax)]

@@ -248,17 +248,18 @@ class Taxonomy:
         rows ``span(c)`` and the columns of ``span(v)`` outside ``span(c)``.
         Every off-diagonal entry is written exactly once and the diagonal
         stays 0; one gather then permutes the result to canonical order.
+        Both run in the narrowest type that holds the height; the result is int64.
         """
         if self._lca_height_matrix is None:
             L = self.num_leaves
-            dfs = np.zeros((L, L), dtype=np.int64)
+            dfs = np.zeros((L, L), dtype=np.min_scalar_type(self.tree_height))
             span = self.span.tolist()
             height = [self.height[n] for n in self.nodes_bfs]
             for (lo, hi), par in zip(span[1:], self.parent_row[1:].tolist()):
                 plo, phi = span[par]
                 dfs[lo:hi, plo:lo] = dfs[lo:hi, hi:phi] = height[par]
             pos = self.dfs_pos
-            self._lca_height_matrix = dfs[pos[:, None], pos]
+            self._lca_height_matrix = dfs[pos[:, None], pos].astype(np.int64)
         return self._lca_height_matrix
 
     def distance_matrix(self) -> np.ndarray:

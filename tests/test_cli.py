@@ -776,7 +776,9 @@ def test_bad_checkpoint_in_run_names_run_file(workdir, capsys):
     (["trace_index,step", "4,10", "5"], "line {last}: 1 cells, but the header has 2"),
     (["trace_index,step", "4,x"], "line {last}: 'x' is not an integer"),
     (["trace_index,step"], "line {last}: no rows after the header"),
-], ids=["short_row", "step_not_integer", "header_only"])
+    (["trace_index,step", "1,18", "2,24", "3,30", "4,36", "2,24"],
+     "line {last}: step 24 is already given"),
+], ids=["short_row", "step_not_integer", "header_only", "step_twice"])
 def test_bad_selected_csv_names_run_file_and_line(workdir, capsys, rows, problem):
     tree, data = gen_tree_and_data(workdir)
     inputs = ["--data", data, "--taxonomy", tree,
@@ -794,6 +796,28 @@ def test_bad_selected_csv_names_run_file_and_line(workdir, capsys, rows, problem
     where = problem.format(last=len(meta) + len(rows))
     assert f"error: --run {selected} {where}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_dataset_hash_is_read_from_the_header_alone(workdir, capsys):
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree,
+              "--classes", workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN]
+    lines = data.read_text().splitlines(keepends=True)
+    start = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    header, rows = lines[:start], lines[start:]
+    wrong = [l.split("=")[0] + "=0123456789abcdef\n"
+             if l.startswith("# taxonomy_hash=") else l for l in header]
+    # A blank line and a comment do not end the header.
+    data.write_text("".join(["\n", "# note\n", *wrong, *rows]))
+    assert run("train", *inputs, "--out", workdir / "a") == 2
+    assert ("dataset taxonomy hash 0123456789abcdef does not match"
+            in capsys.readouterr().err)
+    # After the first row, the same line is a comment of the body.
+    text = "".join([*header, rows[0], *wrong, *rows[1:]])
+    data.write_text(text)
+    assert run("train", *inputs, "--out", workdir / "b") == 0
+    sha = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert f"# data_sha={sha}\n" in (workdir / "b" / "trace.csv").read_text()
 
 
 def test_run_with_mixed_heads_names_the_checkpoint(workdir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXTREMES, finite_difference, max_rel_error
+from conftest import (EXTREMES, finite_difference, hxe_kernel,
+                      make_balanced_tree, max_rel_error)
 from hiercls import model as Md
 from hiercls.data import Dataset, synth_hierarchical
 from hiercls.losses import ConditionalHxeObjective, softmax_batch
@@ -557,6 +559,103 @@ class TestEvaluate:
         assert mean_half_width([4.2]) == (4.2, 0.0)
 
 
+# (loss, parameter, head, class-head HXE kernel or None).
+BLOCK_SPECS = [("ce", None, "class", None), ("soft", 3.0, "class", None),
+               ("hxe", 0.4, "class", "dense"), ("hxe", 0.4, "class", "path"),
+               ("ce", None, "conditional", None),
+               ("hxe", 0.4, "conditional", None)]
+
+
+def random_split(tax, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.normal(size=(n, dim)),
+                   [tax.leaves[i] for i in rng.integers(tax.num_leaves, size=n)])
+
+
+class TestBlockScoring:
+    """Scoring in row blocks after one whole-split forward pass keeps the
+    bits of scoring the whole split at once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 128, 129, 257, 385])
+    @pytest.mark.parametrize("spec", BLOCK_SPECS,
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_bitwise_equal_to_whole_split(self, balanced27, spec, n):
+        loss, param, head, kernel = spec
+        with hxe_kernel(kernel or "dense"):
+            obj = Md.build_objective(balanced27, loss, param, head)
+        model = Md.init_model(balanced27, head, 5, seed=1, hidden_dim=9)
+        # Small weights spread the probabilities, where the dense kernel's
+        # mass product is most sensitive to the rows it is given.
+        model.params[:] = 0.1 * np.random.default_rng(2).normal(size=model.params.size)
+        # Several draws: a row's bits change with a 1-row block only at times.
+        for seed in range(0, 12, 2):
+            val_ds, test_ds = (random_split(balanced27, n, 5, s) for s in (seed, seed + 1))
+            self.check(balanced27, model, obj, val_ds, test_ds)
+
+    @staticmethod
+    def check(tax, model, obj, val_ds, test_ds):
+        """Block scoring against one whole-split ``loss_and_scores`` (the
+        losses also against one ``loss_batch``) and one ``scores`` call."""
+        tv = val_ds.label_indices(tax)
+        Z = Md.forward(model, val_ds.features)
+        losses, S = obj.loss_and_scores(Z, tv)
+        assert np.array_equal(obj.loss_batch(Z, tv), losses)
+        ranks = Md._top_ranks(S, 4)
+        test_ranks = Md._top_ranks(obj.scores(Md.forward(model, test_ds.features)), 4)
+
+        blocked, = Md._in_blocks(lambda Zb, t: (obj.loss_batch(Zb, t),), Z, tv)
+        assert np.array_equal(blocked, losses)
+        assert np.array_equal(Md._ranks(obj, Z, 4), ranks)
+        mean, got = Md._validate(model, obj, val_ds, tv, val_ds, 4)
+        assert mean == float(losses.mean()) and np.array_equal(got, ranks)
+        mean, got = Md._validate(model, obj, val_ds, tv, test_ds, 4)
+        assert mean == float(losses.mean()) and np.array_equal(got, test_ranks)
+        assert Md.evaluate_model(tax, model, test_ds, obj, (1, 4)) == \
+            Md.report_from_indices(tax, test_ranks, test_ds.label_indices(tax), (1, 4))
+
+    @pytest.mark.parametrize("same_eval", [True, False], ids=["eval_val", "eval_other"])
+    def test_one_forward_pass_a_split_at_each_checkpoint(self, balanced27,
+                                                         monkeypatch, same_eval):
+        ds = toy_points(balanced27, per_class=10)  # 270 rows, three blocks
+        eval_ds = ds if same_eval else toy_points(balanced27, per_class=10, seed=1)
+        rows, forward = [], Md.forward
+        monkeypatch.setattr(Md, "forward",
+                            lambda model, X: rows.append(len(X)) or forward(model, X))
+        model = Md.init_model(balanced27, "class", ds.feature_dim, seed=0)
+        Md.train(balanced27, model, ds, ds, eval_ds, scorer(balanced27, "class"),
+                 Md.AdamOptimizer(lr=0.01),
+                 Md.TrainSchedule(steps=30, batch_size=16, checkpoint_every=10,
+                                  seed=0), ks=(1,))
+        assert rows == [270] * 3 * (1 if same_eval else 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 385])
+    def test_fewest_blocks_of_at_most_score_rows(self, n):
+        sizes = []
+        rows, = Md._in_blocks(lambda a: (sizes.append(len(a)) or a,), np.arange(n))
+        assert np.array_equal(rows, np.arange(n))
+        assert len(sizes) == -(-n // Md._SCORE_ROWS)
+        # No 1-row block unless the split has one row.
+        assert max(sizes) <= Md._SCORE_ROWS and min(sizes) >= min(n, 2)
+
+    def test_evaluate_memory_is_logits_plus_blocks(self):
+        # 2,000 rows on a 343-class conditional head: every (rows, outputs)
+        # temporary of the whole split would be as large as the logits.
+        tax = make_balanced_tree(7, 3)
+        obj = Md.build_objective(tax, "ce", None, "conditional")
+        model = Md.init_model(tax, "conditional", 8, seed=0)
+        ds = random_split(tax, 2000, 8, 0)
+        tax.lca_height_matrix()  # cached before tracing, as in a run
+        logits = len(ds.labels) * model.output_dim * 8
+        block = Md._SCORE_ROWS * (model.output_dim + tax.num_nodes) * 8
+        tracemalloc.start()
+        try:
+            Md.evaluate_model(tax, model, ds, obj, (1, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < logits + 4 * block, (peak, logits, block)
+
+
 class TestRunPoint:
     def config(self, loss, **kw):
         """A run config; ``run_point`` reads none of its input paths."""
@@ -699,6 +798,19 @@ class TestCheckpointText:
                                                              tax_hash)
         assert again.params.tobytes() == params.tobytes()
         assert Md.checkpoint_to_text(again, step2, hash2) == text
+
+    def test_chunked_text_matches_one_line_per_value(self):
+        # More values than one chunk, and a partial last chunk.
+        shapes = ((100, 90), (90, 9))
+        n = sum(a * b + b for a, b in shapes)
+        assert n > 2 * Md._CHECKPOINT_CHUNK and n % Md._CHECKPOINT_CHUNK
+        params = np.random.default_rng(5).normal(size=n)
+        model = Md.ClassifierModel("class", params, shapes)
+        text = Md.checkpoint_to_text(model, 7, "ab")
+        lines = text.splitlines()
+        assert text.endswith("\n") and len(lines) == 7 + n
+        assert lines[7:] == [repr(v) for v in params.tolist()]
+        assert Md.checkpoint_from_text(text)[0].params.tobytes() == params.tobytes()
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import EXTREMES
 from hiercls.cli import main
 from hiercls.data import DataError
-from hiercls.fileio import read_rows
+from hiercls.fileio import read_rows, sha16
 from hiercls.model import HEADS, CheckpointRecord
 from hiercls.sweep import (MEAN_ID_COLUMNS, POINT_ID_COLUMNS, SPLIT_NAMES,
                            SweepConfig, parse_sweep_config, read_classes,
@@ -208,10 +208,10 @@ def config_text(meta: dict) -> str:
 @settings(max_examples=200, deadline=None)
 @given(sweep_configs())
 def test_config_meta_text_config_is_identity(cfg):
-    meta = run_meta(cfg, TREE, "", SETTING_KEYS)
+    meta = run_meta(cfg, TREE, sha16(""), SETTING_KEYS)
     back = parse_sweep_config(config_text(meta))
     assert back == cfg
-    assert run_meta(back, TREE, "", SETTING_KEYS) == meta
+    assert run_meta(back, TREE, sha16(""), SETTING_KEYS) == meta
 
 
 def test_malformed_config_value_names_file_and_line(tmp_path, capsys):

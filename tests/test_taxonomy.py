@@ -1,6 +1,7 @@
 import itertools
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (TOY_TREE_EDGES, TOY_TREE_LEAVES, ancestry, brute_lca,
-                      lca, lca_height, make_random_dag, make_random_tree,
-                      normalized_distance, shaped_trees)
+                      lca, lca_height, make_balanced_tree, make_random_dag,
+                      make_random_tree, normalized_distance, shaped_trees)
 from hiercls.taxonomy import (CycleError, EdgeListParseError, HierarchyError,
                               Taxonomy, TaxonomyGraph, UnknownNodeError,
                               _splice_single_child, apply_edits,
@@ -533,3 +534,25 @@ class TestDepthFirstSpans:
             tax = apply_edits(tax, [(node, data.draw(st.sampled_from(targets)))])
         assert_span_matrices_match_oracles(tax)
         assert_rebuilt_from_children_map(tax)
+
+    def test_chain_taller_than_255_matches_oracle(self):
+        # Each inner node holds a class and the next inner node, so the
+        # height passes uint8's range and the build fills a uint16 matrix.
+        height = 260
+        children = {f"n{i}": [f"c{i}", f"n{i + 1}"] for i in range(height - 1)}
+        children[f"n{height - 1}"] = [f"c{height - 1}", f"c{height}"]
+        classes = [f"c{i}" for i in np.random.default_rng(0).permutation(height + 1)]
+        tax = Taxonomy("n0", children, classes)
+        assert tax.tree_height == height
+        assert_span_matrices_match_oracles(tax)
+
+    def test_lca_matrix_build_peaks_below_one_and_a_half_results(self):
+        tax = make_balanced_tree(3, 6)
+        tracemalloc.start()
+        try:
+            H = tax.lca_height_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.dtype == np.int64 and H.shape == (729, 729)
+        assert peak < 1.5 * H.nbytes, (peak, H.nbytes)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .data import DataError, dataset_to_csv, synth_hierarchical
-from .fileio import fmt, meta_header, read_rows, write_text
+from .fileio import float_or_nan, fmt, meta_header, read_rows, write_text
 from .losses import check_knob
 from .model import (LOSS_PARAMETERS, SettingError, TrainingDivergedError,
                     build_objective, checkpoint_from_text, checkpoint_to_text,
@@ -270,6 +271,7 @@ def cmd_report(args) -> int:
         return EXIT_OK
 
     tables, hashes = [], set()
+    id_columns = set(POINT_ID_COLUMNS + MEAN_ID_COLUMNS)
     for path in args.tables:
         source, stem = f"--tables {path}", Path(path).stem
         for other, (seen, _) in zip(args.tables, tables):
@@ -282,13 +284,17 @@ def cmd_report(args) -> int:
             raise DataError(f"{source} line {header_no}: column mismatch with "
                             f"the header of {args.tables[0]}")
         columns = header
+        for lineno, cells in body:
+            for name, cell in zip(columns, cells):
+                if not (name in id_columns or math.isfinite(float_or_nan(cell))):
+                    raise DataError(f"{source} line {lineno}: column {name} "
+                                    f"holds {cell!r}, not a finite number")
         tables.append((stem, body))
         hashes.add(meta.get("taxonomy_hash"))
     hashes.discard(None)
     meta = {"sources": ",".join(stem for stem, _ in tables)}
     if len(hashes) == 1:
         meta["taxonomy_hash"] = hashes.pop()
-    id_columns = set(POINT_ID_COLUMNS + MEAN_ID_COLUMNS)
     ids = [c for c in columns if c in id_columns]
     metrics = [c for c in columns if c not in id_columns and not c.endswith("_hw")]
     col = {c: i for i, c in enumerate(columns)}

@@ -82,18 +82,22 @@ class SplitSpec:
 def dataset_from_csv(text: str, tax: Taxonomy, source: str = "dataset") -> Dataset:
     """Parse ``f0..f{D-1},label`` rows; labels must be leaves of ``tax``.
 
-    A bad header or row, including a feature cell that is not a finite
-    number, raises ``DataError`` naming ``source`` (the option or key and
-    the file) and the line.
+    A header without a feature column, or a bad header or row, including a
+    feature cell that is not a finite number, raises ``DataError`` naming
+    ``source`` (the option or key and the file) and the line.
     """
     _, rows = read_rows(text, source, need_rows=True, header=lambda width: [
         *(f"f{i}" for i in range(width - 1)), "label"])
+    header_no, header = next(rows)
+    if len(header) < 2:
+        raise DataError(f"{source} line {header_no}: header {','.join(header)!r} "
+                        "has no feature column")
     features, labels = [], []
-    # Each row after the header is converted as the reader yields it, so the
-    # cells of all rows are never held at once.
-    for lineno, cells in islice(rows, 1, None):
+    # Each row after the header is converted to float64 as the reader
+    # yields it, so the cells of all rows are never held at once.
+    for lineno, cells in rows:
         try:
-            features.append([float(c) for c in cells[:-1]])
+            features.append(np.array(cells[:-1], dtype=float))
         except ValueError:
             raise DataError(f"{source} line {lineno}: non-numeric feature "
                             "cell") from None
@@ -102,7 +106,7 @@ def dataset_from_csv(text: str, tax: Taxonomy, source: str = "dataset") -> Datas
         # The taxonomy's own string, so that no string of the row outlives
         # it and pins the memory the row's cells took.
         labels.append(tax.leaves[tax.leaf_index[cells[-1]]])
-    features = np.array(features, dtype=float)
+    features = np.array(features)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:  # no line numbers are kept: find the bad row's line again
         lineno = next(islice(read_rows(text, source)[1], bad[0] + 1, None))[0]

@@ -4,12 +4,13 @@ of the files hiercls writes: ``meta_header`` lines, a header row, rows."""
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterator
+import math
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from pathlib import Path
 
-__all__ = ["DataError", "fmt", "meta_header", "read_header", "read_rows",
-           "sha16", "write_text"]
+__all__ = ["DataError", "float_or_nan", "fmt", "meta_header", "read_header",
+           "read_rows", "sha16", "write_text"]
 
 
 class DataError(Exception):
@@ -21,22 +22,46 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def float_or_nan(text: str) -> float:
+    """``float(text)``, or NaN for text that is no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def meta_header(meta: dict) -> str:
     """Deterministic ``# key=value`` comment block (sorted keys)."""
     return "".join(f"# {k}={meta[k]}\n" for k in sorted(meta))
 
 
-def read_header(lines: list[str]) -> tuple[dict[str, str], int]:
+# About how many characters of a text ``_lines`` splits, and ``sha16``
+# encodes, at a time.
+_CHUNK = 1 << 16
+
+
+def read_header(lines: Iterable[str]) -> tuple[dict[str, str], int]:
     """The ``# key=value`` dict of the blank and ``#`` lines that open
     ``lines``, and the index of the first line after them."""
-    meta = {}
-    for i, line in enumerate(lines):
+    meta, count = {}, 0
+    for count, line in enumerate(lines, 1):
         if line and not line.startswith("#"):
-            return meta, i
+            return meta, count - 1
         key, eq, value = line[2:].partition("=")
         if line.startswith("# ") and eq:
             meta[key] = value
-    return meta, len(lines)
+    return meta, count
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split one chunk of about
+    ``_CHUNK`` characters at a time. Each chunk but the last ends just after
+    a ``"\n"``, where every line ends (a ``"\r\n"`` stays whole)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def read_rows(text: str, source: str,
@@ -50,10 +75,9 @@ def read_rows(text: str, source: str,
     are read as integers. No header row, another header, a row of another
     width, a bad integer or, with ``need_rows``, no row after the header
     raises ``DataError`` naming ``source`` (option or key, file) and line."""
-    lines = text.splitlines()
-    meta, start = read_header(lines)
+    meta, start = read_header(_lines(text))
     body = ((lineno, line.split(",")) for lineno, line
-            in enumerate(islice(lines, start, None), start + 1)
+            in enumerate(islice(_lines(text), start, None), start + 1)
             if line and not line.startswith("#"))
     header_no, names = next(body, (None, None))
     if names is None:
@@ -83,10 +107,13 @@ def read_rows(text: str, source: str,
     return meta, rows()
 
 
-def sha16(payload: str | bytes) -> str:
-    if isinstance(payload, str):
-        payload = payload.encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]
+def sha16(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of ``text`` in UTF-8, encoded
+    one slice at a time."""
+    digest = hashlib.sha256()
+    for start in range(0, len(text), _CHUNK):
+        digest.update(text[start:start + _CHUNK].encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def write_text(path: str | Path, text: str) -> None:

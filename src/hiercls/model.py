@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses as L
-from .fileio import fmt, read_header
+from .fileio import float_or_nan, fmt, read_header
 from .metrics import MetricReport, report_from_indices
 from .taxonomy import Taxonomy
 
@@ -496,16 +496,10 @@ def checkpoint_from_text(text: str, source: str = "checkpoint"
     try:
         params = np.array(body, dtype=float)
     except ValueError:  # parse line by line to find the bad one
-        params = np.array([_float_or_nan(v) for v in body])
+        params = np.array([float_or_nan(v) for v in body])
     bad = np.flatnonzero(~np.isfinite(params))
     if bad.size:
         raise ValueError(f"{source} line {n_meta + bad[0] + 1}: value "
                          f"{body[bad[0]]!r} is not a finite float")
     return ClassifierModel(meta["head"], params, shapes), step, meta["taxonomy_hash"]
 
-
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return np.nan

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, SplitSpec, dataset_from_csv, split
-from .fileio import fmt, meta_header, read_header, read_rows, sha16, write_text
+from .fileio import fmt, meta_header, read_rows, sha16, write_text
 from .metrics import MetricReport
 from .model import (HEADS, LOSS_PARAMETERS, AdamOptimizer, CheckpointRecord,
                     SettingError, TrainingDivergedError, TrainSchedule,
@@ -260,9 +259,7 @@ def load_inputs(cfg: SweepConfig, prefix: str = "--"
                          f"{tax.num_leaves} classes, got {list(cfg.ks)}")
     text = read_input(cfg.data, prefix + "data")
     source = f"{prefix}data {cfg.data}"
-    # The header alone: its first row starts with neither # nor "\n".
-    row = re.search(r"^[^#\n]", text, re.M)
-    meta, _ = read_header(text[:row and row.start()].splitlines())
+    meta, _ = read_rows(text, source)  # the header lines alone
     embedded = meta.get("taxonomy_hash", tax.hash_hex()).strip()
     if embedded != tax.hash_hex():
         raise DataError(f"{source}: dataset taxonomy hash {embedded} does not "

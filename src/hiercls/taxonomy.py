@@ -239,27 +239,38 @@ class Taxonomy:
         return len(self.nodes_bfs)
 
     def lca_height_matrix(self) -> np.ndarray:
-        """(L, L) integer matrix of pairwise leaf LCA heights, canonical order.
+        """(L, L) matrix of pairwise leaf LCA heights, canonical order,
+        cached and read-only. It stays in ``np.min_scalar_type(tree_height)``,
+        one byte per entry up to height 255: means and divisions of it
+        convert each entry to float64, so no caller needs a wider type.
 
-        Built in depth-first leaf order, where each node's subtree is a
-        contiguous span. A pair's LCA is the node whose span holds both
-        leaves while the span of one of its children holds only one, so each
-        non-root node ``c`` under parent ``v`` writes ``height[v]`` into
-        rows ``span(c)`` and the columns of ``span(v)`` outside ``span(c)``.
-        Every off-diagonal entry is written exactly once and the diagonal
-        stays 0; one gather then permutes the result to canonical order.
-        Both run in the narrowest type that holds the height; the result is int64.
+        Number the leaves depth-first. The LCA of the leaves at positions
+        ``p < q`` is the highest of the LCAs of the neighbouring pairs from
+        ``p`` to ``q``: all lie in its subtree and one of them is it. So its
+        height is ``max(gap[p:q])``, where ``gap[k]`` is the LCA height of
+        positions ``k`` and ``k + 1``: the height of the parent of the one
+        child, not a last child, whose span ends at ``k + 1``. Each
+        canonical row is filled in depth-first order in one row buffer, by
+        running maxima of ``gap`` outward from the row's class, and
+        gathered into canonical columns. Nothing larger than a row is
+        allocated besides the result.
         """
         if self._lca_height_matrix is None:
-            L = self.num_leaves
-            dfs = np.zeros((L, L), dtype=np.min_scalar_type(self.tree_height))
-            span = self.span.tolist()
-            height = [self.height[n] for n in self.nodes_bfs]
-            for (lo, hi), par in zip(span[1:], self.parent_row[1:].tolist()):
-                plo, phi = span[par]
-                dfs[lo:hi, plo:lo] = dfs[lo:hi, hi:phi] = height[par]
-            pos = self.dfs_pos
-            self._lca_height_matrix = dfs[pos[:, None], pos].astype(np.int64)
+            L, dtype = self.num_leaves, np.min_scalar_type(self.tree_height)
+            height = np.fromiter(map(self.height.__getitem__, self.nodes_bfs),
+                                 dtype, self.num_nodes)
+            hi, par = self.span[1:, 1], self.parent_row[1:]
+            inner = hi < self.span[par, 1]  # not its parent's last child
+            gap = np.zeros(L - 1, dtype=dtype)
+            gap[hi[inner] - 1] = height[par[inner]]
+            H, row = np.empty((L, L), dtype=dtype), np.zeros(L, dtype=dtype)
+            for i, p in enumerate(self.dfs_pos):
+                np.maximum.accumulate(gap[p:], out=row[p + 1:])
+                np.maximum.accumulate(gap[:p][::-1], out=row[:p][::-1])
+                row[p] = 0
+                H[i] = row[self.dfs_pos]
+            H.setflags(write=False)
+            self._lca_height_matrix = H
         return self._lca_height_matrix
 
     def distance_matrix(self) -> np.ndarray:
@@ -269,8 +280,9 @@ class Taxonomy:
         return self.lca_height_matrix() / float(self.tree_height)
 
     def leaf_membership(self) -> np.ndarray:
-        """(num_nodes, L) 0/1 matrix: entry (n, j) is 1 iff leaf j lies in the
-        subtree rooted at the n-th node of ``nodes_bfs`` (node-or-self).
+        """(num_nodes, L) 0/1 matrix, cached and read-only: entry (n, j) is 1
+        iff leaf j lies in the subtree rooted at the n-th node of
+        ``nodes_bfs`` (node-or-self).
 
         Row n is 1 at the canonical indices of the leaves in the node's
         depth-first span ``[lo, hi)``.
@@ -278,6 +290,7 @@ class Taxonomy:
         if self._leaf_membership is None:
             lo, hi, pos = self.span[:, :1], self.span[:, 1:], self.dfs_pos
             self._leaf_membership = ((lo <= pos) & (pos < hi)).astype(float)
+            self._leaf_membership.setflags(write=False)
         return self._leaf_membership
 
     # -- serialization ---------------------------------------------------

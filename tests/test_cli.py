@@ -887,6 +887,26 @@ def test_short_data_row_names_file_and_line(workdir, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_data_without_feature_column_exits_2(workdir, capsys, command):
+    tree, data = gen_tree_and_data(workdir, per_class=5)
+    data.write_text("label\n" + "".join(f"{c}\n" for c in TOY_TREE_LEAVES * 5))
+    out = workdir / "out"
+    if command == "train":
+        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                   "--out", out)
+        source = f"--data {data}"
+    else:
+        code = run("sweep", "--config", write_sweep_config(workdir, tree, data),
+                   "--out", out)
+        source = f"data {data}"
+    assert code == 2
+    assert (f"error: {source} line 1: header 'label' has no feature column"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def write_sweep_config(workdir, tree, data, **overrides) -> Path:
     base = {
         "loss": "hxe",
@@ -1249,6 +1269,24 @@ class TestReportCommand:
         assert run("report", "--tables", table, "--out", out) == 2
         assert (f"error: --tables {table} line 3: 2 cells, but the header has 3"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cells, column, value", [
+        ("nan,0.01", "top1_error", "nan"),
+        ("abc,0.01", "top1_error", "abc"),
+        ("0.5,inf", "top1_error_hw", "inf"),
+        ("0.5,", "top1_error_hw", ""),
+    ], ids=["metric_nan", "metric_not_a_number", "half_width_inf",
+            "half_width_empty"])
+    def test_non_finite_table_cell_exits_2(self, workdir, capsys, cells,
+                                           column, value):
+        table = workdir / "t.csv"
+        table.write_text("method,parameter,seed,top1_error,top1_error_hw\n"
+                         f"ce,,0,0.5,0.01\nce,,1,{cells}\n")
+        out = workdir / "m.csv"
+        assert run("report", "--tables", table, "--out", out) == 2
+        assert (f"error: --tables {table} line 3: column {column} holds "
+                f"{value!r}, not a finite number" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_tables_merge_long_format(self, workdir):

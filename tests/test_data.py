@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from conftest import EXTREMES, TOY_TREE_EDGES, TOY_TREE_LEAVES, make_balanced_tr
 from hiercls.data import (DataError, Dataset, SplitSpec, dataset_from_csv,
                           dataset_to_csv, split, synth_hierarchical)
 from hiercls.model import SettingError
-from hiercls.taxonomy import load_edges, prune_to_tree
+from hiercls.taxonomy import Taxonomy, load_edges, prune_to_tree
 
 # Hypothesis tests cannot take function-scoped fixtures.
 TOY = prune_to_tree(load_edges(TOY_TREE_EDGES), TOY_TREE_LEAVES)
@@ -63,6 +65,23 @@ class TestCsv:
     def test_comment_lines_skipped(self, toy_tree):
         text = "# taxonomy_hash=abc\nf0,label\n1.0,A\n"
         assert dataset_from_csv(text, toy_tree).n == 1
+
+    def test_load_peaks_below_one_and_a_half_texts(self):
+        # Shaped like the 880-class benchmark data: 3 rows a class, 64
+        # features, so the text is about 3.3 MB and the features 1.35 MB.
+        classes = [f"c{i:03d}" for i in range(880)]
+        tax = Taxonomy("R", {"R": classes}, classes)
+        rng = np.random.default_rng(0)
+        text = dataset_to_csv(Dataset(rng.normal(size=(3 * 880, 64)),
+                                      [c for c in classes for _ in range(3)]))
+        tracemalloc.start()
+        try:
+            ds = dataset_from_csv(text, tax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (2640, 64) and dataset_to_csv(ds) == text
+        assert peak < 1.5 * len(text), (peak, len(text))
 
 
 @st.composite

@@ -1,6 +1,12 @@
-import pytest
+import hashlib
+from unittest import mock
 
-from hiercls.fileio import DataError, meta_header, read_rows
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hiercls import fileio
+from hiercls.fileio import DataError, meta_header, read_header, read_rows, sha16
 
 SOURCE = "--opt f.csv"
 
@@ -48,3 +54,38 @@ def test_rows_are_read_lazily():
     assert next(rows) == (1, ["x"]) and next(rows) == (2, ["1"])
     with pytest.raises(DataError, match="line 3"):
         next(rows)
+
+
+# Every line boundary ``str.splitlines`` knows, and cells without commas,
+# so that each line is a row of one cell.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+LINES = st.one_of(st.just(""), st.just("#"), st.just("# k=v"),
+                  st.text(st.sampled_from("a #=é"), max_size=6))
+
+
+@given(st.lists(st.tuples(LINES, st.sampled_from(LINE_ENDS))),
+       st.booleans(), st.integers(1, 5))
+def test_chunked_read_rows_yields_the_lines_of_splitlines(lines, end, chunk):
+    text = "".join(line + sep for line, sep in lines)
+    if not end and lines:
+        text = text[:-len(lines[-1][1])]  # no line end after the last line
+    all_lines = text.splitlines()
+    want = [(lineno, [line]) for lineno, line in enumerate(all_lines, 1)
+            if line and not line.startswith("#")]
+    with mock.patch.object(fileio, "_CHUNK", chunk):
+        if not want:
+            with pytest.raises(DataError, match="no header row"):
+                read_rows(text, SOURCE)
+            return
+        meta, rows = read_rows(text, SOURCE)
+        assert (meta, list(rows)) == (read_header(all_lines)[0], want)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, fileio._CHUNK])
+def test_chunked_sha16_matches_one_encode(chunk):
+    # One- to four-byte characters, so that slice ends fall inside the
+    # UTF-8 bytes of every width.
+    text = "aé€\U0001d11e\n" * 7 + "z"
+    with mock.patch.object(fileio, "_CHUNK", chunk):
+        assert sha16(text) == hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert sha16("") == hashlib.sha256(b"").hexdigest()[:16]

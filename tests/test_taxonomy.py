@@ -467,7 +467,7 @@ def assert_span_matrices_match_oracles(tax):
     expected = np.array([[lca_height(tax, a, b) for b in tax.leaves]
                          for a in tax.leaves], dtype=np.int64)
     H = tax.lca_height_matrix()
-    assert H.dtype == np.int64
+    assert H.dtype == np.min_scalar_type(tax.tree_height)
     np.testing.assert_array_equal(H, expected)
     membership = np.zeros((tax.num_nodes, tax.num_leaves))
     for j, leaf in enumerate(tax.leaves):
@@ -546,6 +546,13 @@ class TestDepthFirstSpans:
         assert tax.tree_height == height
         assert_span_matrices_match_oracles(tax)
 
+    def test_cached_matrices_are_read_only(self, toy_tree):
+        for matrix in (toy_tree.lca_height_matrix(), toy_tree.leaf_membership()):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] += 1
+        assert toy_tree.lca_height_matrix()[0, 0] == 0
+        assert toy_tree.leaf_membership()[0, 0] == 1.0
+
     def test_lca_matrix_build_peaks_below_one_and_a_half_results(self):
         tax = make_balanced_tree(3, 6)
         tracemalloc.start()
@@ -554,5 +561,6 @@ class TestDepthFirstSpans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert H.dtype == np.int64 and H.shape == (729, 729)
+        assert H.dtype == np.min_scalar_type(tax.tree_height)
+        assert H.shape == (729, 729)
         assert peak < 1.5 * H.nbytes, (peak, H.nbytes)

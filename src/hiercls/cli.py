@@ -201,7 +201,7 @@ def cmd_evaluate(args) -> int:
                 split_name=args.split_name)
     paths = [args.checkpoint]
     if args.run:
-        recorded, steps = read_selected(args.run, "--run")
+        recorded, steps = read_selected(args.run, "--run", tax.hash_hex())
         # Scoring on another split could score rows the run trained on.
         for key, value in recorded.items():
             if value != getattr(cfg, key):

@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .fileio import DataError, fmt, read_rows
+from .fileio import DataError, read_rows
 from .model import SettingError
 from .taxonomy import Taxonomy
 
@@ -120,7 +120,7 @@ def dataset_to_csv(ds: Dataset) -> str:
     header = ",".join([f"f{i}" for i in range(ds.feature_dim)] + ["label"])
     lines = [header]
     for row, label in zip(ds.features, ds.labels):
-        lines.append(",".join(fmt(v) for v in row) + f",{label}")
+        lines.append(",".join(map(repr, row.tolist())) + f",{label}")
     return "\n".join(lines) + "\n"
 
 

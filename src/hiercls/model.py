@@ -13,11 +13,12 @@ so identical inputs reproduce traces bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import losses as L
-from .fileio import float_or_nan, fmt, read_header
+from .fileio import _lines, float_or_nan, read_header
 from .metrics import MetricReport, report_from_indices
 from .taxonomy import Taxonomy
 
@@ -46,7 +47,9 @@ LOSS_PARAMETERS = {"ce": None, "hxe": "alpha", "soft": "beta"}
 # Rows a scoring block takes of a split's whole logits: a blocked forward
 # pass, or a 1-row block (never from np.array_split), changed bits.
 _SCORE_ROWS = 128
-_CHECKPOINT_CHUNK = 4096  # values formatted per join in checkpoint_to_text
+# Values formatted per join in checkpoint_to_text, and parsed per array in
+# checkpoint_from_text.
+_CHECKPOINT_CHUNK = 4096
 
 
 class TrainingDivergedError(RuntimeError):
@@ -193,23 +196,26 @@ class AdamOptimizer:
     step_count: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
     v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
-    _work: list = field(default_factory=list, init=False, repr=False)
+    _work: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False,
+                              repr=False)
 
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise SettingError("lr", f"lr must be > 0 and finite, got {self.lr}")
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One step on the flat ``params`` in place."""
+        """One step on the flat ``params`` in place. ``grads`` (float64, of
+        ``params``' shape) is consumed: once the moments hold it, it serves
+        as a work row, and its values are lost."""
         if not self.m.size:
-            # m, v and two work rows share one allocation, and a step
+            # m, v and one work row share one allocation, and a step
             # makes none.
-            self.m, self.v, *self._work = np.zeros((4,) + params.shape)
+            self.m, self.v, self._work = np.zeros((3,) + params.shape)
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        m, v, (a, b) = self.m, self.v, self._work
+        m, v, a = self.m, self.v, self._work
         # The recurrence's operations in numpy's order for the expressions
         # above: ((1-b2)*g)*g, then lr*(m/c1), then / (sqrt(v/c2)+eps).
         m *= self.beta1
@@ -217,9 +223,10 @@ class AdamOptimizer:
         v *= self.beta2
         np.multiply(1.0 - self.beta2, grads, out=a)
         v += np.multiply(a, grads, out=a)
+        # The moments hold g now: its row is the second work row.
         np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
-        np.sqrt(np.divide(v, c2, out=b), out=b)
-        params -= np.divide(a, np.add(b, self.eps, out=b), out=a)
+        np.sqrt(np.divide(v, c2, out=grads), out=grads)
+        params -= np.divide(a, np.add(grads, self.eps, out=grads), out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +292,7 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
             pos = 0
         idx = perm[pos:pos + bsz]
         pos += bsz
-        Xb = X[idx]
-        acts, Z = _forward_with_acts(model, Xb)
-        batch_losses, dZ = obj.loss_and_grad(Z, t[idx])
-        loss = float(batch_losses.mean())
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite loss {loss} at step {step} "
-                f"(batch rows {idx[:5].tolist()}...)"
-            )
-        grads = backprop(model, Xb, dZ, acts=acts)
-        optimizer.update(model.params, grads)
-        run_sum += loss
+        run_sum += _step(model, obj, optimizer, X, t, idx, step)
         run_count += 1
         if step % schedule.checkpoint_every == 0:
             val_loss, ranks = _validate(model, obj, val_ds, tv, eval_ds, max(ks))
@@ -309,6 +305,23 @@ def train(tax: Taxonomy, model: ClassifierModel, train_ds, val_ds, eval_ds,
             ))
             run_sum, run_count = 0.0, 0
     return records
+
+
+def _step(model, obj, optimizer, X, t, idx, step) -> float:
+    """One training step on the batch rows ``idx`` of ``X`` (labels ``t``);
+    returns the batch's mean loss. Its logits, gradients and activations
+    die when it returns, so a checkpoint does not hold them."""
+    Xb = X[idx]
+    acts, Z = _forward_with_acts(model, Xb)
+    batch_losses, dZ = obj.loss_and_grad(Z, t[idx])
+    loss = float(batch_losses.mean())
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(
+            f"non-finite loss {loss} at step {step} "
+            f"(batch rows {idx[:5].tolist()}...)"
+        )
+    optimizer.update(model.params, backprop(model, Xb, dZ, acts=acts))
+    return loss
 
 
 def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
@@ -451,7 +464,7 @@ def checkpoint_to_text(model: ClassifierModel, step: int, taxonomy_hash: str) ->
         f"# layer_shapes={shapes}",
         f"# step={step}",
         f"# taxonomy_hash={taxonomy_hash}",
-        *("\n".join(map(fmt, model.params[i:i + _CHECKPOINT_CHUNK].tolist()))
+        *("\n".join(map(repr, model.params[i:i + _CHECKPOINT_CHUNK].tolist()))
           for i in range(0, model.params.size, _CHECKPOINT_CHUNK)),
     ]) + "\n"
 
@@ -465,9 +478,9 @@ def checkpoint_from_text(text: str, source: str = "checkpoint"
     """Read a ``checkpoint_to_text`` document: the header lines, then the
     values. A missing or inconsistent header key, a value count that does
     not fit ``layer_shapes``, or a value that is not a finite float raises
-    ``ValueError`` naming ``source`` (and the line, for a value)."""
-    lines = text.splitlines()
-    meta, n_meta = read_header(lines)
+    ``ValueError`` naming ``source`` (and the line, for a value). The values
+    are parsed one chunk of lines at a time into the parameter vector."""
+    meta, n_meta = read_header(_lines(text))
     if meta.get("format") != "hiercls-checkpoint-v1":
         raise ValueError(f"{source}: not a recognizable checkpoint file")
     missing = [key for key in _CHECKPOINT_KEYS if key not in meta]
@@ -488,18 +501,25 @@ def checkpoint_from_text(text: str, source: str = "checkpoint"
         raise ValueError(f"{source}: input_dim={dims[0]} and output_dim={dims[1]}"
                          f" do not fit layer_shapes={meta['layer_shapes']}, or "
                          "its layers do not chain")
-    body = lines[n_meta:]
     n = sum(d_in * d_out + d_out for d_in, d_out in shapes)
-    if len(body) != n:
-        raise ValueError(f"{source}: {len(body)} values, but "
+    params, count = np.empty(n), 0
+    body = islice(_lines(text), n_meta, None)
+    while chunk := list(islice(body, _CHECKPOINT_CHUNK)):
+        if count + len(chunk) > n:  # too many values: count the rest
+            count += len(chunk) + sum(1 for _ in body)
+            break
+        try:
+            params[count:count + len(chunk)] = np.array(chunk, dtype=float)
+        except ValueError:  # parse line by line; the bad one reads as NaN
+            params[count:count + len(chunk)] = [float_or_nan(v) for v in chunk]
+        count += len(chunk)
+    if count != n:
+        raise ValueError(f"{source}: {count} values, but "
                          f"layer_shapes={meta['layer_shapes']} needs {n}")
-    try:
-        params = np.array(body, dtype=float)
-    except ValueError:  # parse line by line to find the bad one
-        params = np.array([float_or_nan(v) for v in body])
     bad = np.flatnonzero(~np.isfinite(params))
-    if bad.size:
+    if bad.size:  # find the bad value's line again
+        line = next(islice(_lines(text), n_meta + bad[0], None))
         raise ValueError(f"{source} line {n_meta + bad[0] + 1}: value "
-                         f"{body[bad[0]]!r} is not a finite float")
+                         f"{line!r} is not a finite float")
     return ClassifierModel(meta["head"], params, shapes), step, meta["taxonomy_hash"]
 

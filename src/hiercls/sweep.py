@@ -210,10 +210,15 @@ def parse_sweep_config(text: str, base_dir: str | Path = ".",
 
 
 def read_input(path: str | Path, name: str) -> str:
-    """Text of an input file; ``name`` (its option or key) is in errors."""
+    """Text of an input file; ``name`` (its option or key) is in errors,
+    and for a file that is not UTF-8, the offset of its first bad byte."""
     if not Path(path).exists():
         raise DataError(f"{name}: file not found: {path}")
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name} {path}: byte {exc.start} is not UTF-8 "
+                        f"({exc.reason})") from None
 
 
 def read_classes(path: str | Path, name: str) -> list[str]:
@@ -388,16 +393,23 @@ def write_run_files(out: Path, meta: dict, records: list[CheckpointRecord],
                         [records[i].report for i in selected])
 
 
-def read_selected(run: str | Path, name: str) -> tuple[dict, list[int]]:
+def read_selected(run: str | Path, name: str, taxonomy_hash: str
+                  ) -> tuple[dict, list[int]]:
     """The ``split`` and ``split_seed`` that run directory ``run`` recorded
     (as ``read_setting`` reads them; a key it lacks is left out), and the
-    steps of its selected checkpoints. A bad file, or a step given twice,
-    raises ``DataError`` naming ``name`` (its option), the file and the
-    line."""
+    steps of its selected checkpoints. A bad file, a step given twice, or a
+    ``taxonomy_hash`` header key that is missing or is not
+    ``taxonomy_hash`` (that of ``--taxonomy``) raises ``DataError`` naming
+    ``name`` (its option), the file and the line or key."""
     path = Path(run) / _SELECTED_CSV
     source = f"{name} {path}"
     meta, rows = read_rows(read_input(path, name), source,
                            _SELECTED_HEADER.split(","), ints=(1,), need_rows=True)
+    if "taxonomy_hash" not in meta:
+        raise DataError(f"{source}: missing header key 'taxonomy_hash'")
+    if meta["taxonomy_hash"] != taxonomy_hash:
+        raise DataError(f"{source}: taxonomy_hash {meta['taxonomy_hash']} does "
+                        f"not match --taxonomy hash {taxonomy_hash}")
     next(rows)  # the header row
     steps = []
     for lineno, (_, step) in rows:

@@ -711,6 +711,8 @@ CHECKPOINT_EDITS = {
         ": bad header value: invalid literal for int() with base 10: 'x'"),
     "value_count": (
         lambda L: L[:-1], ": 20 values, but layer_shapes=6x3 needs 21"),
+    "extra_value": (
+        lambda L: L + ["0.5"], ": 22 values, but layer_shapes=6x3 needs 21"),
     "unparsable_value": (
         lambda L: L[:7] + ["0.1.2"] + L[8:],
         " line 8: value '0.1.2' is not a finite float"),
@@ -836,6 +838,63 @@ def test_run_with_mixed_heads_names_the_checkpoint(workdir, capsys):
     assert code == 2
     assert (f"error: --run {ckpt}: head=conditional, but the run's first "
             "checkpoint has head=class") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("0000000000000000", "taxonomy_hash 0000000000000000 does not match "
+     "--taxonomy hash {hash}"),
+    (None, "missing header key 'taxonomy_hash'"),
+], ids=["other_hash", "no_hash"])
+def test_selected_csv_taxonomy_hash_must_match(workdir, capsys, value, problem):
+    tree, data = gen_tree_and_data(workdir)
+    inputs = ["--data", data, "--taxonomy", tree,
+              "--classes", workdir / "classes.txt"]
+    trained = workdir / "run"
+    assert run("train", *inputs, "--loss", "ce", *TINY_TRAIN,
+               "--out", trained) == 0
+    selected = trained / "selected.csv"
+    lines = selected.read_text().splitlines()
+    tax_hash = next(l.split("=")[1] for l in lines
+                    if l.startswith("# taxonomy_hash="))
+    edited = (_with_header(lines, taxonomy_hash=value) if value else
+              [l for l in lines if not l.startswith("# taxonomy_hash=")])
+    selected.write_text("\n".join(edited) + "\n")
+    report = workdir / "report.csv"
+    code = run("evaluate", *inputs, "--split", "0.6,0.2,0.2", "--ks", "1",
+               "--run", trained, "--out-report", report)
+    assert code == 2
+    assert (f"error: --run {selected}: {problem.format(hash=tax_hash)}"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("name", ["--taxonomy", "--classes", "--data", "--run",
+                                  "--config", "data"])
+def test_input_not_utf8_names_file_and_byte(workdir, capsys, name):
+    tree, data = gen_tree_and_data(workdir)
+    classes = workdir / "classes.txt"
+    inputs = ["--data", data, "--taxonomy", tree, "--classes", classes]
+    out = workdir / "out"
+    train = ["train", *inputs, "--loss", "ce", *TINY_TRAIN, "--out", out]
+    if name == "--run":
+        assert run(*train) == 0
+        step = int(body(out / "selected.csv")[1].split(",")[1])
+        path = out / "checkpoints" / f"step_{step:06d}.txt"
+        argv = ["evaluate", *inputs, "--split", "0.6,0.2,0.2", "--ks", "1",
+                "--run", out, "--out-report", workdir / "report.csv"]
+    elif name in ("--config", "data"):
+        config = write_sweep_config(workdir, tree, data)
+        path = config if name == "--config" else data
+        argv = ["sweep", "--config", config, "--out", out]
+    else:
+        path = {"--taxonomy": tree, "--classes": classes, "--data": data}[name]
+        argv = train
+    offset = path.stat().st_size
+    with open(path, "ab") as f:
+        f.write(b"\xff")
+    assert run(*argv) == 2
+    assert (f"error: {name} {path}: byte {offset} is not UTF-8"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])

@@ -87,6 +87,66 @@ class TestAdam:
         assert opt.m.shape == (9,) and opt.v.shape == (9,)
 
 
+    def test_holds_three_parameter_rows(self):
+        # m, v and one work row; a step after the first allocates nothing.
+        params, grads = np.zeros(50_000), np.ones(50_000)
+        opt = Md.AdamOptimizer(lr=0.1)
+        tracemalloc.start()
+        try:
+            opt.update(params, grads)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            opt.update(params, np.ones(50_000))
+            step_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert 2.5 * params.nbytes < held < 3.5 * params.nbytes, held
+        assert step_peak < 1.5 * params.nbytes, step_peak
+
+    def test_twenty_steps_bitwise_equal_to_two_work_rows(self):
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=257)
+        ref_params = params.copy()
+        opt, ref = Md.AdamOptimizer(lr=0.01), TwoWorkRowAdam(lr=0.01)
+        for step in range(20):
+            # Gradients over many scales, with exact zeros.
+            grads = rng.normal(size=257) * 10.0 ** rng.integers(-8, 4, size=257)
+            grads[rng.integers(257, size=20)] = 0.0
+            opt.update(params, grads.copy())
+            ref.update(ref_params, grads)
+            assert params.tobytes() == ref_params.tobytes(), step
+            assert opt.m.tobytes() == ref.m.tobytes()
+            assert opt.v.tobytes() == ref.v.tobytes()
+
+
+class TwoWorkRowAdam:
+    """The Adam step with two work rows beside ``m`` and ``v``, which left
+    the gradient as it was; kept as the bitwise reference of
+    ``AdamOptimizer``, which takes the gradient's row as its second."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = None
+
+    def update(self, params, grads):
+        if self.m is None:
+            self.m, self.v, self.a, self.b = np.zeros((4,) + params.shape)
+        self.step_count += 1
+        t = self.step_count
+        c1 = 1.0 - self.beta1 ** t
+        c2 = 1.0 - self.beta2 ** t
+        m, v, a, b = self.m, self.v, self.a, self.b
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grads, out=a)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, grads, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.multiply(self.lr, np.divide(m, c1, out=a), out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        params -= np.divide(a, np.add(b, self.eps, out=b), out=a)
+
+
 # The list-of-arrays model code that the flat parameter vector replaced,
 # kept as a bitwise reference: one (W, b) pair of arrays per layer, Adam
 # state per tensor.
@@ -272,6 +332,32 @@ class TestTraining:
         with pytest.raises(Md.TrainingDivergedError, match="step 1"):
             Md.train(toy_tree, model, ds, ds, ds, Bad(),
                      Md.AdamOptimizer(lr=0.01), self.schedule(), ks=(1,))
+
+    def test_checkpoint_holds_no_step_arrays(self, monkeypatch):
+        # A 1,056-output conditional head (32 x 32 leaves). At each
+        # checkpoint, train holds Adam's three rows and the snapshots taken
+        # so far, but no logits, logit gradient or flat gradient of the
+        # last step: each of those is about twice the parameters here.
+        tax = make_balanced_tree(32, 2)
+        obj = Md.build_objective(tax, "ce", None, "conditional")
+        model = Md.init_model(tax, "conditional", 32, seed=0)
+        assert model.output_dim >= 1000
+        ds = random_split(tax, 512, 32, 0)
+        tax.lca_height_matrix()  # cached before tracing, as in a run
+        held, validate = [], Md._validate
+        monkeypatch.setattr(Md, "_validate", lambda *args: held.append(
+            tracemalloc.get_traced_memory()[0]) or validate(*args))
+        tracemalloc.start()
+        try:
+            Md.train(tax, model, ds, ds, ds, obj, Md.AdamOptimizer(lr=0.01),
+                     self.schedule(steps=40, batch_size=64, checkpoint_every=10),
+                     ks=(1,))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 4
+        for snapshots, memory in enumerate(held):
+            assert memory < (3 + snapshots + 0.5) * model.params.nbytes, (
+                snapshots, memory / model.params.nbytes)
 
     def test_soft_conditional_combination_rejected(self, toy_tree):
         with pytest.raises(ValueError):
@@ -811,6 +897,40 @@ class TestCheckpointText:
         assert text.endswith("\n") and len(lines) == 7 + n
         assert lines[7:] == [repr(v) for v in params.tolist()]
         assert Md.checkpoint_from_text(text)[0].params.tobytes() == params.tobytes()
+
+    def test_read_peaks_below_one_and_a_half_texts(self):
+        # A 64 -> 880 affine model, as a wide-tree run writes it.
+        shapes = ((64, 880),)
+        params = np.random.default_rng(0).normal(scale=0.01, size=65 * 880)
+        text = Md.checkpoint_to_text(Md.ClassifierModel("class", params, shapes),
+                                     50, "ab")
+        tracemalloc.start()
+        try:
+            model = Md.checkpoint_from_text(text)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.params.tobytes() == params.tobytes()
+        assert peak < 1.5 * len(text), peak / len(text)
+
+    def test_bad_value_in_a_later_chunk_names_its_line(self):
+        shapes = ((100, 90),)
+        n = 101 * 90
+        assert n > 2 * Md._CHECKPOINT_CHUNK
+        text = Md.checkpoint_to_text(Md.ClassifierModel(
+            "class", np.random.default_rng(1).normal(size=n), shapes), 7, "ab")
+        lines = text.splitlines()
+        for index, value in ((7 + Md._CHECKPOINT_CHUNK + 5, "0.1.2"),
+                             (7 + 2 * Md._CHECKPOINT_CHUNK, "nan"),
+                             (len(lines) - 1, "-inf")):
+            bad = lines[:index] + [value] + lines[index + 1:]
+            with pytest.raises(ValueError, match=(
+                    f"^checkpoint line {index + 1}: value '{value}' is not a "
+                    "finite float$")):
+                Md.checkpoint_from_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=f": {n + 1} values, but "
+                           f"layer_shapes=100x90 needs {n}$"):
+            Md.checkpoint_from_text(text + "0.5\n")
 
     def test_rejects_foreign_text(self):
         with pytest.raises(ValueError):

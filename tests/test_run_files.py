@@ -86,7 +86,7 @@ def read_run(out: Path):
     header, cells = body(out / "trace.csv")
     rows = [(int(c[0]), float(c[1]), float(c[2]),
              {n: float(v) for n, v in zip(header[3:], c[3:])}) for c in cells]
-    _, steps = read_selected(out, "--run")
+    _, steps = read_selected(out, "--run", META["taxonomy_hash"])
     selected = [[row[0] for row in rows].index(step) for step in steps]
     _, counts = read_histogram(out / "histogram.csv", "--histogram")
     return rows, selected, dict(counts)

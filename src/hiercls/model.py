@@ -44,12 +44,14 @@ __all__ = [
 HEADS = ("class", "conditional")
 # Loss kind -> the name of its one parameter (ce takes none).
 LOSS_PARAMETERS = {"ce": None, "hxe": "alpha", "soft": "beta"}
-# Rows a scoring block takes of a split's whole logits: a blocked forward
-# pass, or a 1-row block (never from np.array_split), changed bits.
+# A scoring block of a split's whole logits (see _in_blocks); its 3-row floor
+# keeps np.array_split from making a 1-row block of a split of more rows. A
+# blocked forward pass, or a 1-row block, changed bits.
 _SCORE_ROWS = 128
+_SCORE_VALUES = 1 << 16
 # Values formatted per join in checkpoint_to_text, and parsed per array in
 # checkpoint_from_text.
-_CHECKPOINT_CHUNK = 4096
+_CHECKPOINT_CHUNK = 1024
 
 
 class TrainingDivergedError(RuntimeError):
@@ -349,9 +351,12 @@ def _top_ranks(scores: np.ndarray, width: int) -> np.ndarray:
 
 
 def _in_blocks(fn, *arrays):
-    """``fn`` on each block of at most ``_SCORE_ROWS`` same rows of
-    ``arrays``; each of its results concatenated over the blocks."""
-    split = (np.array_split(a, -(-len(a) // _SCORE_ROWS)) for a in arrays)
+    """``fn`` on each block of the same rows of ``arrays``; each of its
+    results concatenated over the blocks. The blocks are the fewest that
+    hold at most ``_SCORE_VALUES`` values of ``arrays[0]`` and at most
+    ``_SCORE_ROWS`` rows, but never fewer than 3 rows."""
+    rows = max(3, min(_SCORE_ROWS, _SCORE_VALUES // arrays[0][0].size))
+    split = (np.array_split(a, -(-len(a) // rows)) for a in arrays)
     return [np.concatenate(r) for r in zip(*(fn(*b) for b in zip(*split)))]
 
 
@@ -379,7 +384,7 @@ def evaluate_model(tax: Taxonomy, model: ClassifierModel, ds, obj,
     """Metric report for one parameter set, ranked by ``obj.scores``: any
     objective of the model's head, built once by the caller (class-head
     scores are the logits, conditional-head scores the factorized log leaf
-    posteriors), in blocks of ``_SCORE_ROWS`` rows after one forward pass.
+    posteriors), in ``_in_blocks`` blocks after one forward pass.
     Each example ranks only its top ``max(ks)`` classes (a partial
     partition, then a sort of that slice, when that is at most a third of
     the classes); ties break toward the lower canonical class index, exactly
@@ -477,9 +482,10 @@ def checkpoint_from_text(text: str, source: str = "checkpoint"
                          ) -> tuple[ClassifierModel, int, str]:
     """Read a ``checkpoint_to_text`` document: the header lines, then the
     values. A missing or inconsistent header key, a value count that does
-    not fit ``layer_shapes``, or a value that is not a finite float raises
-    ``ValueError`` naming ``source`` (and the line, for a value). The values
-    are parsed one chunk of lines at a time into the parameter vector."""
+    not fit ``layer_shapes``, or a value that is not a finite float (a blank
+    or ``#`` line among them included) raises ``ValueError`` naming
+    ``source`` (and the line, for a value). The values are parsed one chunk
+    of lines at a time into the parameter vector."""
     meta, n_meta = read_header(_lines(text))
     if meta.get("format") != "hiercls-checkpoint-v1":
         raise ValueError(f"{source}: not a recognizable checkpoint file")
@@ -505,21 +511,19 @@ def checkpoint_from_text(text: str, source: str = "checkpoint"
     params, count = np.empty(n), 0
     body = islice(_lines(text), n_meta, None)
     while chunk := list(islice(body, _CHECKPOINT_CHUNK)):
-        if count + len(chunk) > n:  # too many values: count the rest
-            count += len(chunk) + sum(1 for _ in body)
-            break
         try:
-            params[count:count + len(chunk)] = np.array(chunk, dtype=float)
+            values = np.array(chunk, dtype=float)
         except ValueError:  # parse line by line; the bad one reads as NaN
-            params[count:count + len(chunk)] = [float_or_nan(v) for v in chunk]
-        count += len(chunk)
+            values = np.array([float_or_nan(v) for v in chunk])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:  # a blank or "#" line reads as NaN too
+            raise ValueError(f"{source} line {n_meta + count + bad[0] + 1}: "
+                             f"value {chunk[bad[0]]!r} is not a finite float")
+        if count < n:  # past n, the values are only counted
+            params[count:count + len(values)] = values[:n - count]
+        count += len(values)
     if count != n:
         raise ValueError(f"{source}: {count} values, but "
                          f"layer_shapes={meta['layer_shapes']} needs {n}")
-    bad = np.flatnonzero(~np.isfinite(params))
-    if bad.size:  # find the bad value's line again
-        line = next(islice(_lines(text), n_meta + bad[0], None))
-        raise ValueError(f"{source} line {n_meta + bad[0] + 1}: value "
-                         f"{line!r} is not a finite float")
     return ClassifierModel(meta["head"], params, shapes), step, meta["taxonomy_hash"]
 

@@ -713,6 +713,11 @@ CHECKPOINT_EDITS = {
         lambda L: L[:-1], ": 20 values, but layer_shapes=6x3 needs 21"),
     "extra_value": (
         lambda L: L + ["0.5"], ": 22 values, but layer_shapes=6x3 needs 21"),
+    "trailing_blank_line": (
+        lambda L: L + [""], " line 29: value '' is not a finite float"),
+    "comment_line": (
+        lambda L: L[:12] + ["# note"] + L[12:],
+        " line 13: value '# note' is not a finite float"),
     "unparsable_value": (
         lambda L: L[:7] + ["0.1.2"] + L[8:],
         " line 8: value '0.1.2' is not a finite float"),

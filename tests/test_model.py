@@ -11,7 +11,7 @@ from conftest import (EXTREMES, finite_difference, hxe_kernel,
                       make_balanced_tree, max_rel_error)
 from hiercls import model as Md
 from hiercls.data import Dataset, synth_hierarchical
-from hiercls.losses import ConditionalHxeObjective, softmax_batch
+from hiercls.losses import ConditionalHxeObjective, _PathHxe, softmax_batch
 from hiercls.metrics import MetricReport
 from hiercls.sweep import (SweepConfig, average_reports, mean_half_width,
                           run_point, write_run_files)
@@ -652,6 +652,18 @@ BLOCK_SPECS = [("ce", None, "class", None), ("soft", 3.0, "class", None),
                ("hxe", 0.4, "conditional", None)]
 
 
+# (loss, parameter, head) on a tree of 1,331 classes, where the class-head
+# HXE takes the path kernel.
+WIDE_BLOCK_SPECS = [("ce", None, "class"), ("hxe", 0.4, "class"),
+                    ("ce", None, "conditional"), ("hxe", 0.4, "conditional")]
+
+
+@pytest.fixture(scope="module")
+def wide_tree():
+    """1,331 classes, 1,463 conditional-head outputs."""
+    return make_balanced_tree(11, 3)
+
+
 def random_split(tax, n, dim, seed):
     rng = np.random.default_rng(seed)
     return Dataset(rng.normal(size=(n, dim)),
@@ -677,6 +689,22 @@ class TestBlockScoring:
         for seed in range(0, 12, 2):
             val_ds, test_ds = (random_split(balanced27, n, 5, s) for s in (seed, seed + 1))
             self.check(balanced27, model, obj, val_ds, test_ds)
+
+    @pytest.mark.parametrize("n", [1, 2, 45, 50, 197])
+    @pytest.mark.parametrize("spec", WIDE_BLOCK_SPECS,
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_wide_heads_bitwise_equal_to_whole_split(self, wide_tree, spec, n):
+        # Blocks of 49 rows on the class head and 44 on the conditional
+        # head, so the larger splits take two to five blocks.
+        loss, param, head = spec
+        obj = Md.build_objective(wide_tree, loss, param, head)
+        if loss == "hxe" and head == "class":
+            assert isinstance(obj.kernel, _PathHxe)
+        model = Md.init_model(wide_tree, head, 5, seed=1, hidden_dim=9)
+        model.params[:] = 0.1 * np.random.default_rng(2).normal(size=model.params.size)
+        for seed in range(0, 4, 2):
+            val_ds, test_ds = (random_split(wide_tree, n, 5, s) for s in (seed, seed + 1))
+            self.check(wide_tree, model, obj, val_ds, test_ds)
 
     @staticmethod
     def check(tax, model, obj, val_ds, test_ds):
@@ -723,6 +751,34 @@ class TestBlockScoring:
         # No 1-row block unless the split has one row.
         assert max(sizes) <= Md._SCORE_ROWS and min(sizes) >= min(n, 2)
 
+    # Logit width -> rows a block takes: 128 up to 512 logits a row, then
+    # 65,536 logits a block, but never fewer than 3 rows (2 would cut 3 rows
+    # into 2 + 1).
+    ROWS_AT_WIDTH = {27: 128, 512: 128, 513: 127, 880: 74, 1454: 45,
+                     20000: 3, 30000: 3}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 44, 45, 46, 91, 129, 385])
+    @pytest.mark.parametrize("width", list(ROWS_AT_WIDTH))
+    def test_fewest_blocks_at_each_width(self, width, n):
+        rows = self.ROWS_AT_WIDTH[width]
+        sizes = []
+        # A view without memory of its own: any width costs nothing.
+        Z = np.broadcast_to(np.arange(n)[:, None], (n, width))
+        firsts, = Md._in_blocks(lambda a: (sizes.append(len(a)) or a[:, 0],), Z)
+        assert np.array_equal(firsts, np.arange(n))
+        assert len(sizes) == -(-n // rows)
+        assert max(sizes) <= rows and min(sizes) >= min(n, 2)
+
+    @staticmethod
+    def evaluate_peak(tax, model, ds, obj):
+        tax.lca_height_matrix()  # cached before tracing, as in a run
+        tracemalloc.start()
+        try:
+            Md.evaluate_model(tax, model, ds, obj, (1, 5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_evaluate_memory_is_logits_plus_blocks(self):
         # 2,000 rows on a 343-class conditional head: every (rows, outputs)
         # temporary of the whole split would be as large as the logits.
@@ -730,16 +786,27 @@ class TestBlockScoring:
         obj = Md.build_objective(tax, "ce", None, "conditional")
         model = Md.init_model(tax, "conditional", 8, seed=0)
         ds = random_split(tax, 2000, 8, 0)
-        tax.lca_height_matrix()  # cached before tracing, as in a run
         logits = len(ds.labels) * model.output_dim * 8
-        block = Md._SCORE_ROWS * (model.output_dim + tax.num_nodes) * 8
-        tracemalloc.start()
-        try:
-            Md.evaluate_model(tax, model, ds, obj, (1, 5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows = min(Md._SCORE_ROWS, Md._SCORE_VALUES // model.output_dim)
+        block = rows * (model.output_dim + tax.num_nodes) * 8
+        peak = self.evaluate_peak(tax, model, ds, obj)
         assert peak < logits + 4 * block, (peak, logits, block)
+
+    @pytest.mark.parametrize("rows", ["by_width", "fixed_128"])
+    def test_wide_conditional_evaluate_memory_is_blocks_by_width(self, wide_tree,
+                                                                 monkeypatch, rows):
+        # 1,463 outputs: a block of 128 rows holds 1.5 MB arrays, one of 44
+        # rows (65,536 logits) 0.5 MB.
+        obj = Md.build_objective(wide_tree, "ce", None, "conditional")
+        model = Md.init_model(wide_tree, "conditional", 8, seed=0)
+        ds = random_split(wide_tree, 400, 8, 0)
+        logits = len(ds.labels) * model.output_dim * 8
+        bound = logits + 6 * Md._SCORE_VALUES * 8
+        if rows == "fixed_128":  # the bound tells the old rule apart
+            monkeypatch.setattr(Md, "_SCORE_VALUES", 1 << 30)
+            assert self.evaluate_peak(wide_tree, model, ds, obj) > bound
+        else:
+            assert self.evaluate_peak(wide_tree, model, ds, obj) < bound
 
 
 class TestRunPoint:
@@ -898,7 +965,7 @@ class TestCheckpointText:
         assert lines[7:] == [repr(v) for v in params.tolist()]
         assert Md.checkpoint_from_text(text)[0].params.tobytes() == params.tobytes()
 
-    def test_read_peaks_below_one_and_a_half_texts(self):
+    def test_read_peaks_below_its_text(self):
         # A 64 -> 880 affine model, as a wide-tree run writes it.
         shapes = ((64, 880),)
         params = np.random.default_rng(0).normal(scale=0.01, size=65 * 880)
@@ -911,7 +978,7 @@ class TestCheckpointText:
         finally:
             tracemalloc.stop()
         assert model.params.tobytes() == params.tobytes()
-        assert peak < 1.5 * len(text), peak / len(text)
+        assert peak < len(text), peak / len(text)
 
     def test_bad_value_in_a_later_chunk_names_its_line(self):
         shapes = ((100, 90),)

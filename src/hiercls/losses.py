@@ -97,9 +97,11 @@ def soft_label_matrix(tax: Taxonomy, beta: float) -> np.ndarray:
 
 
 class _Objective:
-    """``loss_and_grad`` gives a batch's losses and their C-ordered logit
-    gradient from one pass; ``loss_batch`` and ``grad_batch`` are its
-    halves. A class head ranks the classes by its leaf logits as they are."""
+    """``loss_and_grad`` gives a batch's losses and their logit gradient
+    from one pass; ``loss_batch`` and ``grad_batch`` are its halves. The
+    gradient is C-ordered, except that the class path kernel's can come
+    back Fortran-ordered from its final column gather. A class head ranks
+    the classes by its leaf logits as they are."""
 
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         return self.loss_and_grad(Z, truth_idx)[0]
@@ -126,17 +128,24 @@ def _inverse(masses: np.ndarray) -> np.ndarray:
 
 
 class _ProbabilityLoss(_Objective):
-    """A loss of the softmax probabilities ``P``, from ``loss_from_probs``
-    and ``loss_and_prob_grad`` (the losses and their gradient in ``P``)."""
+    """A loss of the softmax probabilities ``P``. ``masses(P, truth_idx)``
+    gives the truth rows' weights, the masses they weight and what else the
+    gradient needs; ``prob_grad`` turns those into the gradient in ``P``.
+    ``loss_batch`` takes no gradient: deriving it from ``loss_and_grad``
+    slowed wide_class 2%."""
 
-    # Not derived: the path kernel's gradient per checkpoint slowed wide_class 2%.
+    def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
+        return _weighted_nll(*self.masses(P, truth_idx)[:2])
+
     def loss_batch(self, Z: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
         return self.loss_from_probs(softmax_batch(Z), truth_idx)
 
     def loss_and_grad(self, Z: np.ndarray, truth_idx: np.ndarray):
         P = softmax_batch(Z)
-        losses, G = self.loss_and_prob_grad(P, truth_idx)
-        return losses, P * (G - (G * P).sum(axis=1, keepdims=True))
+        weights, masses, extra = self.masses(P, truth_idx)
+        G = self.prob_grad(weights, masses, extra)
+        return (_weighted_nll(weights, masses),
+                P * (G - (G * P).sum(axis=1, keepdims=True)))
 
 
 class ClassCrossEntropy(_Objective):
@@ -172,15 +181,11 @@ class _DenseHxe:
         self.coeff = np.zeros((tax.num_leaves, tax.num_nodes))
         np.add.at(self.coeff, (np.arange(tax.num_leaves)[:, None], tax.lineage), coef)
 
-    def loss(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return _weighted_nll(self.coeff[truth_idx], P @ self.membership.T)
+    def masses(self, P: np.ndarray, truth_idx: np.ndarray):
+        return self.coeff[truth_idx], P @ self.membership.T, None
 
-    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
-        """The losses and their gradient in ``P``, from one mass product."""
-        masses = P @ self.membership.T
-        K = self.coeff[truth_idx]
-        return (_weighted_nll(K, masses),
-                -(K * _inverse(masses)) @ self.membership)
+    def prob_grad(self, K: np.ndarray, masses: np.ndarray, _) -> np.ndarray:
+        return -(K * _inverse(masses)) @ self.membership
 
 
 class _PathHxe:
@@ -203,8 +208,8 @@ class _PathHxe:
         self.dfs_pos = tax.dfs_pos
         self.dfs_leaves = np.argsort(tax.dfs_pos)
 
-    def _masses(self, P: np.ndarray, truth_idx: np.ndarray):
-        """The lineage masses, leaf first, and the interval widths."""
+    def masses(self, P: np.ndarray, truth_idx: np.ndarray):
+        """The truth's coefficients, lineage masses (leaf first), widths."""
         B, L = P.shape
         # A zero column ends each row, so no interval start runs past it.
         Pd = np.zeros((B, L + 1))
@@ -220,20 +225,15 @@ class _PathHxe:
         H = self.path.shape[1] - 1
         steps = sums[:, H:].copy()
         steps[:, 1:] += sums[:, H - 1::-1]
-        return np.cumsum(steps, axis=1), widths
+        return self.coef[truth_idx], np.cumsum(steps, axis=1), widths
 
-    def loss(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return _weighted_nll(self.coef[truth_idx], self._masses(P, truth_idx)[0])
-
-    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
-        """The losses and their gradient in ``P``, from one mass pass."""
-        masses, widths = self._masses(P, truth_idx)
-        coef = self.coef[truth_idx]
+    def prob_grad(self, coef: np.ndarray, masses: np.ndarray,
+                  widths: np.ndarray) -> np.ndarray:
         # Level j's value holds on intervals H - j and H + j.
         level = -np.cumsum((coef * _inverse(masses))[:, ::-1], axis=1)[:, ::-1]
         per_interval = np.concatenate((level[:, ::-1], level[:, 1:]), axis=1)
-        G = np.repeat(per_interval.ravel(), widths.ravel()).reshape(P.shape)
-        return _weighted_nll(coef, masses), G[:, self.dfs_pos]
+        G = np.repeat(per_interval.ravel(), widths.ravel())
+        return G.reshape(len(coef), len(self.dfs_pos))[:, self.dfs_pos]
 
 
 class ClassHxeObjective(_ProbabilityLoss):
@@ -254,14 +254,7 @@ class ClassHxeObjective(_ProbabilityLoss):
         coef = np.diff(weights[tax.lineage], axis=1, prepend=0.0)
         large = tax.num_leaves >= _PATH_KERNEL_MIN_LEAVES
         self.kernel = (_PathHxe if large else _DenseHxe)(tax, coef)
-
-    def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        """The loss of class-probability rows ``P``: the truth's coefficients
-        against the floored log masses of its lineage."""
-        return self.kernel.loss(P, truth_idx)
-
-    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
-        return self.kernel.loss_and_prob_grad(P, truth_idx)
+        self.masses, self.prob_grad = self.kernel.masses, self.kernel.prob_grad
 
 
 class ClassSoftLabelObjective(_ProbabilityLoss):
@@ -271,13 +264,11 @@ class ClassSoftLabelObjective(_ProbabilityLoss):
         self.rows = rows
         self.num_outputs = rows.shape[0]
 
-    def loss_from_probs(self, P: np.ndarray, truth_idx: np.ndarray) -> np.ndarray:
-        return _weighted_nll(self.rows[truth_idx], P)
+    def masses(self, P: np.ndarray, truth_idx: np.ndarray):
+        return self.rows[truth_idx], P, None
 
-    def loss_and_prob_grad(self, P: np.ndarray, truth_idx: np.ndarray):
-        Y = self.rows[truth_idx]
-        return _weighted_nll(Y, P), np.divide(-Y, P, out=np.zeros_like(P),
-                                              where=P > EPS)
+    def prob_grad(self, Y: np.ndarray, P: np.ndarray, _) -> np.ndarray:
+        return np.divide(-Y, P, out=np.zeros_like(P), where=P > EPS)
 
 
 class ConditionalHxeObjective(_Objective):

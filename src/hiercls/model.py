@@ -162,13 +162,11 @@ def _forward_with_acts(model, X):
     return acts, Z
 
 
-def backprop(model: ClassifierModel, X: np.ndarray, dZ: np.ndarray,
-             acts=None) -> np.ndarray:
+def backprop(model: ClassifierModel, acts: list, dZ: np.ndarray) -> np.ndarray:
     """Gradient of the batch-mean loss w.r.t. ``model.params`` (same flat
-    order), given the per-sample logit gradients ``dZ``."""
-    if acts is None:
-        acts, _ = _forward_with_acts(model, X)
-    B = len(X)
+    order), given the batch's activations ``acts`` from
+    ``_forward_with_acts`` and the per-sample logit gradients ``dZ``."""
+    B = len(dZ)
     delta = dZ
     grads: list[np.ndarray] = []
     for li in reversed(range(len(model.layers))):
@@ -313,8 +311,7 @@ def _step(model, obj, optimizer, X, t, idx, step) -> float:
     """One training step on the batch rows ``idx`` of ``X`` (labels ``t``);
     returns the batch's mean loss. Its logits, gradients and activations
     die when it returns, so a checkpoint does not hold them."""
-    Xb = X[idx]
-    acts, Z = _forward_with_acts(model, Xb)
+    acts, Z = _forward_with_acts(model, X[idx])
     batch_losses, dZ = obj.loss_and_grad(Z, t[idx])
     loss = float(batch_losses.mean())
     if not np.isfinite(loss):
@@ -322,7 +319,7 @@ def _step(model, obj, optimizer, X, t, idx, step) -> float:
             f"non-finite loss {loss} at step {step} "
             f"(batch rows {idx[:5].tolist()}...)"
         )
-    optimizer.update(model.params, backprop(model, Xb, dZ, acts=acts))
+    optimizer.update(model.params, backprop(model, acts, dZ))
     return loss
 
 

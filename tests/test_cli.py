@@ -530,9 +530,10 @@ class TestTrainCommand:
     def test_diverged_training_exits_2(self, workdir, capsys):
         tree, data = gen_tree_and_data(workdir)
         out = workdir / "diverged"
-        code = run("train", "--data", data, "--taxonomy", tree, "--classes",
-                   workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
-                   "--lr", "1.7e308", "--out", out)
+        with pytest.warns(RuntimeWarning):
+            code = run("train", "--data", data, "--taxonomy", tree, "--classes",
+                       workdir / "classes.txt", "--loss", "ce", *TINY_TRAIN,
+                       "--lr", "1.7e308", "--out", out)
         assert code == 2
         assert "error: non-finite loss nan at step 2 " in capsys.readouterr().err
         assert not out.exists()

@@ -624,6 +624,28 @@ def test_outputs_are_c_contiguous():
                 assert out.dtype == np.float64 and out.flags.c_contiguous, obj
 
 
+def test_loss_only_calls_take_no_probability_gradient(monkeypatch):
+    # A checkpoint needs only the loss; the path kernel's gradient there
+    # slowed wide_class 2%.
+    def no_gradient(*args):
+        raise AssertionError("a loss-only call took the gradient in P")
+
+    rng = np.random.default_rng(29)
+    for tax in (make_balanced_tree(3, 3), tree_with_leaves(rng, 100)):
+        objectives = [*(class_hxe(tax, 0.5, k) for k in HXE_KERNELS),
+                      L.ClassSoftLabelObjective(L.soft_label_matrix(tax, 2.0))]
+        for obj in objectives:
+            Z = rng.normal(size=(9, obj.num_outputs))
+            truth = rng.integers(tax.num_leaves, size=9)
+            losses = obj.loss_and_grad(Z, truth)[0]
+            monkeypatch.setattr(obj, "prob_grad", no_gradient)
+            np.testing.assert_array_equal(obj.loss_batch(Z, truth), losses)
+            np.testing.assert_array_equal(obj.loss_and_scores(Z, truth)[0],
+                                          losses)
+            with pytest.raises(AssertionError, match="took the gradient"):
+                obj.loss_and_grad(Z, truth)
+
+
 def every_objective(tax: Taxonomy, alpha: float) -> list:
     """Each objective on ``tax``, the class HXE under both kernels; the
     conditional head where the tree has edges."""

@@ -234,9 +234,9 @@ class TestFlatParametersMatchReference:
         rng = np.random.default_rng(0)
         for _ in range(50):
             idx = rng.choice(len(X), size=15, replace=False)
-            Z = Md.forward(model, X[idx])
+            acts, Z = Md._forward_with_acts(model, X[idx])
             opt.update(model.params,
-                       Md.backprop(model, X[idx], obj.grad_batch(Z, t[idx])))
+                       Md.backprop(model, acts, obj.grad_batch(Z, t[idx])))
             _, Z_ref = reference_forward(ref_layers, X[idx])
             ref_params = [a for W, b in ref_layers for a in (W, b)]
             ref_opt.update(ref_params, reference_backprop(
@@ -314,9 +314,9 @@ class TestTraining:
         X, t = ds.features, ds.label_indices(toy_tree)
         losses = []
         for _ in range(100):
-            Z = Md.forward(model, X)
+            acts, Z = Md._forward_with_acts(model, X)
             losses.append(float(obj.loss_batch(Z, t).mean()))
-            opt.update(model.params, Md.backprop(model, X, obj.grad_batch(Z, t)))
+            opt.update(model.params, Md.backprop(model, acts, obj.grad_batch(Z, t)))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_divergence_aborts_with_step(self, toy_tree):
@@ -383,8 +383,8 @@ class TestTraining:
         def total_loss():
             return float(obj.loss_batch(Md.forward(model, X), t).mean())
 
-        Z = Md.forward(model, X)
-        grads = Md.backprop(model, X, obj.grad_batch(Z, t))
+        acts, Z = Md._forward_with_acts(model, X)
+        grads = Md.backprop(model, acts, obj.grad_batch(Z, t))
         p = model.params
         num = np.zeros_like(p)
         for i in range(p.size):
@@ -423,7 +423,7 @@ def reference_train(tax, model, train_ds, val_ds, eval_ds, obj, optimizer,
         acts, Z = Md._forward_with_acts(model, X[idx])
         loss = float(obj.loss_batch(Z, t[idx]).mean())
         dZ = obj.grad_batch(Z, t[idx])
-        optimizer.update(model.params, Md.backprop(model, X[idx], dZ, acts=acts))
+        optimizer.update(model.params, Md.backprop(model, acts, dZ))
         run_sum += loss
         run_count += 1
         if step % schedule.checkpoint_every == 0:
